@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the model's main design choices:
 //!
 //! * sensitivity of block-disabling capacity to the block size (the analytical side
 //!   of Fig. 6, plus a simulated IPC check);

@@ -57,11 +57,15 @@
 //!
 //! Simulation campaigns run on all cores by default (`--serial` forces the
 //! reference single-threaded executor; both produce bit-identical output).
+//! `--help`, `-h` or `help` prints the usage line and exits successfully; a
+//! zero `--instructions`, `--pairs` or `--dies` is a usage error.
 
 use std::env;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use vccmin_experiments::analysis_figures as af;
 use vccmin_experiments::report::FigureTable;
@@ -86,7 +90,8 @@ struct Options {
     checkpoint: Option<String>,
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parses the command line; `Ok(None)` means the usage was asked for.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut args = env::args().skip(1).peekable();
     // `vccmin-repro --scheme bit-fix` is shorthand for the `schemes` target.
     // Only `--scheme` implies the target; any other leading option is still the
@@ -101,6 +106,7 @@ fn parse_args() -> Result<Options, String> {
             args.next();
             "cores".to_string()
         }
+        Some(first) if is_help(first) => return Ok(None),
         _ => args.next().ok_or_else(usage)?,
     };
     let mut scheme = None;
@@ -140,16 +146,15 @@ fn parse_args() -> Result<Options, String> {
             }
             "--instructions" => {
                 let v = args.next().ok_or("--instructions needs a value")?;
-                instructions =
-                    Some(v.parse().map_err(|e| format!("bad instruction count: {e}"))?);
+                instructions = Some(parse_count(&v, "instruction count")?);
             }
             "--pairs" => {
                 let v = args.next().ok_or("--pairs needs a value")?;
-                pairs = Some(v.parse().map_err(|e| format!("bad pair count: {e}"))?);
+                pairs = Some(parse_count(&v, "pair count")?);
             }
             "--dies" => {
                 let v = args.next().ok_or("--dies needs a value")?;
-                dies = Some(v.parse().map_err(|e| format!("bad die count: {e}"))?);
+                dies = Some(parse_count(&v, "die count")?);
             }
             "--out" => {
                 out = Some(args.next().ok_or("--out needs a path")?);
@@ -198,6 +203,7 @@ fn parse_args() -> Result<Options, String> {
             "--csv" => csv = true,
             "--serial" => serial = true,
             "--smoke" => smoke = true,
+            help if is_help(help) => return Ok(None),
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
     }
@@ -312,7 +318,7 @@ fn parse_args() -> Result<Options, String> {
             usage()
         ));
     }
-    Ok(Options {
+    Ok(Some(Options {
         target,
         params,
         yield_params,
@@ -321,7 +327,26 @@ fn parse_args() -> Result<Options, String> {
         serial,
         out,
         checkpoint,
-    })
+    }))
+}
+
+fn is_help(arg: &str) -> bool {
+    matches!(arg, "--help" | "-h" | "help")
+}
+
+/// Parses a count that must be at least 1: a campaign with zero
+/// instructions, fault-map pairs or dies has nothing to measure, and would
+/// print a table of zeros as if it were a result.
+fn parse_count<T>(value: &str, what: &str) -> Result<T, String>
+where
+    T: FromStr + Default + PartialEq,
+    T::Err: Display,
+{
+    let count: T = value.parse().map_err(|e| format!("bad {what}: {e}"))?;
+    if count == T::default() {
+        return Err(format!("bad {what}: must be at least 1\n{}", usage()));
+    }
+    Ok(count)
 }
 
 fn usage() -> String {
@@ -626,7 +651,11 @@ fn executor_label(serial: bool) -> String {
 
 fn main() -> ExitCode {
     let options = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;

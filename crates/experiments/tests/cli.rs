@@ -1,0 +1,67 @@
+//! The `vccmin-repro` usage contract, pinned by running the real binary:
+//! asking for help succeeds, and a degenerate campaign size is a usage error
+//! instead of a table of zeros.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vccmin-repro"))
+        .args(args)
+        .output()
+        .expect("failed to spawn vccmin-repro")
+}
+
+#[test]
+fn help_prints_the_usage_and_succeeds() {
+    for args in [&["--help"][..], &["-h"], &["help"], &["schemes", "--help"]] {
+        let out = repro(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{args:?} must exit 0, got {:?}",
+            out.status
+        );
+        assert!(
+            stdout.starts_with("usage: vccmin-repro"),
+            "{args:?} printed:\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn zero_counts_are_usage_errors() {
+    let cases: [&[&str]; 4] = [
+        &["schemes", "--instructions", "0"],
+        &["schemes", "--pairs", "0"],
+        &["yield", "--dies", "0"],
+        &["all", "--smoke", "--dies", "0"],
+    ];
+    for args in cases {
+        let out = repro(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?} must fail, stdout:\n{stdout}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "{args:?} must not print a table:\n{stdout}"
+        );
+        assert!(stderr.contains("must be at least 1"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: vccmin-repro"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_targets_and_missing_values_still_fail() {
+    for args in [
+        &["frobnicate"][..],
+        &["schemes", "--pairs"],
+        &["schemes", "--pairs", "x"],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+    }
+}

@@ -5,7 +5,8 @@
 //! matter to this study: L1 data-capacity sensitivity (data working set relative to
 //! the 32 KB L1), L1 instruction-capacity sensitivity (code footprint), memory-
 //! boundedness (working sets far larger than the L2) and branch predictability.
-//! The exact numbers are synthetic; see `DESIGN.md` for the substitution rationale.
+//! The exact numbers are synthetic; the crate documentation explains the
+//! substitution.
 
 use crate::profile::{BenchmarkProfile, Suite};
 
