@@ -31,7 +31,6 @@ use crate::geometry::ArrayGeometry;
 
 /// Parameters of the bit-fix repair organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitFixParams {
     /// Word size in bits (32 in the paper's machine model).
     pub word_bits: u64,

@@ -126,7 +126,6 @@ pub fn pfail_for_capacity(geometry: &ArrayGeometry, target: f64) -> f64 {
 
 /// One point of a capacity/fault sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepPoint {
     /// Per-cell probability of failure.
     pub pfail: f64,
@@ -160,7 +159,6 @@ pub fn sweep_pfail(geometry: &ArrayGeometry, max_pfail: f64, steps: usize) -> Ve
 /// One series of Fig. 6: capacity vs `pfail` for a specific block size, holding the
 /// total cache size constant.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockSizeSeries {
     /// Block size in bytes for this series.
     pub block_bytes: u64,

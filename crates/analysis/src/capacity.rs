@@ -13,7 +13,6 @@ use crate::geometry::ArrayGeometry;
 
 /// The probability distribution of the number of fault-free blocks in an array.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CapacityDistribution {
     blocks: u64,
     block_fault_probability: f64,

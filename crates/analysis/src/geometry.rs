@@ -10,7 +10,6 @@ use crate::error::AnalysisError;
 
 /// Geometry of a cache data+tag array, as seen by the fault analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayGeometry {
     /// Number of blocks (`d` in the paper).
     blocks: u64,

@@ -28,7 +28,6 @@ use crate::voltage::VoltageScalingModel;
 /// Cycles spent in each voltage mode (transition overhead included in the mode
 /// that pays it).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModeCycles {
     /// Cycles executed at the nominal operating point.
     pub nominal: f64,

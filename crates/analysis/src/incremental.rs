@@ -12,7 +12,6 @@ use crate::word_disable::{subblock_failure_probability, WordDisableParams};
 
 /// Breakdown of block-pair states under incremental word-disabling.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairStateProbabilities {
     /// Probability that a block pair is completely fault free (full capacity).
     pub fault_free: f64,
@@ -65,7 +64,6 @@ pub fn expected_capacity(geometry: &ArrayGeometry, params: &WordDisableParams, p
 
 /// One point of the Fig. 7 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IncrementalSweepPoint {
     /// Per-cell probability of failure.
     pub pfail: f64,

@@ -15,7 +15,6 @@ use crate::geometry::ArrayGeometry;
 
 /// Cell technology used to build a structure that must survive below Vcc-min.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CellTechnology {
     /// Standard 6-transistor SRAM cell — unreliable below Vcc-min.
     SixT,

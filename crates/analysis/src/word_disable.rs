@@ -19,7 +19,6 @@ use crate::geometry::ArrayGeometry;
 
 /// Parameters of the word-disable organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WordDisableParams {
     /// Word size in bits (32 in the paper).
     pub word_bits: u64,
@@ -111,7 +110,6 @@ pub fn expected_capacity(
 
 /// One point of the Fig. 5 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureSweepPoint {
     /// Per-cell probability of failure.
     pub pfail: f64,

@@ -47,7 +47,6 @@ pub const PFAIL_VOLTAGE_TABLE: [(f64, f64); 5] = [
 /// ([`PfailVoltageModel::voltage_for_pfail`]), which the yield studies use to
 /// express "the paper's `pfail` points" as die voltages.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PfailVoltageModel {
     /// Normalized voltage of the calibration anchor.
     pub anchor_voltage: f64,

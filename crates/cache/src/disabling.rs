@@ -15,7 +15,6 @@ use crate::repair::{RepairScheme, WayDisableMask, WordDisablingScheme};
 
 /// Supply-voltage operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VoltageMode {
     /// At or above Vcc-min: every cell is reliable, fault maps are ignored.
     High,
@@ -26,7 +25,6 @@ pub enum VoltageMode {
 
 /// Identifier of the cache fault-repair scheme in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DisablingScheme {
     /// No scheme: an idealized cache that is assumed fault free at any voltage.
     /// Used as the normalization reference in the paper's figures.
@@ -105,7 +103,6 @@ impl DisablingScheme {
 
 /// Configuration of a victim cache attached to an L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VictimCacheConfig {
     /// Number of physical entries (16 in the paper).
     pub entries: usize,
@@ -154,7 +151,6 @@ impl VictimCacheConfig {
 
 /// Configuration of one L1 cache (instruction or data side).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct L1Config {
     /// Physical geometry of the cache at high voltage.
     pub geometry: CacheGeometry,

@@ -42,13 +42,13 @@
 use vccmin_fault::{CacheGeometry, FaultMap};
 
 use crate::disabling::{DisableError, DisablingScheme, EffectiveL1, L1Config, VoltageMode};
+use crate::repair::{ResolvedOrganization, WayDisableMask};
 use crate::set_assoc::SetAssocCache;
 use crate::stats::HierarchyStats;
 use crate::victim::VictimCache;
 
 /// Which level of the hierarchy served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HitLevel {
     /// Served by the L1 (instruction or data).
     L1,
@@ -62,7 +62,6 @@ pub enum HitLevel {
 
 /// Result of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessResult {
     /// Total access latency in cycles.
     pub latency: u32,
@@ -72,7 +71,6 @@ pub struct AccessResult {
 
 /// Configuration of the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyConfig {
     /// Instruction-side L1 configuration.
     pub l1i: L1Config,
@@ -160,6 +158,15 @@ fn dirty_displacement(displaced: Option<(u64, bool)>) -> Option<u64> {
     }
 }
 
+/// The tag store of a resolved organization: `geometry` with the repair
+/// scheme's disabled ways, if it disables any.
+fn tag_store(geometry: CacheGeometry, disabled: Option<&WayDisableMask>) -> SetAssocCache {
+    match disabled {
+        Some(mask) => SetAssocCache::with_disabled_ways(geometry, mask),
+        None => SetAssocCache::new(geometry),
+    }
+}
+
 /// One L1 cache plus its optional victim cache and latencies.
 #[derive(Debug, Clone)]
 struct L1Side {
@@ -186,10 +193,7 @@ struct L1Outcome {
 
 impl L1Side {
     fn build(effective: &EffectiveL1) -> Self {
-        let cache = match &effective.disabled {
-            Some(mask) => SetAssocCache::with_disabled_ways(effective.geometry, mask),
-            None => SetAssocCache::new(effective.geometry),
-        };
+        let cache = tag_store(effective.geometry, effective.disabled.as_ref());
         let victim = if effective.victim_entries > 0 {
             Some(VictimCache::new(
                 effective.victim_entries,
@@ -342,14 +346,12 @@ impl CacheHierarchy {
         l1d_faults: Option<&FaultMap>,
         l2_faults: Option<&FaultMap>,
     ) -> Result<Self, DisableError> {
-        let l1i_eff = config.l1i.effective_organization(config.voltage, l1i_faults)?;
-        let l1d_eff = config.l1d.effective_organization(config.voltage, l1d_faults)?;
-        let l2 = Self::resolve_l2(&config, l2_faults)?;
+        let (l1i, l1d, l2) = Self::resolve(&config, l1i_faults, l1d_faults, l2_faults)?;
         Ok(Self {
             config,
-            l1i: L1Side::build(&l1i_eff),
-            l1d: L1Side::build(&l1d_eff),
-            l2,
+            l1i: L1Side::build(&l1i),
+            l1d: L1Side::build(&l1d),
+            l2: tag_store(l2.geometry, l2.disabled.as_ref()),
             l2_hit_latency: config.l2_hit_latency(),
             memory_accesses: 0,
             writebacks: 0,
@@ -357,25 +359,52 @@ impl CacheHierarchy {
         })
     }
 
+    /// Whether [`CacheHierarchy::with_all_fault_maps`] succeeds for these
+    /// fault maps: every cache's repair scheme can resolve its organization.
+    /// Builds no cache array, so checking a map costs a repair pass, not a
+    /// hierarchy.
+    #[must_use]
+    pub fn repairable(
+        config: HierarchyConfig,
+        l1i_faults: Option<&FaultMap>,
+        l1d_faults: Option<&FaultMap>,
+        l2_faults: Option<&FaultMap>,
+    ) -> bool {
+        Self::resolve(&config, l1i_faults, l1d_faults, l2_faults).is_ok()
+    }
+
+    /// Resolves the effective organization of both L1s and of the L2: the
+    /// half of construction that can fail, and that allocates no tag store.
+    fn resolve(
+        config: &HierarchyConfig,
+        l1i_faults: Option<&FaultMap>,
+        l1d_faults: Option<&FaultMap>,
+        l2_faults: Option<&FaultMap>,
+    ) -> Result<(EffectiveL1, EffectiveL1, ResolvedOrganization), DisableError> {
+        let l1i = config.l1i.effective_organization(config.voltage, l1i_faults)?;
+        let l1d = config.l1d.effective_organization(config.voltage, l1d_faults)?;
+        let l2 = Self::resolve_l2(config, l2_faults)?;
+        Ok((l1i, l1d, l2))
+    }
+
     /// Resolves the L2's effective organization for the configured scheme, voltage
     /// and fault map — the L2 counterpart of [`L1Config::effective_organization`].
     fn resolve_l2(
         config: &HierarchyConfig,
         l2_faults: Option<&FaultMap>,
-    ) -> Result<SetAssocCache, DisableError> {
+    ) -> Result<ResolvedOrganization, DisableError> {
         let repair = config.l2_scheme.repair();
         if config.voltage == VoltageMode::High || !repair.needs_fault_map() {
-            return Ok(SetAssocCache::new(config.l2_geometry));
+            return Ok(ResolvedOrganization {
+                geometry: config.l2_geometry,
+                disabled: None,
+            });
         }
         let map = l2_faults.ok_or(DisableError::MissingFaultMap)?;
         if map.geometry() != &config.l2_geometry {
             return Err(DisableError::GeometryMismatch);
         }
-        let resolved = repair.repair(map)?;
-        Ok(match &resolved.disabled {
-            Some(mask) => SetAssocCache::with_disabled_ways(resolved.geometry, mask),
-            None => SetAssocCache::new(resolved.geometry),
-        })
+        repair.repair(map)
     }
 
     /// The configuration this hierarchy was built from.
@@ -984,6 +1013,28 @@ mod tests {
             CacheHierarchy::with_all_fault_maps(cfg, None, None, Some(&l1_shaped)).unwrap_err(),
             DisableError::GeometryMismatch
         );
+        assert!(!CacheHierarchy::repairable(cfg, None, None, Some(&l1_shaped)));
+    }
+
+    #[test]
+    fn repairable_agrees_with_construction() {
+        // Word-disabling on every cache at a pfail where some maps are
+        // unrepairable: the check must answer exactly as construction does.
+        let cfg = HierarchyConfig::ispass2010(DisablingScheme::WordDisabling, VoltageMode::Low)
+            .with_l2_scheme(DisablingScheme::WordDisabling);
+        let l1 = CacheGeometry::ispass2010_l1();
+        let l2 = CacheGeometry::ispass2010_l2();
+        let mut outcomes = [0usize; 2];
+        for seed in 0..12 {
+            let mi = FaultMap::generate(&l1, 0.003, 3 * seed);
+            let md = FaultMap::generate(&l1, 0.003, 3 * seed + 1);
+            let m2 = FaultMap::generate(&l2, 0.0005, 3 * seed + 2);
+            let (i, d, l2_map) = (Some(&mi), Some(&md), Some(&m2));
+            let built = CacheHierarchy::with_all_fault_maps(cfg, i, d, l2_map).is_ok();
+            assert_eq!(CacheHierarchy::repairable(cfg, i, d, l2_map), built, "seed {seed}");
+            outcomes[usize::from(built)] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "both outcomes occur: {outcomes:?}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   voltage, per-fault-map capacity and the closed-form expected capacity. The
 //!   [`repair::registry`] lists the five shipped schemes: baseline,
 //!   block-disabling, word-disabling, bit-fix and way-sacrifice;
-//! * [`DisablingScheme`] and [`LowVoltageConfig`] — the `Copy`/serde identifiers
+//! * [`DisablingScheme`] and [`LowVoltageConfig`] — the `Copy` identifiers
 //!   configurations embed; [`DisablingScheme::repair`] resolves an identifier to
 //!   its trait implementation;
 //! * [`CacheHierarchy`] — L1 instruction + data caches (optionally with victim

@@ -30,7 +30,6 @@ use crate::result::SimResult;
 /// (which still provides cache/latency parameters, functional-unit counts and
 /// the front-end depth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InOrderConfig {
     /// Instructions issued per cycle (1 = scalar).
     pub issue_width: u32,

@@ -13,7 +13,6 @@ pub const NUM_REGS: usize = 64;
 /// Operation class of a trace instruction, used for functional-unit selection and
 /// execution latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OpClass {
     /// Integer ALU operation (add, logical, shift, compare).
     IntAlu,
@@ -47,7 +46,6 @@ impl OpClass {
 
 /// The kind of control-flow transfer a branch performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BranchKind {
     /// Conditional branch (predicted by the gshare predictor).
     Conditional,
@@ -61,7 +59,6 @@ pub enum BranchKind {
 
 /// Control-flow information attached to a branch instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BranchInfo {
     /// Kind of branch.
     pub kind: BranchKind,
@@ -73,7 +70,6 @@ pub struct BranchInfo {
 
 /// One instruction of a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceInstruction {
     /// Program counter of the instruction.
     pub pc: u64,

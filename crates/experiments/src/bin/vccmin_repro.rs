@@ -55,10 +55,11 @@
 //!               (progress and summaries stay on stderr either way)
 //! ```
 //!
-//! Simulation campaigns run on all cores by default (`--serial` forces the
-//! reference single-threaded executor; both produce bit-identical output).
+//! Simulation campaigns run on all cores by default; `--serial` runs the same
+//! jobs on the calling thread, and both produce bit-identical output.
 //! `--help`, `-h` or `help` prints the usage line and exits successfully; a
-//! zero `--instructions`, `--pairs` or `--dies` is a usage error.
+//! zero `--instructions`, `--pairs` or `--dies`, or a `--pfail` outside
+//! `[0, 1]`, is a usage error.
 
 use std::env;
 use std::fmt::Display;
@@ -168,7 +169,7 @@ fn parse_args() -> Result<Option<Options>, String> {
             }
             "--pfail" => {
                 let v = args.next().ok_or("--pfail needs a value")?;
-                pfail = Some(v.parse().map_err(|e| format!("bad pfail: {e}"))?);
+                pfail = Some(parse_pfail(&v)?);
             }
             "--core" => {
                 let v = args.next().ok_or("--core needs a value")?;
@@ -347,6 +348,19 @@ where
         return Err(format!("bad {what}: must be at least 1\n{}", usage()));
     }
     Ok(count)
+}
+
+/// Parses a per-cell failure probability: a value in `[0, 1]` (which rules out
+/// NaN and infinities), the range `FaultMap::generate` accepts.
+fn parse_pfail(value: &str) -> Result<f64, String> {
+    let pfail: f64 = value.parse().map_err(|e| format!("bad pfail: {e}"))?;
+    if !(0.0..=1.0).contains(&pfail) {
+        return Err(format!(
+            "bad pfail: {value} is not a probability in [0, 1]\n{}",
+            usage()
+        ));
+    }
+    Ok(pfail)
 }
 
 fn usage() -> String {
@@ -611,7 +625,7 @@ fn run_yield(
     let study = match checkpoint {
         Some(dir) => {
             eprintln!("checkpointing shards to {dir} (fingerprint {:016x})", fleet.fingerprint());
-            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), !serial)
+            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), serial)
                 .map_err(|e| format!("checkpoint directory {dir}: {e}"))?
         }
         None if serial => FleetStudy::run(&fleet),

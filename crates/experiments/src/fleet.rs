@@ -2,16 +2,19 @@
 //! restructured to run over millions of dies with flat memory and a
 //! checkpointable, resumable work queue.
 //!
-//! [`YieldStudy`](crate::yield_study::YieldStudy) materializes a `DieResult`
-//! per die — the right shape for golden snapshots and property tests, but
-//! `O(dies)` memory. This module keeps the exact same per-die probe semantics
-//! while reducing every die to a constant-size integer aggregate on the fly:
+//! [`YieldStudy`](crate::yield_study::YieldStudy) runs on one thread and
+//! materializes a `DieResult` per die — the reference this executor is
+//! tested against, but `O(dies)` memory. This module keeps the exact same
+//! per-die probe semantics while reducing every die to a constant-size
+//! integer aggregate on the fly:
 //!
 //! * **Sharding** — the population is split into fixed runs of
 //!   [`FleetParams::shard_dies`] consecutive dies. Each shard draws its seed
 //!   pairs from [`YieldParams::die_seeds_range`], which is bit-identical to
 //!   the corresponding window of the full `die_seeds()` sequence, so shard
-//!   boundaries can never change any die's randomness.
+//!   boundaries can never change any die's randomness. Each shard is one job
+//!   of the crate's job map: on the rayon pool, or on the calling thread
+//!   when `serial`.
 //! * **Streaming aggregation** — a shard reduces to per-scheme histograms of
 //!   minimum-operational-voltage grid indices plus dead-die counts
 //!   ([`ShardRecord`]). Histogram counts are integers and addition commutes,
@@ -37,12 +40,12 @@
 use std::io;
 use std::path::Path;
 
-use rayon::prelude::*;
 use vccmin_analysis::quantile::GridQuantileSketch;
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{DieVariation, FaultMap};
 
 use crate::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
+use crate::map_jobs;
 use crate::report::FigureTable;
 use crate::yield_study::{vccmin_summary_table, yield_curve_table, YieldParams, YieldStudy};
 
@@ -131,25 +134,26 @@ pub struct FleetStudy {
 }
 
 impl FleetStudy {
-    /// Runs the campaign serially, streaming shard by shard.
+    /// Runs the campaign on the calling thread, streaming shard by shard.
     #[must_use]
     pub fn run(params: &FleetParams) -> Self {
-        Self::run_plain(params, false)
-    }
-
-    /// Runs the campaign with one parallel job per shard. Bit-identical to
-    /// [`FleetStudy::run`]: every shard's seeds are derived from its die
-    /// range alone, and integer histogram merging is order-independent.
-    #[must_use]
-    pub fn run_parallel(params: &FleetParams) -> Self {
         Self::run_plain(params, true)
     }
 
-    fn run_plain(params: &FleetParams, parallel: bool) -> Self {
+    /// Runs the campaign with one job per shard on the rayon pool.
+    /// Bit-identical to [`FleetStudy::run`]: every shard's seeds are derived
+    /// from its die range alone, and integer histogram merging is
+    /// order-independent.
+    #[must_use]
+    pub fn run_parallel(params: &FleetParams) -> Self {
+        Self::run_plain(params, false)
+    }
+
+    fn run_plain(params: &FleetParams, serial: bool) -> Self {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
         let indices: Vec<u64> = (0..params.shard_count() as u64).collect();
-        let records = compute_shards(params, &grid, &schemes, indices, parallel);
+        let records = map_jobs(indices, serial, |s| compute_shard(params, &grid, &schemes, s));
         Self::aggregate(params, grid, records)
     }
 
@@ -158,12 +162,13 @@ impl FleetStudy {
     /// instead of recomputed, freshly computed shards are persisted before the
     /// campaign aggregates, and the final aggregate is byte-identical to an
     /// uninterrupted run's. Invalid, truncated or foreign-parameter shard
-    /// files are treated as missing and recomputed.
+    /// files are treated as missing and recomputed. The missing shards run
+    /// on the calling thread when `serial`, on the rayon pool otherwise.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from reading or writing the checkpoint directory.
-    pub fn run_checkpointed(params: &FleetParams, dir: &Path, parallel: bool) -> io::Result<Self> {
+    pub fn run_checkpointed(params: &FleetParams, dir: &Path, serial: bool) -> io::Result<Self> {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
         let store = CheckpointStore::open(dir, params.fingerprint())?;
@@ -190,12 +195,7 @@ impl FleetStudy {
             store.save(&fresh)?;
             Ok(fresh)
         };
-        let fresh: Vec<io::Result<ShardRecord>> = if parallel {
-            missing.into_par_iter().map(&step).collect()
-        } else {
-            missing.into_iter().map(step).collect()
-        };
-        for result in fresh {
+        for result in map_jobs(missing, serial, step) {
             let record = result?;
             let slot = record.shard_index as usize;
             records[slot] = Some(record);
@@ -299,28 +299,6 @@ impl FleetStudy {
         } else {
             self.dead[scheme_index] as f64 / self.dies as f64
         }
-    }
-}
-
-/// Computes the given shards, serially or one parallel job per shard. Results
-/// come back in input order either way (the parallel map preserves order).
-fn compute_shards(
-    params: &FleetParams,
-    grid: &[f64],
-    schemes: &[&'static dyn RepairScheme],
-    indices: Vec<u64>,
-    parallel: bool,
-) -> Vec<ShardRecord> {
-    if parallel {
-        indices
-            .into_par_iter()
-            .map(|s| compute_shard(params, grid, schemes, s))
-            .collect()
-    } else {
-        indices
-            .into_iter()
-            .map(|s| compute_shard(params, grid, schemes, s))
-            .collect()
     }
 }
 
@@ -551,7 +529,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // A cold checkpointed run matches the plain run.
-        let cold = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
+        let cold = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
         let plain = FleetStudy::run(&params);
         assert_eq!(cold.hist, plain.hist);
         assert_eq!(cold.dead, plain.dead);
@@ -568,7 +546,7 @@ mod tests {
 
         // The resumed run recomputes exactly the damaged shards and reaches
         // the same aggregate.
-        let resumed = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
+        let resumed = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
         assert_eq!(resumed, cold);
         assert_eq!(
             resumed.vccmin_summary().to_csv(),
@@ -579,7 +557,7 @@ mod tests {
         // silently merging foreign results.
         let mut other = params.clone();
         other.yields.master_seed ^= 0xdead;
-        let fresh = FleetStudy::run_checkpointed(&other, &dir, false).unwrap();
+        let fresh = FleetStudy::run_checkpointed(&other, &dir, true).unwrap();
         assert_eq!(fresh.hist, FleetStudy::run(&other).hist);
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -72,6 +72,8 @@
     clippy::semicolon_if_nothing_returned
 )]
 
+use rayon::prelude::*;
+
 pub mod analysis_figures;
 pub mod checkpoint;
 pub mod config;
@@ -98,3 +100,21 @@ pub use simulation::{
 };
 pub use workload::{Workload, WorkloadSource, RISCV_PREFIX};
 pub use yield_study::{DieResult, YieldParams, YieldStudy};
+
+/// The job map every campaign of this crate runs through: maps `jobs` through
+/// `f` and returns the outputs in job order, on the calling thread when
+/// `serial` and on the rayon pool otherwise. Jobs must be independent of each
+/// other; then a serial and a parallel run return the same outputs, whatever
+/// the scheduling.
+pub(crate) fn map_jobs<J, R, F>(jobs: Vec<J>, serial: bool, f: F) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Send + Sync,
+{
+    if serial {
+        jobs.into_iter().map(f).collect()
+    } else {
+        jobs.into_par_iter().map(f).collect()
+    }
+}

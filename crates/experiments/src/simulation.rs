@@ -13,14 +13,18 @@
 //! (sampled from a seed fork of its own, so the L1 maps never change) and the
 //! chosen scheme's effective L2 organization — including whole-cache failure
 //! on the L2 — feeds the same accounting as the L1 schemes.
+//!
+//! Every study runs through one executor. It plans each (workload,
+//! configuration) cell before anything runs: word-disabling, whose halved
+//! cache performs the same on every usable map, takes only its first
+//! repairable pair. Every job is then one independent simulation, and the
+//! crate's job map runs the jobs on the rayon pool, or on the calling thread
+//! with `serial`; both give bit-identical results.
 
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
 use vccmin_analysis::voltage::VoltageScalingModel;
-use vccmin_cache::{
-    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode,
-};
+use vccmin_cache::{CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, VoltageMode};
 use vccmin_cpu::{CoreModel, SimResult};
 use vccmin_fault::SeedSequence;
 use vccmin_workloads::{Benchmark, PhaseSchedule};
@@ -30,6 +34,7 @@ use crate::governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernorMetrics, GovernorPolicy,
     TransitionCostModel,
 };
+use crate::map_jobs;
 use crate::report::FigureTable;
 use crate::workload::Workload;
 
@@ -255,20 +260,14 @@ impl BenchmarkResult {
     }
 }
 
-/// Runs one workload on one hierarchy with the selected CPU backend and
+/// Runs one workload on one hierarchy with the campaign's CPU backend and
 /// returns the result. Core construction goes through [`CoreModel::build`] —
-/// the same factory path the governor uses — so every campaign executor
-/// builds cores identically.
-fn simulate(
-    workload: Workload,
-    core: CoreModel,
-    hierarchy: CacheHierarchy,
-    trace_seed: u64,
-    instructions: u64,
-) -> SimResult {
-    let mut cpu = core.build(hierarchy);
-    let mut trace = workload.source(trace_seed);
-    cpu.run(&mut trace, Some(instructions))
+/// the same factory path the governor uses — so campaigns and governed runs
+/// build cores identically.
+fn simulate(params: &SimulationParams, workload: Workload, hierarchy: CacheHierarchy) -> SimResult {
+    let mut cpu = params.core.build(hierarchy);
+    let mut trace = workload.source(trace_seed(params, workload));
+    cpu.run(&mut trace, Some(params.instructions))
 }
 
 /// Generates the campaign's fault-map pairs (instruction cache, data cache).
@@ -384,24 +383,6 @@ fn trace_seed(params: &SimulationParams, workload: Workload) -> u64 {
         .next_seed()
 }
 
-/// Simulates one fault-map pair for one (workload, configuration), or `None`
-/// when a repair scheme cannot repair one of the maps (whole-cache failure, on
-/// the L1s or the L2). Both the serial and the parallel executor run every
-/// fault-map evaluation through this single function, which is what makes
-/// their results bit-identical.
-fn run_fault_pair(
-    params: &SimulationParams,
-    cfg: HierarchyConfig,
-    workload: Workload,
-    trace_seed: u64,
-    (map_i, map_d): &(FaultMap, FaultMap),
-    l2_map: Option<&FaultMap>,
-) -> Option<SimResult> {
-    CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_map)
-        .ok()
-        .map(|hierarchy| simulate(workload, params.core, hierarchy, trace_seed, params.instructions))
-}
-
 /// Whether `scheme` at `voltage` is evaluated once per fault-map pair: the L1
 /// scheme or the campaign's L2 protection depends on the sampled faults.
 fn map_dependent(params: &SimulationParams, scheme: SchemeConfig, voltage: VoltageMode) -> bool {
@@ -410,234 +391,137 @@ fn map_dependent(params: &SimulationParams, scheme: SchemeConfig, voltage: Volta
             || params.l2.scheme_for(scheme).repair().needs_fault_map())
 }
 
-/// Whether each fault-map pair of a map-dependent configuration is an
-/// independent unit of work. Configurations whose repaired organization is
-/// identical for every usable map — word-disabling's always-halved cache, on
-/// *both* the L1s and the L2 — are the exception: the serial loop stops after
-/// the first usable pair, which makes later pairs depend on the earlier
-/// outcomes.
-fn pairs_independent(params: &SimulationParams, scheme: SchemeConfig) -> bool {
-    !(scheme.scheme().repair().performance_uniform_across_maps()
+/// Whether `scheme` performs the same on every fault-map pair it can repair:
+/// word-disabling's always-halved cache, on *both* the L1s and the L2. Such a
+/// cell simulates only its first repairable pair.
+fn map_uniform(params: &SimulationParams, scheme: SchemeConfig) -> bool {
+    scheme.scheme().repair().performance_uniform_across_maps()
         && params
             .l2
             .scheme_for(scheme)
             .repair()
-            .performance_uniform_across_maps())
+            .performance_uniform_across_maps()
 }
 
-/// Runs one (workload, configuration) pair at the given voltage over the campaign's
-/// fault maps.
-fn run_config(
+/// One (workload, configuration) cell of a campaign, planned before anything
+/// runs.
+struct CellPlan {
+    workload: Workload,
+    scheme: SchemeConfig,
+    /// The fault-map pairs to simulate, by index; `None` is one fault-free
+    /// run.
+    pairs: Vec<Option<usize>>,
+    /// Pairs counted as whole-cache failures without being simulated.
+    skipped: usize,
+}
+
+/// Plans one cell: a fault-independent configuration runs once without maps,
+/// a map-dependent one once per pair. A [`map_uniform`] cell takes its first
+/// repairable pair, and the pairs before it count as whole-cache failures;
+/// the check builds no cache array.
+fn plan_cell(
     params: &SimulationParams,
-    pairs: &[(FaultMap, FaultMap)],
-    l2_maps: &[FaultMap],
     workload: Workload,
     scheme: SchemeConfig,
     voltage: VoltageMode,
-) -> ConfigResult {
-    let seed = trace_seed(params, workload);
-    let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
-    let mut runs = Vec::new();
-    let mut whole_cache_failures = 0;
-
-    if map_dependent(params, scheme, voltage) {
-        for (i, pair) in pairs.iter().enumerate() {
-            match run_fault_pair(params, cfg, workload, seed, pair, l2_maps.get(i)) {
-                Some(result) => {
-                    runs.push(result);
-                    // Word-disabling's performance does not depend on *which* usable
-                    // map was drawn (capacity is always halved), so one run suffices.
-                    if !pairs_independent(params, scheme) {
-                        break;
-                    }
-                }
-                None => whole_cache_failures += 1,
-            }
-        }
+    pairs: &[(FaultMap, FaultMap)],
+    l2_maps: &[FaultMap],
+) -> CellPlan {
+    let (planned, skipped) = if !map_dependent(params, scheme, voltage) {
+        (vec![None], 0)
+    } else if !map_uniform(params, scheme) {
+        ((0..pairs.len()).map(Some).collect(), 0)
     } else {
-        let hierarchy = CacheHierarchy::new(cfg);
-        runs.push(simulate(workload, params.core, hierarchy, seed, params.instructions));
-    }
-    ConfigResult {
+        let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+        let first = pairs.iter().enumerate().position(|(i, (map_i, map_d))| {
+            CacheHierarchy::repairable(cfg, Some(map_i), Some(map_d), l2_maps.get(i))
+        });
+        match first {
+            Some(i) => (vec![Some(i)], i),
+            None => (Vec::new(), pairs.len()),
+        }
+    };
+    CellPlan {
+        workload,
         scheme,
-        runs,
-        whole_cache_failures,
+        pairs: planned,
+        skipped,
     }
 }
 
-/// One unit of parallel work: either a whole (workload, configuration) cell —
-/// used for fault-independent configurations and for word-disabling, whose
-/// early-exit over fault maps is inherently sequential — or a single fault-map
-/// pair of a block-disabling configuration.
-#[derive(Debug, Clone, Copy)]
-enum JobSpec {
-    /// Run `run_config` for the whole cell.
-    Whole {
-        /// Benchmark to simulate.
-        workload: Workload,
-        /// Configuration to simulate.
-        scheme: SchemeConfig,
-    },
-    /// Run one fault-map pair of a map-dependent cell.
-    Pair {
-        /// Benchmark to simulate.
-        workload: Workload,
-        /// Configuration to simulate.
-        scheme: SchemeConfig,
-        /// Index into the campaign's fault-map pair list.
-        pair_index: usize,
-    },
-}
-
-/// Output of one [`JobSpec`], in the same order as the job list.
-enum JobOutput {
-    Whole(ConfigResult),
-    Pair(Option<Box<SimResult>>),
-}
-
-/// Splits a campaign into independent jobs: one per fault-map pair where pairs
-/// are independent, one per (workload, configuration) cell otherwise.
-fn campaign_jobs(
-    params: &SimulationParams,
-    schemes: &[SchemeConfig],
-    voltage: VoltageMode,
-    pair_count: usize,
-) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for &workload in &params.workloads {
-        for &scheme in schemes {
-            if map_dependent(params, scheme, voltage) && pairs_independent(params, scheme) {
-                jobs.extend(
-                    (0..pair_count).map(|pair_index| JobSpec::Pair {
-                        workload,
-                        scheme,
-                        pair_index,
-                    }),
-                );
-            } else {
-                jobs.push(JobSpec::Whole { workload, scheme });
-            }
+/// Splits a cell's job outputs into its runs and its whole-cache failures
+/// (`None` outputs).
+fn tally<T>(outputs: impl Iterator<Item = Option<T>>) -> (Vec<T>, usize) {
+    let mut runs = Vec::new();
+    let mut failures = 0;
+    for output in outputs {
+        match output {
+            Some(run) => runs.push(run),
+            None => failures += 1,
         }
     }
-    jobs
+    (runs, failures)
 }
 
-/// Runs a campaign over every (workload, configuration) cell in parallel,
-/// fanning out over workload × configuration × fault-map pair.
-///
-/// Determinism: the fault-map pairs and trace seeds are derived up front from
-/// `params.master_seed` through [`SeedSequence`], every evaluation goes through
-/// the same [`run_fault_pair`]/[`run_config`] code as the serial path, and the
-/// parallel-map executor reassembles results in job order — so the output is
-/// bit-identical to [`run_campaign`] no matter how the jobs are scheduled.
-fn run_campaign_parallel(
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    schemes: &[SchemeConfig],
-    voltage: VoltageMode,
-) -> Vec<BenchmarkResult> {
-    debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
-    let pairs: &[(FaultMap, FaultMap)] = if voltage == VoltageMode::Low {
-        pool.pairs()
-    } else {
-        &[]
-    };
-    let l2_maps: &[FaultMap] = if voltage == VoltageMode::Low {
-        pool.l2_maps_if_needed(params.l2, schemes)
-    } else {
-        &[]
-    };
-    let jobs = campaign_jobs(params, schemes, voltage, pairs.len());
-    let outputs: Vec<JobOutput> = jobs
-        .into_par_iter()
-        .map(|job| match job {
-            JobSpec::Whole { workload, scheme } => JobOutput::Whole(run_config(
-                params, pairs, l2_maps, workload, scheme, voltage,
-            )),
-            JobSpec::Pair {
-                workload,
-                scheme,
-                pair_index,
-            } => JobOutput::Pair(
-                run_fault_pair(
-                    params,
-                    scheme.hierarchy_config_with_l2(voltage, params.l2),
-                    workload,
-                    trace_seed(params, workload),
-                    &pairs[pair_index],
-                    l2_maps.get(pair_index),
-                )
-                .map(Box::new),
-            ),
-        })
-        .collect();
-
-    // Reassemble in the same workload × scheme × pair order the jobs were
-    // emitted in.
-    let mut cursor = outputs.into_iter();
-    params
-        .workloads
-        .iter()
-        .map(|&workload| BenchmarkResult {
-            workload,
-            configs: schemes
-                .iter()
-                .map(|&scheme| {
-                    if map_dependent(params, scheme, voltage) && pairs_independent(params, scheme) {
-                        let mut runs = Vec::new();
-                        let mut whole_cache_failures = 0;
-                        for _ in 0..pairs.len() {
-                            match cursor.next() {
-                                Some(JobOutput::Pair(Some(result))) => runs.push(*result),
-                                Some(JobOutput::Pair(None)) => whole_cache_failures += 1,
-                                _ => unreachable!("job list and output list diverged"),
-                            }
-                        }
-                        ConfigResult {
-                            scheme,
-                            runs,
-                            whole_cache_failures,
-                        }
-                    } else {
-                        match cursor.next() {
-                            Some(JobOutput::Whole(result)) => result,
-                            _ => unreachable!("job list and output list diverged"),
-                        }
-                    }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Runs a campaign serially: the reference implementation the parallel executor
-/// is tested against.
+/// Runs a campaign over every (workload, configuration) cell. Every cell is
+/// planned first, so each job is one simulation, independent of every other;
+/// [`map_jobs`] runs them on the calling thread when `serial` and on the
+/// rayon pool otherwise, and returns them in job order. The fault maps and
+/// trace seeds all derive from `params.master_seed`, so the result is
+/// bit-identical either way.
 fn run_campaign(
     params: &SimulationParams,
     pool: &FaultMapPool,
     schemes: &[SchemeConfig],
     voltage: VoltageMode,
+    serial: bool,
 ) -> Vec<BenchmarkResult> {
     debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
-    let pairs: &[(FaultMap, FaultMap)] = if voltage == VoltageMode::Low {
-        pool.pairs()
-    } else {
-        &[]
+    let (pairs, l2_maps): (&[(FaultMap, FaultMap)], &[FaultMap]) = match voltage {
+        VoltageMode::Low => (pool.pairs(), pool.l2_maps_if_needed(params.l2, schemes)),
+        VoltageMode::High => (&[], &[]),
     };
-    let l2_maps: &[FaultMap] = if voltage == VoltageMode::Low {
-        pool.l2_maps_if_needed(params.l2, schemes)
-    } else {
-        &[]
-    };
+    let plans: Vec<CellPlan> = params
+        .workloads
+        .iter()
+        .flat_map(|&workload| schemes.iter().map(move |&scheme| (workload, scheme)))
+        .map(|(workload, scheme)| plan_cell(params, workload, scheme, voltage, pairs, l2_maps))
+        .collect();
+    let jobs: Vec<(Workload, SchemeConfig, Option<usize>)> = plans
+        .iter()
+        .flat_map(|plan| {
+            plan.pairs
+                .iter()
+                .map(move |&pair| (plan.workload, plan.scheme, pair))
+        })
+        .collect();
+    let mut outputs = map_jobs(jobs, serial, |(workload, scheme, pair)| {
+        let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+        let hierarchy = match pair {
+            Some(i) => {
+                let (map_i, map_d) = &pairs[i];
+                CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_maps.get(i))
+                    .ok()?
+            }
+            None => CacheHierarchy::new(cfg),
+        };
+        Some(simulate(params, workload, hierarchy))
+    })
+    .into_iter();
+    let mut configs = plans.into_iter().map(|plan| {
+        let (runs, failures) = tally(outputs.by_ref().take(plan.pairs.len()));
+        ConfigResult {
+            scheme: plan.scheme,
+            runs,
+            whole_cache_failures: plan.skipped + failures,
+        }
+    });
     params
         .workloads
         .iter()
         .map(|&workload| BenchmarkResult {
             workload,
-            configs: schemes
-                .iter()
-                .map(|&scheme| run_config(params, pairs, l2_maps, workload, scheme, voltage))
-                .collect(),
+            configs: configs.by_ref().take(schemes.len()).collect(),
         })
         .collect()
 }
@@ -660,18 +544,18 @@ impl LowVoltageStudy {
         SchemeConfig::BlockDisablingVictim6T,
     ];
 
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`LowVoltageStudy::run_parallel`] produces bit-identical results faster.
+    /// Runs the campaign's jobs on the calling thread; bit-identical to
+    /// [`LowVoltageStudy::run_parallel`].
     #[must_use]
     pub fn run(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), true)
     }
 
-    /// Runs the campaign on all available cores, fanning out over
-    /// workload × configuration × fault-map pair. Produces bit-identical
-    /// results to [`LowVoltageStudy::run`]: all randomness is derived up front
-    /// from `params.master_seed` via [`SeedSequence`] and results are
-    /// reassembled in job order.
+    /// Runs the campaign on all available cores, one job per planned
+    /// workload × configuration × fault-map pair. Bit-identical to
+    /// [`LowVoltageStudy::run`]: all randomness is derived up front from
+    /// `params.master_seed` via [`SeedSequence`] and results return in job
+    /// order.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
@@ -683,12 +567,9 @@ impl LowVoltageStudy {
     /// [`LowVoltageStudy::run_parallel`].
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        let workloads = if serial {
-            run_campaign(params, pool, &Self::SCHEMES, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &Self::SCHEMES, VoltageMode::Low)
-        };
-        Self { workloads }
+        Self {
+            workloads: run_campaign(params, pool, &Self::SCHEMES, VoltageMode::Low, serial),
+        }
     }
 
     /// Figure 8: performance normalized to the baseline *without* victim cache —
@@ -814,9 +695,9 @@ impl HighVoltageStudy {
         SchemeConfig::BlockDisablingVictim10T,
     ];
 
-    /// Runs the campaign serially (no fault maps are needed at high voltage).
-    /// Kept as the reference implementation; [`HighVoltageStudy::run_parallel`]
-    /// produces bit-identical results faster.
+    /// Runs the campaign's jobs on the calling thread (no fault maps are
+    /// needed at high voltage); bit-identical to
+    /// [`HighVoltageStudy::run_parallel`].
     #[must_use]
     pub fn run(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), true)
@@ -836,12 +717,9 @@ impl HighVoltageStudy {
     /// study in a multi-study session threads the same pool through.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        let workloads = if serial {
-            run_campaign(params, pool, &Self::SCHEMES, VoltageMode::High)
-        } else {
-            run_campaign_parallel(params, pool, &Self::SCHEMES, VoltageMode::High)
-        };
-        Self { workloads }
+        Self {
+            workloads: run_campaign(params, pool, &Self::SCHEMES, VoltageMode::High, serial),
+        }
     }
 
     /// Figure 11: high-voltage performance normalized to the baseline without victim
@@ -915,7 +793,7 @@ impl SchemeMatrixStudy {
         DisablingScheme::ALL.map(SchemeConfig::for_scheme)
     }
 
-    /// Runs the full scheme matrix serially.
+    /// Runs the full scheme matrix's jobs on the calling thread.
     #[must_use]
     pub fn run(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), true)
@@ -934,13 +812,8 @@ impl SchemeMatrixStudy {
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         let schemes = Self::matrix_schemes();
-        let workloads = if serial {
-            run_campaign(params, pool, &schemes, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &schemes, VoltageMode::Low)
-        };
         Self {
-            workloads,
+            workloads: run_campaign(params, pool, &schemes, VoltageMode::Low, serial),
             schemes: schemes.to_vec(),
         }
     }
@@ -963,11 +836,7 @@ impl SchemeMatrixStudy {
         if scheme != SchemeConfig::Baseline {
             schemes.push(scheme);
         }
-        let workloads = if serial {
-            run_campaign(params, pool, &schemes, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &schemes, VoltageMode::Low)
-        };
+        let workloads = run_campaign(params, pool, &schemes, VoltageMode::Low, serial);
         Self { workloads, schemes }
     }
 
@@ -1040,7 +909,7 @@ pub struct CoreMatrixStudy {
 }
 
 impl CoreMatrixStudy {
-    /// Runs the matrix on every backend serially.
+    /// Runs the matrix on every backend, its jobs on the calling thread.
     #[must_use]
     pub fn run(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), true)
@@ -1232,15 +1101,6 @@ pub struct GovernorStudy {
     pub workloads: Vec<GovernorBenchmarkResult>,
 }
 
-/// One unit of parallel governor work.
-#[derive(Debug, Clone, Copy)]
-struct GovernorJob {
-    workload: Workload,
-    policy_index: usize,
-    /// Fault-map pair to evaluate, or `None` for a mapless (nominal-only) run.
-    pair_index: Option<usize>,
-}
-
 impl GovernorStudy {
     /// The cache configuration the governor runs on: block-disabling, the
     /// paper's scheme, whose low-voltage behavior is fault-map dependent.
@@ -1284,9 +1144,7 @@ impl GovernorStudy {
         VoltageScalingModel::ispass2010_operating_points()
     }
 
-    /// Runs one governed cell: one (workload, policy, fault-map pair). Both
-    /// executors run every evaluation through this single function, which is
-    /// what makes their results bit-identical.
+    /// Runs one governed job: one (workload, policy, fault-map pair).
     fn run_cell(
         params: &SimulationParams,
         phases: &PhaseSchedule,
@@ -1315,137 +1173,60 @@ impl GovernorStudy {
         policy.uses_low_voltage() && Self::SCHEME.fault_dependent()
     }
 
-    fn collect(policy: GovernorPolicy, outputs: Vec<Option<GovernedRun>>) -> GovernorPolicyResult {
-        let mut runs = Vec::new();
-        let mut whole_cache_failures = 0;
-        for output in outputs {
-            match output {
-                Some(run) => runs.push(run),
-                None => whole_cache_failures += 1,
-            }
-        }
-        GovernorPolicyResult {
-            policy,
-            runs,
-            whole_cache_failures,
-        }
-    }
-
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`GovernorStudy::run_parallel`] produces bit-identical results faster.
+    /// Runs the campaign's jobs on the calling thread; bit-identical to
+    /// [`GovernorStudy::run_parallel`].
     #[must_use]
     pub fn run(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), true)
     }
 
-    /// Runs the campaign on all available cores, fanning out over
+    /// Runs the campaign on all available cores, one job per
     /// workload × policy × fault-map pair. Bit-identical to
     /// [`GovernorStudy::run`]: all randomness derives from the master seed and
-    /// results are reassembled in job order.
+    /// results return in job order.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`). Bit-identical to [`GovernorStudy::run`] /
+    /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
+    /// thread when `serial`). Bit-identical to [`GovernorStudy::run`] /
     /// [`GovernorStudy::run_parallel`].
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
         let pairs = pool.pairs();
         let l2_maps = pool.l2_maps_if_needed(params.l2, &[Self::SCHEME]);
-        if serial {
-            Self::run_serial_on(params, pairs, l2_maps)
-        } else {
-            Self::run_parallel_on(params, pairs, l2_maps)
-        }
-    }
-
-    fn run_serial_on(
-        params: &SimulationParams,
-        pairs: &[(FaultMap, FaultMap)],
-        l2_maps: &[FaultMap],
-    ) -> Self {
-        let phases = Self::phase_schedule(params);
-        let workloads = params
-            .workloads
-            .iter()
-            .map(|&workload| GovernorBenchmarkResult {
-                workload,
-                policies: Self::policies(params)
-                    .into_iter()
-                    .map(|policy| {
-                        let outputs: Vec<Option<GovernedRun>> =
-                            if Self::policy_map_dependent(&policy) {
-                                pairs
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, pair)| {
-                                        Self::run_cell(
-                                            params,
-                                            &phases,
-                                            workload,
-                                            &policy,
-                                            Some(pair),
-                                            l2_maps.get(i),
-                                        )
-                                    })
-                                    .collect()
-                            } else {
-                                vec![Self::run_cell(params, &phases, workload, &policy, None, None)]
-                            };
-                        Self::collect(policy, outputs)
-                    })
-                    .collect(),
-            })
-            .collect();
-        Self { workloads }
-    }
-
-    fn run_parallel_on(
-        params: &SimulationParams,
-        pairs: &[(FaultMap, FaultMap)],
-        l2_maps: &[FaultMap],
-    ) -> Self {
         let phases = Self::phase_schedule(params);
         let policies = Self::policies(params);
-
-        let mut jobs = Vec::new();
-        for &workload in &params.workloads {
-            for (policy_index, policy) in policies.iter().enumerate() {
-                if Self::policy_map_dependent(policy) {
-                    jobs.extend((0..pairs.len()).map(|pair_index| GovernorJob {
-                        workload,
-                        policy_index,
-                        pair_index: Some(pair_index),
-                    }));
-                } else {
-                    jobs.push(GovernorJob {
-                        workload,
-                        policy_index,
-                        pair_index: None,
-                    });
-                }
+        // A policy that never leaves nominal runs once, without fault maps.
+        let cell_pairs = |policy: &GovernorPolicy| -> Vec<Option<usize>> {
+            if Self::policy_map_dependent(policy) {
+                (0..pairs.len()).map(Some).collect()
+            } else {
+                vec![None]
             }
-        }
-        let outputs: Vec<Option<GovernedRun>> = jobs
-            .into_par_iter()
-            .map(|job| {
-                Self::run_cell(
-                    params,
-                    &phases,
-                    job.workload,
-                    &policies[job.policy_index],
-                    job.pair_index.map(|i| &pairs[i]),
-                    job.pair_index.and_then(|i| l2_maps.get(i)),
-                )
+        };
+        let jobs: Vec<(Workload, usize, Option<usize>)> = params
+            .workloads
+            .iter()
+            .flat_map(|&workload| {
+                policies.iter().enumerate().flat_map(move |(p, policy)| {
+                    cell_pairs(policy).into_iter().map(move |pair| (workload, p, pair))
+                })
             })
             .collect();
-
-        // Reassemble in the same workload × policy × pair order the jobs were
-        // emitted in.
-        let mut cursor = outputs.into_iter();
+        let mut outputs = map_jobs(jobs, serial, |(workload, p, pair)| {
+            Self::run_cell(
+                params,
+                &phases,
+                workload,
+                &policies[p],
+                pair.map(|i| &pairs[i]),
+                pair.and_then(|i| l2_maps.get(i)),
+            )
+        })
+        .into_iter();
         let workloads = params
             .workloads
             .iter()
@@ -1454,20 +1235,13 @@ impl GovernorStudy {
                 policies: policies
                     .iter()
                     .map(|policy| {
-                        let count = if Self::policy_map_dependent(policy) {
-                            pairs.len()
-                        } else {
-                            1
-                        };
-                        let outputs: Vec<Option<GovernedRun>> = (0..count)
-                            .map(|_| {
-                                cursor
-                                    .next()
-                                    // simlint::allow(panic-path, "outputs has exactly one slot per job by construction; a silent default would corrupt results")
-                                    .expect("job list and output list stay in sync")
-                            })
-                            .collect();
-                        Self::collect(policy.clone(), outputs)
+                        let count = cell_pairs(policy).len();
+                        let (runs, whole_cache_failures) = tally(outputs.by_ref().take(count));
+                        GovernorPolicyResult {
+                            policy: policy.clone(),
+                            runs,
+                            whole_cache_failures,
+                        }
                     })
                     .collect(),
             })

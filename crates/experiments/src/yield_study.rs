@@ -19,20 +19,21 @@
 //!   interval and every yield curve is monotone non-increasing as the supply
 //!   drops;
 //! * all randomness derives from [`YieldParams::master_seed`] through
-//!   [`SeedSequence`], and each die is an independent unit of work, so
-//!   [`YieldStudy::run`] and [`YieldStudy::run_parallel`] are bit-identical.
+//!   [`SeedSequence`], and each die is an independent unit of work, so any
+//!   shard of the population can be evaluated on its own and still match
+//!   [`YieldStudy::run`] bit for bit.
 //!
 //! In the i.i.d. limit (zero systematic variance) the Monte-Carlo yield
 //! converges to the closed forms of `vccmin_analysis::yield_model`; the
 //! workspace integration tests cross-validate the two.
 //!
-//! `YieldStudy` materializes a [`DieResult`] per die, which is the right shape
-//! for the quick-scale golden snapshots and the property tests but caps honest
-//! populations at thousands of dies. The fleet-scale streaming executor in
-//! [`crate::fleet`] runs the same per-die probe (bit-identically, by
-//! construction and by test) while holding memory flat at millions of dies.
+//! `YieldStudy` runs on the calling thread and materializes a [`DieResult`]
+//! per die: the reference the fleet executor's tests compare against, but
+//! `O(dies)` memory. The fleet-scale streaming executor in [`crate::fleet`],
+//! which every `vccmin-repro yield` run uses, answers the same per-die probe
+//! (bit-identically, by construction and by test), in parallel, while holding
+//! memory flat at millions of dies.
 
-use rayon::prelude::*;
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{CacheGeometry, DieVariation, FaultMap, SeedSequence, VariationModel};
 
@@ -179,10 +180,6 @@ impl Default for YieldParams {
     }
 }
 
-/// One die's unit of work: its (variation, map) seed pair for the L1 plus the
-/// optional pair for the L2.
-type DieJob = ((u64, u64), Option<(u64, u64)>);
-
 /// The outcome of one die: per repair scheme (registry order), whether the die
 /// is operational at each grid voltage and the resulting minimum operational
 /// voltage.
@@ -223,10 +220,8 @@ impl YieldStudy {
     /// Evaluates one die: sample its variation, generate its fault map at
     /// every grid voltage (nested, because the map seed is fixed per die) and
     /// query every repair scheme's capacity — on the L1 alone, or on the L1
-    /// and the L2 when the die carries L2 seeds. Both executors run each die
-    /// through this single function, which is what makes them bit-identical.
-    /// The scheme registry is resolved once per campaign and threaded in, not
-    /// rebuilt per die.
+    /// and the L2 when the die carries L2 seeds. The scheme registry is
+    /// resolved once per campaign and threaded in, not rebuilt per die.
     fn run_die(
         params: &YieldParams,
         grid: &[f64],
@@ -273,8 +268,9 @@ impl YieldStudy {
         }
     }
 
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`YieldStudy::run_parallel`] produces bit-identical results faster.
+    /// Runs the campaign on the calling thread, scanning every die over the
+    /// whole grid: the materializing reference that
+    /// [`FleetStudy`](crate::fleet::FleetStudy) is tested against.
     #[must_use]
     pub fn run(params: &YieldParams) -> Self {
         let grid = params.voltage_grid();
@@ -300,31 +296,6 @@ impl YieldStudy {
             params.l2_die_seeds().into_iter().map(Some).collect()
         } else {
             vec![None; params.dies]
-        }
-    }
-
-    /// Runs the campaign on all available cores, one job per die. Bit-identical
-    /// to [`YieldStudy::run`]: every seed is derived up front and the
-    /// parallel-map executor reassembles results in die order.
-    #[must_use]
-    pub fn run_parallel(params: &YieldParams) -> Self {
-        let grid = params.voltage_grid();
-        let schemes = registry();
-        let jobs: Vec<DieJob> = params
-            .die_seeds()
-            .into_iter()
-            .zip(Self::l2_seed_iter(params))
-            .collect();
-        let dies = jobs
-            .into_par_iter()
-            .map(|((die_seed, map_seed), l2_seeds)| {
-                Self::run_die(params, &grid, &schemes, die_seed, map_seed, l2_seeds)
-            })
-            .collect();
-        Self {
-            params: params.clone(),
-            grid,
-            dies,
         }
     }
 
@@ -535,16 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let params = tiny();
-        let serial = YieldStudy::run(&params);
-        let parallel = YieldStudy::run_parallel(&params);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.yield_curve(), parallel.yield_curve());
-        assert_eq!(serial.vccmin_summary(), parallel.vccmin_summary());
-    }
-
-    #[test]
     fn operational_flags_form_a_prefix_and_yield_is_monotone() {
         let study = YieldStudy::run(&tiny());
         for die in &study.dies {
@@ -696,9 +657,7 @@ mod tests {
                 }
             }
         }
-        // Parallel stays bit-identical with the L2 floor enabled, and the
-        // monotone prefix structure survives (nested maps on both arrays).
-        assert_eq!(b, YieldStudy::run_parallel(&with_l2));
+        // The monotone prefix structure survives (nested maps on both arrays).
         for die in &b.dies {
             for flags in &die.operational {
                 let first_false = flags.iter().take_while(|&&ok| ok).count();

@@ -1,6 +1,7 @@
 //! The `vccmin-repro` usage contract, pinned by running the real binary:
-//! asking for help succeeds, and a degenerate campaign size is a usage error
-//! instead of a table of zeros.
+//! asking for help succeeds, and a degenerate campaign size or a `--pfail`
+//! that is not a probability is a usage error instead of a table of zeros or
+//! a panic.
 
 use std::process::{Command, Output};
 
@@ -51,6 +52,42 @@ fn zero_counts_are_usage_errors() {
         );
         assert!(stderr.contains("must be at least 1"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: vccmin-repro"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn pfail_outside_the_unit_interval_is_a_usage_error() {
+    for value in ["2", "-0.5", "NaN", "inf", "1.0000001"] {
+        let out = repro(&["schemes", "--smoke", "--pfail", value]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--pfail {value} must fail, stderr:\n{stderr}"
+        );
+        assert!(stdout.is_empty(), "--pfail {value} must not print a table:\n{stdout}");
+        assert!(
+            stderr.contains("bad pfail") && stderr.contains("[0, 1]"),
+            "--pfail {value}: {stderr}"
+        );
+        assert!(stderr.contains("usage: vccmin-repro"), "--pfail {value}: {stderr}");
+    }
+}
+
+#[test]
+fn pfail_at_the_ends_of_the_unit_interval_is_accepted() {
+    for value in ["0", "1"] {
+        let out = repro(&[
+            "schemes", "--workload", "gzip", "--instructions", "1000", "--pairs", "1", "--pfail",
+            value,
+        ]);
+        assert!(
+            out.status.success(),
+            "--pfail {value} must be accepted, stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.stdout.is_empty(), "--pfail {value} prints the matrix");
     }
 }
 

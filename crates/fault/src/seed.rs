@@ -10,7 +10,6 @@
 
 /// A deterministic sequence of 64-bit seeds derived from a master seed (SplitMix64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeedSequence {
     state: u64,
 }

@@ -34,7 +34,6 @@ use crate::geometry::CacheGeometry;
 /// for the random component plus the strength and granularity of the
 /// systematic (spatially-correlated) component.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VariationModel {
     /// The calibrated supply-voltage-to-`pfail` bridge (random component).
     pub pfail_voltage: PfailVoltageModel,
@@ -109,7 +108,6 @@ fn standard_normal(rng: &mut SmallRng) -> f64 {
 /// `points x points` grid over the unit square, bilinearly interpolated in
 /// between. Deterministic from the RNG that sampled it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystematicField {
     points: usize,
     /// Row-major `points x points` control values (normalized voltage offsets).
@@ -178,7 +176,6 @@ impl SystematicField {
 /// sets span one axis of the die plane, its ways the other) plus the variation
 /// model that produced it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DieVariation {
     geometry: CacheGeometry,
     model: VariationModel,

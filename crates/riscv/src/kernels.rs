@@ -65,7 +65,6 @@ pub enum WorkingSet {
 
 /// The four shipped kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RvKernel {
     /// Blocked dense 32-bit matrix multiply.
     Matmul,

@@ -21,7 +21,6 @@
 
 /// The coarse behavior class of a stretch of execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadPhase {
     /// Cache-resident, ILP-rich execution: the profile's locality parameters
     /// apply unmodified.
@@ -35,7 +34,6 @@ pub enum WorkloadPhase {
 /// One segment of a [`PhaseSchedule`]: a phase held for a number of
 /// instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseSegment {
     /// The phase active during this segment.
     pub phase: WorkloadPhase,
@@ -45,7 +43,6 @@ pub struct PhaseSegment {
 
 /// A deterministic, cyclic phase schedule: the segments repeat forever.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseSchedule {
     segments: Vec<PhaseSegment>,
     period: u64,

@@ -2,7 +2,6 @@
 
 /// Which half of SPEC CPU2000 a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Suite {
     /// SPECint 2000.
     Int,
@@ -15,7 +14,6 @@ pub enum Suite {
 /// Fractions are of all instructions and must sum to at most 1; the remainder are
 /// plain integer ALU operations.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BenchmarkProfile {
     /// Benchmark name (SPEC CPU2000 program the profile imitates).
     pub name: &'static str,

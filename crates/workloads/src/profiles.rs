@@ -13,7 +13,6 @@ use crate::profile::{BenchmarkProfile, Suite};
 /// The 26 SPEC CPU2000 benchmarks evaluated in the paper (14 floating-point,
 /// 12 integer), in the order of the figures' x-axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum Benchmark {
     // SPECfp 2000

@@ -57,7 +57,7 @@ fn fleet_is_byte_identical_to_the_study_across_scales_and_shard_sizes() {
             dies,
             ..YieldParams::smoke()
         };
-        let study = YieldStudy::run_parallel(&yields);
+        let study = YieldStudy::run(&yields);
         for executor in ["serial", "parallel"] {
             let params = FleetParams {
                 yields: yields.clone(),
@@ -94,7 +94,7 @@ fn interrupted_checkpoint_campaign_resumes_bit_identically() {
     // "Interrupt" a campaign by seeding the directory with only a prefix of
     // its shards, one of them torn mid-write (truncated) and one corrupted.
     let store = CheckpointStore::open(&dir, params.fingerprint()).unwrap();
-    let cold = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
+    let cold = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
     assert_eq!(cold, uninterrupted);
     for s in [4, 5, 6] {
         std::fs::remove_file(store.shard_path(s)).unwrap();
@@ -105,7 +105,7 @@ fn interrupted_checkpoint_campaign_resumes_bit_identically() {
     flipped[20] ^= 0x01;
     std::fs::write(store.shard_path(0), &flipped).unwrap();
 
-    let resumed = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
+    let resumed = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
     assert_eq!(resumed, uninterrupted, "resume must be bit-identical");
     assert_eq!(fleet_csv(&resumed), fleet_csv(&uninterrupted));
 

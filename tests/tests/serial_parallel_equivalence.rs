@@ -1,5 +1,6 @@
-//! Proves that the parallel campaign executor reproduces the serial campaign
-//! exactly — same `BenchmarkResult`s, same rendered figure tables — at the
+//! Proves that the campaign job map returns the same results on the rayon
+//! pool as on the calling thread (`--serial`) — same `BenchmarkResult`s,
+//! same rendered figure tables — at the
 //! scale of `SimulationParams::quick()` (all 26 benchmarks, 5 fault-map
 //! pairs). The instruction count is reduced so the double campaign stays
 //! test-suite friendly; the fan-out shape (benchmark × configuration ×
@@ -8,7 +9,6 @@
 use vccmin_core::experiments::simulation::{
     GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
 };
-use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
 
 // On single-CPU machines the parallel executor degenerates to one worker; CI
 // exports RAYON_NUM_THREADS=4 (read at pool setup by both the vendored shim
@@ -86,26 +86,6 @@ fn parallel_governor_study_is_bit_identical_to_serial_at_quick_scale() {
     assert_eq!(s, p);
     assert_eq!(s.to_string(), p.to_string());
     assert_eq!(s.to_csv(), p.to_csv());
-}
-
-#[test]
-fn parallel_yield_study_is_bit_identical_to_serial_at_quick_scale() {
-    // The yield study fans out over dies; quick() scale is cheap enough to run
-    // in full (200 dies x 11 grid voltages x 5 schemes).
-    let params = YieldParams::quick();
-    let serial = YieldStudy::run(&params);
-    let parallel = YieldStudy::run_parallel(&params);
-    // Structural equality of every die result…
-    assert_eq!(serial, parallel);
-    // …and byte-identical rendered tables.
-    for (s, p) in [
-        (serial.yield_curve(), parallel.yield_curve()),
-        (serial.vccmin_summary(), parallel.vccmin_summary()),
-    ] {
-        assert_eq!(s, p);
-        assert_eq!(s.to_string(), p.to_string());
-        assert_eq!(s.to_csv(), p.to_csv());
-    }
 }
 
 #[test]

@@ -27,7 +27,7 @@ const GOLDEN: &str = include_str!("../golden/yield.csv");
 
 #[test]
 fn quick_scale_yield_study_matches_its_snapshot() {
-    let study = YieldStudy::run_parallel(&YieldParams::quick());
+    let study = YieldStudy::run(&YieldParams::quick());
     let actual = format!(
         "{}{}",
         study.yield_curve().to_csv(),
@@ -77,7 +77,7 @@ fn iid_monte_carlo_yield_matches_the_closed_forms() {
         variation: VariationModel::iid(bridge),
         ..YieldParams::quick()
     };
-    let study = YieldStudy::run_parallel(&params);
+    let study = YieldStudy::run(&params);
     let geom = CacheGeometry::ispass2010_l1().to_array_geometry();
     let wd_params = WordDisableParams::ispass2010();
 
@@ -175,7 +175,7 @@ fn systematic_variation_widens_the_vccmin_distribution() {
         ..quick.clone()
     };
     let spread = |params: &YieldParams| {
-        let summary = YieldStudy::run_parallel(params).vccmin_summary();
+        let summary = YieldStudy::run(params).vccmin_summary();
         summary
             .rows
             .iter()
