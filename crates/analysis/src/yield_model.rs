@@ -104,10 +104,27 @@ impl PfailVoltageModel {
     /// Panics if `v` is NaN.
     #[must_use]
     pub fn pfail(&self, v: f64) -> f64 {
-        assert!(!v.is_nan(), "voltage must not be NaN");
-        let log10_p =
-            self.anchor_pfail.log10() - self.decades_per_volt * (v - self.anchor_voltage);
-        10f64.powf(log10_p).clamp(0.0, 1.0)
+        self.pfail_curve()(v)
+    }
+
+    /// [`PfailVoltageModel::pfail`] as a closure that evaluates
+    /// `log10(anchor_pfail)` once, for callers that evaluate the bridge at
+    /// many voltages (a fault map evaluates it once per block). `pfail` itself
+    /// calls this closure, so the two agree bit for bit at every voltage.
+    ///
+    /// The closure panics if given a NaN voltage.
+    pub fn pfail_curve(&self) -> impl Fn(f64) -> f64 {
+        let Self {
+            anchor_voltage,
+            anchor_pfail,
+            decades_per_volt,
+        } = *self;
+        let log10_anchor = anchor_pfail.log10();
+        move |v| {
+            assert!(!v.is_nan(), "voltage must not be NaN");
+            let log10_p = log10_anchor - decades_per_volt * (v - anchor_voltage);
+            10f64.powf(log10_p).clamp(0.0, 1.0)
+        }
     }
 
     /// The normalized voltage at which the per-cell failure probability equals

@@ -63,6 +63,18 @@ impl WayDisableMask {
         mask
     }
 
+    /// Builds the mask of `map`'s geometry one set at a time: `disable` sees
+    /// the set's block fault records (from [`FaultMap::sets`]) and the set's
+    /// disable flags, both in way order.
+    fn from_sets(map: &FaultMap, mut disable: impl FnMut(&[BlockFaults], &mut [bool])) -> Self {
+        let mut mask = Self::all_enabled(map.geometry());
+        let ways = mask.associativity as usize;
+        for (blocks, disabled) in map.sets().zip(mask.disabled.chunks_exact_mut(ways)) {
+            disable(blocks, disabled);
+        }
+        mask
+    }
+
     fn index(&self, set: u64, way: u64) -> usize {
         assert!(set < self.sets, "set {set} out of range");
         assert!(way < self.associativity, "way {way} out of range");
@@ -295,8 +307,10 @@ impl RepairScheme for BlockDisablingScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         Ok(ResolvedOrganization {
             geometry: *map.geometry(),
-            disabled: Some(WayDisableMask::from_fn(map.geometry(), |set, way| {
-                map.block_is_faulty(set, way)
+            disabled: Some(WayDisableMask::from_sets(map, |blocks, disabled| {
+                for (d, block) in disabled.iter_mut().zip(blocks) {
+                    *d = block.has_any_fault();
+                }
             })),
         })
     }
@@ -388,11 +402,10 @@ impl BitFixScheme {
     /// (ties broken toward the lowest way index). The chosen way is always
     /// faulty, which is what makes bit-fix dominate block-disabling on every
     /// fault map.
-    fn sacrificed_way(map: &FaultMap, set: u64, budget: u64) -> u64 {
+    fn sacrificed_way(blocks: &[BlockFaults], budget: u64) -> usize {
         let mut best_way = 0;
         let mut best_score = (false, 0u32);
-        for way in 0..map.geometry().associativity() {
-            let block = map.block(set, way);
+        for (way, block) in blocks.iter().enumerate() {
             let score = (
                 Self::unrepairable(block, budget),
                 block.faulty_word_count() + u32::from(block.tag_is_faulty()),
@@ -429,20 +442,15 @@ impl RepairScheme for BitFixScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
         let budget = Self::params(&geometry).repair_word_budget;
-        let mut mask = WayDisableMask::all_enabled(&geometry);
-        for set in 0..geometry.sets() {
-            let dirty = (0..geometry.associativity()).any(|w| map.block_is_faulty(set, w));
-            if !dirty {
-                continue;
+        let mask = WayDisableMask::from_sets(map, |blocks, disabled| {
+            if !blocks.iter().any(BlockFaults::has_any_fault) {
+                return;
             }
-            let sacrificed = Self::sacrificed_way(map, set, budget);
-            mask.disable(set, sacrificed);
-            for way in 0..geometry.associativity() {
-                if way != sacrificed && Self::unrepairable(map.block(set, way), budget) {
-                    mask.disable(set, way);
-                }
+            let sacrificed = Self::sacrificed_way(blocks, budget);
+            for (way, (d, block)) in disabled.iter_mut().zip(blocks).enumerate() {
+                *d = way == sacrificed || Self::unrepairable(block, budget);
             }
-        }
+        });
         Ok(ResolvedOrganization {
             geometry,
             disabled: Some(mask),
@@ -471,11 +479,10 @@ impl WaySacrificeScheme {
     /// The worst way of a set: most faulty cells (words + tag), ties broken
     /// toward the lowest index. Faulty blocks always outrank clean ones, so in
     /// a faulty set the sacrifice costs nothing over block-disabling.
-    fn worst_way(map: &FaultMap, set: u64) -> u64 {
+    fn worst_way(blocks: &[BlockFaults]) -> usize {
         let mut worst = 0;
         let mut worst_score = 0u32;
-        for way in 0..map.geometry().associativity() {
-            let block = map.block(set, way);
+        for (way, block) in blocks.iter().enumerate() {
             let score = block.faulty_word_count() + u32::from(block.tag_is_faulty());
             if score > worst_score {
                 worst_score = score;
@@ -505,15 +512,12 @@ impl RepairScheme for WaySacrificeScheme {
 
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
-        let mut mask = WayDisableMask::all_enabled(&geometry);
-        for set in 0..geometry.sets() {
-            mask.disable(set, Self::worst_way(map, set));
-            for way in 0..geometry.associativity() {
-                if map.block_is_faulty(set, way) {
-                    mask.disable(set, way);
-                }
+        let mask = WayDisableMask::from_sets(map, |blocks, disabled| {
+            let worst = Self::worst_way(blocks);
+            for (way, (d, block)) in disabled.iter_mut().zip(blocks).enumerate() {
+                *d = way == worst || block.has_any_fault();
             }
-        }
+        });
         Ok(ResolvedOrganization {
             geometry,
             disabled: Some(mask),

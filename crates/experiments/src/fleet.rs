@@ -12,9 +12,10 @@
 //!   [`FleetParams::shard_dies`] consecutive dies. Each shard draws its seed
 //!   pairs from [`YieldParams::die_seeds_range`], which is bit-identical to
 //!   the corresponding window of the full `die_seeds()` sequence, so shard
-//!   boundaries can never change any die's randomness. Each shard is one job
-//!   of the crate's job map: on the rayon pool, or on the calling thread
-//!   when `serial`.
+//!   boundaries can never change any die's randomness. Shards run one after
+//!   another, and a shard's dies are the jobs of the crate's job map: on the
+//!   rayon pool, or on the calling thread when `serial`. So a population of
+//!   one shard still keeps every worker busy.
 //! * **Streaming aggregation** — a shard reduces to per-scheme histograms of
 //!   minimum-operational-voltage grid indices plus dead-die counts
 //!   ([`ShardRecord`]). Histogram counts are integers and addition commutes,
@@ -23,13 +24,18 @@
 //! * **Binary-searched probing** — per die and scheme, fault maps are nested
 //!   across the descending voltage grid, so the operational flags form a
 //!   true-prefix. The executor binary-searches the prefix length instead of
-//!   scanning the grid, generating ~log2(steps) fault maps per die (memoized
-//!   across the schemes of one die) instead of `steps`.
+//!   scanning the grid, generating ~log2(steps) fault maps per die instead of
+//!   `steps`. The search is lockstep: every scheme keeps its own `[lo, hi)`
+//!   interval, each probe generates the maps at the first unresolved
+//!   scheme's midpoint and updates every scheme whose interval contains it,
+//!   then drops them. A search over a monotone true-prefix finds the same
+//!   boundary whatever pivots it takes, so sharing probes this way changes no
+//!   result, and only one (L1, L2) map pair per die is ever alive.
 //! * **Checkpointing** — with a [`CheckpointStore`], every finished shard is
-//!   persisted atomically. A killed campaign resumes by recomputing only the
-//!   missing or invalid shards; because the on-disk payload *is* the in-memory
-//!   aggregate, a resumed run's reports are byte-identical to an
-//!   uninterrupted run's.
+//!   persisted atomically as soon as its dies finish. A killed campaign
+//!   resumes by recomputing only the missing or invalid shards; because the
+//!   on-disk payload *is* the in-memory aggregate, a resumed run's reports
+//!   are byte-identical to an uninterrupted run's.
 //!
 //! The per-scheme Vcc-min distribution is additionally exposed as an exact
 //! [`GridQuantileSketch`], and both report tables render through the same
@@ -55,7 +61,8 @@ pub struct FleetParams {
     /// The underlying yield campaign (population size, variation model,
     /// voltage grid, capacity floor, master seed).
     pub yields: YieldParams,
-    /// Dies per shard: the unit of checkpointing and of parallel scheduling.
+    /// Dies per shard: the unit of checkpointing. (The unit of parallel
+    /// scheduling is one die.)
     pub shard_dies: usize,
 }
 
@@ -140,9 +147,9 @@ impl FleetStudy {
         Self::run_plain(params, true)
     }
 
-    /// Runs the campaign with one job per shard on the rayon pool.
-    /// Bit-identical to [`FleetStudy::run`]: every shard's seeds are derived
-    /// from its die range alone, and integer histogram merging is
+    /// Runs the campaign with one job per die on the rayon pool, shard after
+    /// shard. Bit-identical to [`FleetStudy::run`]: every die's seeds are
+    /// derived from its index alone, and integer histogram merging is
     /// order-independent.
     #[must_use]
     pub fn run_parallel(params: &FleetParams) -> Self {
@@ -152,18 +159,19 @@ impl FleetStudy {
     fn run_plain(params: &FleetParams, serial: bool) -> Self {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
-        let indices: Vec<u64> = (0..params.shard_count() as u64).collect();
-        let records = map_jobs(indices, serial, |s| compute_shard(params, &grid, &schemes, s));
+        let records = (0..params.shard_count() as u64)
+            .map(|s| compute_shard(params, &grid, &schemes, s, serial))
+            .collect();
         Self::aggregate(params, grid, records)
     }
 
     /// Runs the campaign against a checkpoint directory: shards already
     /// persisted (by any earlier run with the same parameters) are loaded
-    /// instead of recomputed, freshly computed shards are persisted before the
-    /// campaign aggregates, and the final aggregate is byte-identical to an
-    /// uninterrupted run's. Invalid, truncated or foreign-parameter shard
-    /// files are treated as missing and recomputed. The missing shards run
-    /// on the calling thread when `serial`, on the rayon pool otherwise.
+    /// instead of recomputed, each freshly computed shard is persisted as
+    /// soon as its dies finish, and the final aggregate is byte-identical to
+    /// an uninterrupted run's. Invalid, truncated or foreign-parameter shard
+    /// files are treated as missing and recomputed. A missing shard's dies
+    /// run on the calling thread when `serial`, on the rayon pool otherwise.
     ///
     /// # Errors
     ///
@@ -172,38 +180,23 @@ impl FleetStudy {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
         let store = CheckpointStore::open(dir, params.fingerprint())?;
-        let shard_count = params.shard_count();
-
-        let mut records: Vec<Option<ShardRecord>> = Vec::with_capacity(shard_count);
-        let mut missing = Vec::new();
-        for s in 0..shard_count as u64 {
+        let mut records = Vec::with_capacity(params.shard_count());
+        for s in 0..params.shard_count() as u64 {
             let (start, count) = params.shard_bounds(s);
-            let record = store
+            let loaded = store
                 .load(s, schemes.len(), grid.len())?
                 .filter(|r| r.die_start == start as u64 && r.die_count == count as u64);
-            if record.is_none() {
-                missing.push(s);
-            }
+            let record = match loaded {
+                Some(record) => record,
+                None => {
+                    let fresh = compute_shard(params, &grid, &schemes, s, serial);
+                    store.save(&fresh)?;
+                    fresh
+                }
+            };
             records.push(record);
         }
-
-        // Persist each shard the moment it finishes — from inside the worker,
-        // not after the whole batch — so a killed campaign keeps everything it
-        // completed and a resume recomputes only the remainder.
-        let step = |s: u64| -> io::Result<ShardRecord> {
-            let fresh = compute_shard(params, &grid, &schemes, s);
-            store.save(&fresh)?;
-            Ok(fresh)
-        };
-        for result in map_jobs(missing, serial, step) {
-            let record = result?;
-            let slot = record.shard_index as usize;
-            records[slot] = Some(record);
-        }
-
-        let complete: Vec<ShardRecord> = records.into_iter().flatten().collect();
-        assert_eq!(complete.len(), shard_count, "every shard must resolve");
-        Ok(Self::aggregate(params, grid, complete))
+        Ok(Self::aggregate(params, grid, records))
     }
 
     /// Merges shard records (any order — integer addition commutes) into the
@@ -292,8 +285,16 @@ impl FleetStudy {
 
     /// Fraction of dies dead under scheme `scheme_index` (zero for an empty
     /// population).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme_index` is out of range.
     #[must_use]
     pub fn dead_fraction(&self, scheme_index: usize) -> f64 {
+        assert!(
+            scheme_index < self.dead.len(),
+            "scheme index {scheme_index} out of range"
+        );
         if self.dies == 0 {
             0.0
         } else {
@@ -302,12 +303,15 @@ impl FleetStudy {
     }
 }
 
-/// Reduces one shard of consecutive dies to its histogram aggregate.
+/// Reduces one shard of consecutive dies to its histogram aggregate, with
+/// one job per die: on the calling thread when `serial`, on the rayon pool
+/// otherwise.
 fn compute_shard(
     params: &FleetParams,
     grid: &[f64],
     schemes: &[&'static dyn RepairScheme],
     shard_index: u64,
+    serial: bool,
 ) -> ShardRecord {
     let (start, count) = params.shard_bounds(shard_index);
     let l1_seeds = params.yields.die_seeds_range(start, count);
@@ -321,11 +325,14 @@ fn compute_shard(
     } else {
         vec![None; count]
     };
+    let dies: Vec<_> = l1_seeds.into_iter().zip(l2_seeds).collect();
+    let prefixes = map_jobs(dies, serial, |((die_seed, map_seed), l2)| {
+        die_prefix_lengths(&params.yields, grid, schemes, die_seed, map_seed, l2)
+    });
     let mut hist = vec![vec![0u64; grid.len()]; schemes.len()];
     let mut dead = vec![0u64; schemes.len()];
-    for ((die_seed, map_seed), l2) in l1_seeds.into_iter().zip(l2_seeds) {
-        let prefixes = die_prefix_lengths(&params.yields, grid, schemes, die_seed, map_seed, l2);
-        for (i, len) in prefixes.into_iter().enumerate() {
+    for die in prefixes {
+        for (i, len) in die.into_iter().enumerate() {
             match len.checked_sub(1) {
                 Some(k) => hist[i][k] += 1,
                 None => dead[i] += 1,
@@ -346,9 +353,15 @@ fn compute_shard(
 /// voltage). Semantically identical to scanning the grid as
 /// `YieldStudy::run_die` does — fault maps are nested across voltages and no
 /// scheme gains capacity from extra faults, so the flags are a true-prefix and
-/// its length can be binary-searched. Each probed grid index generates its
-/// fault map(s) once, memoized across all schemes of the die, for
-/// ~log2(steps) map generations per die instead of `steps`.
+/// its length can be binary-searched.
+///
+/// The schemes search in lockstep: each keeps its own `[lo, hi)` interval
+/// (every index below `lo` operational, none at or above `hi`). Each probe
+/// generates the fault map(s) at the midpoint of the first unresolved
+/// interval, narrows every interval that contains the probe, and drops the
+/// maps. Any probe inside an interval keeps that invariant, so each search
+/// ends on its prefix length whatever pivots the other schemes choose, after
+/// ~log2(steps) map generations per die, with one map pair alive at a time.
 fn die_prefix_lengths(
     params: &YieldParams,
     grid: &[f64],
@@ -365,34 +378,29 @@ fn die_prefix_lengths(
             l2_map_seed,
         )
     });
-    let mut maps: Vec<Option<(FaultMap, Option<FaultMap>)>> =
-        (0..grid.len()).map(|_| None).collect();
-    schemes
-        .iter()
-        .map(|scheme| {
-            let (mut lo, mut hi) = (0usize, grid.len());
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let (map, l2_map) = maps[mid].get_or_insert_with(|| {
-                    let map = FaultMap::generate_at_voltage(&die, grid[mid], map_seed);
-                    let l2_map = l2_die
-                        .as_ref()
-                        .map(|(d, seed)| FaultMap::generate_at_voltage(d, grid[mid], *seed));
-                    (map, l2_map)
-                });
-                let ok = scheme.meets_capacity_floor(map, params.min_capacity)
-                    && l2_map
-                        .as_ref()
-                        .is_none_or(|m| scheme.meets_capacity_floor(m, params.min_capacity));
-                if ok {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+    let mut bounds = vec![(0usize, grid.len()); schemes.len()];
+    while let Some(&(lo, hi)) = bounds.iter().find(|(lo, hi)| lo < hi) {
+        let mid = lo + (hi - lo) / 2;
+        let map = FaultMap::generate_at_voltage(&die, grid[mid], map_seed);
+        let l2_map = l2_die
+            .as_ref()
+            .map(|(d, seed)| FaultMap::generate_at_voltage(d, grid[mid], *seed));
+        for (scheme, (lo, hi)) in schemes.iter().zip(&mut bounds) {
+            if !(*lo..*hi).contains(&mid) {
+                continue;
             }
-            lo
-        })
-        .collect()
+            let ok = scheme.meets_capacity_floor(&map, params.min_capacity)
+                && l2_map
+                    .as_ref()
+                    .is_none_or(|m| scheme.meets_capacity_floor(m, params.min_capacity));
+            if ok {
+                *lo = mid + 1;
+            } else {
+                *hi = mid;
+            }
+        }
+    }
+    bounds.into_iter().map(|(lo, _)| lo).collect()
 }
 
 #[cfg(test)]
@@ -561,6 +569,20 @@ mod tests {
         assert_eq!(fresh.hist, FleetStudy::run(&other).hist);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme index 5 out of range")]
+    fn dead_fraction_rejects_an_out_of_range_scheme() {
+        let _ = FleetStudy::run(&tiny()).dead_fraction(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheme index 5 out of range")]
+    fn dead_fraction_rejects_an_out_of_range_scheme_on_an_empty_population() {
+        let mut params = tiny();
+        params.yields.dies = 0;
+        let _ = FleetStudy::run(&params).dead_fraction(5);
     }
 
     #[test]

@@ -71,11 +71,17 @@ impl BlockFaults {
         self.faulty_words.count_ones()
     }
 
-    /// Number of faulty words within a subblock `[start, start + len)`.
+    /// Number of faulty words within a subblock `[start, start + len)`,
+    /// clipped to the block: one popcount of the masked window.
     #[must_use]
     pub fn faulty_words_in_range(&self, start: u8, len: u8) -> u32 {
-        let end = (start + len).min(self.words);
-        (start..end).filter(|&w| self.word_is_faulty(w)).count() as u32
+        let end = (u32::from(start) + u32::from(len)).min(u32::from(self.words));
+        let start = u32::from(start);
+        if start >= end {
+            return 0;
+        }
+        let window = u64::MAX >> (64 - (end - start));
+        ((self.faulty_words >> start) & window).count_ones()
     }
 
     /// Whether the block contains any fault at all (data, tag or metadata) — the
@@ -133,7 +139,12 @@ impl FaultMap {
             pfail.is_finite() && (0.0..=1.0).contains(&pfail),
             "pfail must be a probability, got {pfail}"
         );
-        let blocks = sample_blocks(geometry, seed, |_, _| pfail);
+        let thresholds = BlockThresholds::new(geometry, pfail);
+        let blocks = sample_blocks(
+            geometry,
+            seed,
+            std::iter::repeat_n(thresholds, geometry.blocks() as usize),
+        );
         Self {
             geometry: *geometry,
             pfail,
@@ -170,9 +181,10 @@ impl FaultMap {
     pub fn generate_at_voltage(die: &DieVariation, voltage: f64, seed: u64) -> Self {
         assert!(!voltage.is_nan(), "voltage must not be NaN");
         let geometry = *die.geometry();
-        let blocks = sample_blocks(&geometry, seed, |set, way| {
-            die.cell_pfail_at(set, way, voltage)
-        });
+        let thresholds = die
+            .cell_pfails_at(voltage)
+            .map(|p| BlockThresholds::new(&geometry, p));
+        let blocks = sample_blocks(&geometry, seed, thresholds);
         Self {
             geometry,
             pfail: die.model().pfail_voltage.pfail(voltage),
@@ -223,6 +235,14 @@ impl FaultMap {
         assert!(set < self.geometry.sets(), "set {set} out of range");
         assert!(way < self.geometry.associativity(), "way {way} out of range");
         &self.blocks[(set * self.geometry.associativity() + way) as usize]
+    }
+
+    /// The block fault records set by set: one slice per set, in set order,
+    /// each holding that set's ways in way order. Walking these slices reads
+    /// every block without [`FaultMap::block`]'s per-block range checks.
+    pub fn sets(&self) -> std::slice::ChunksExact<'_, BlockFaults> {
+        self.blocks
+            .chunks_exact(self.geometry.associativity() as usize)
     }
 
     /// Iterates over all block fault records in (set-major, way-minor) order.
@@ -325,49 +345,95 @@ impl FaultMap {
     }
 }
 
-/// The one sampling loop behind both [`FaultMap::generate`] (constant
-/// `p_cell`) and [`FaultMap::generate_at_voltage`] (per-block `p_cell`):
-/// blocks in (set-major, way-minor) order, each drawing one uniform per word
-/// then one for the tag. Sharing the loop makes the documented invariant —
-/// zero-systematic voltage sampling is bit-identical to i.i.d. sampling at the
-/// same probability — structural rather than merely test-enforced.
+/// The fault thresholds of one block: a word (the tag) is faulty when the top
+/// 53 bits of its uniform draw fall below `word` (`tag`).
+#[derive(Debug, Clone, Copy)]
+struct BlockThresholds {
+    word: u64,
+    tag: u64,
+}
+
+impl BlockThresholds {
+    /// The thresholds of a block of `geometry` whose cells fail with
+    /// probability `p`: a group of `bits` cells holds a fault with
+    /// probability `1 - (1 - p)^bits`, and the word and tag groups share one
+    /// `ln(1 - p)`.
+    fn new(geometry: &CacheGeometry, p: f64) -> Self {
+        let word_bits = geometry.word_bytes() * 8;
+        let tag_bits = geometry.tag_bits() + geometry.meta_bits();
+        let (p_word, p_tag) = if p <= 0.0 {
+            (0.0, 0.0)
+        } else if p >= 1.0 {
+            (1.0, 1.0)
+        } else {
+            let ln_clean = f64::ln_1p(-p);
+            (
+                -f64::exp_m1(word_bits as f64 * ln_clean),
+                -f64::exp_m1(tag_bits as f64 * ln_clean),
+            )
+        };
+        Self {
+            word: threshold(p_word),
+            tag: threshold(p_tag),
+        }
+    }
+}
+
+/// `2^53`, the number of distinct uniforms [`Rng::next_f64`] draws.
+const UNIFORMS: f64 = (1u64 << 53) as f64;
+
+/// The integer threshold `t = ceil(p * 2^53)` that decides a Bernoulli(`p`)
+/// draw in [`sample_blocks`]. `p <= 1` keeps `t <= 2^53`, an exact integer.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]` (NaN included), as `gen_bool` does.
+fn threshold(p: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "fault probability {p} not in [0, 1]"
+    );
+    (p * UNIFORMS).ceil() as u64
+}
+
+/// The one sampling loop behind both [`FaultMap::generate`] (one threshold
+/// pair for every block) and [`FaultMap::generate_at_voltage`] (a pair per
+/// block): blocks in (set-major, way-minor) order, each drawing one uniform
+/// per word then one for the tag. Sharing the loop makes the documented
+/// invariant — zero-systematic voltage sampling is bit-identical to i.i.d.
+/// sampling at the same probability — structural rather than merely
+/// test-enforced.
+///
+/// Each draw is decided by one integer comparison against its block's
+/// [`threshold`], and the decision is exactly `gen_bool`'s on the same draw.
+/// `gen_bool(p)` takes `x = next_u64() >> 11`, an integer below `2^53`, and
+/// tests `x * 2^-53 < p`. Multiplying by a power of two is exact in `f64`
+/// (no `p` in `[0, 1]` overflows or loses bits), so that test is the real
+/// inequality `x < p * 2^53`, and for an integer `x` it holds exactly when
+/// `x < ceil(p * 2^53)`. So a map is bit-identical to one that samples every
+/// word with `gen_bool(p_word)` and every tag with `gen_bool(p_tag)`.
 fn sample_blocks(
     geometry: &CacheGeometry,
     seed: u64,
-    mut p_cell: impl FnMut(u64, u64) -> f64,
+    thresholds: impl Iterator<Item = BlockThresholds>,
 ) -> Vec<BlockFaults> {
     let words_per_block = geometry.words_per_block() as u8;
-    let word_bits = geometry.word_bytes() * 8;
-    let tag_bits = geometry.tag_bits() + geometry.meta_bits();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut blocks = Vec::with_capacity(geometry.blocks() as usize);
-    for set in 0..geometry.sets() {
-        for way in 0..geometry.associativity() {
-            let p = p_cell(set, way);
-            let p_word = prob_any_fault(word_bits, p);
-            let p_tag = prob_any_fault(tag_bits, p);
-            let mut mask = 0u64;
-            for w in 0..words_per_block {
-                if rng.gen_bool(p_word) {
-                    mask |= 1 << w;
-                }
-            }
-            let tag_faulty = rng.gen_bool(p_tag);
-            blocks.push(BlockFaults::new(words_per_block, mask, tag_faulty));
+    for t in thresholds {
+        let mut mask = 0u64;
+        for w in 0..words_per_block {
+            mask |= u64::from(rng.next_u64() >> 11 < t.word) << w;
         }
+        let tag_faulty = rng.next_u64() >> 11 < t.tag;
+        blocks.push(BlockFaults::new(words_per_block, mask, tag_faulty));
     }
+    debug_assert_eq!(
+        blocks.len() as u64,
+        geometry.blocks(),
+        "one threshold pair per block"
+    );
     blocks
-}
-
-/// Probability that a group of `bits` cells contains at least one fault.
-fn prob_any_fault(bits: u64, pfail: f64) -> f64 {
-    if pfail <= 0.0 {
-        0.0
-    } else if pfail >= 1.0 {
-        1.0
-    } else {
-        -f64::exp_m1(bits as f64 * f64::ln_1p(-pfail))
-    }
 }
 
 #[cfg(test)]
@@ -485,6 +551,64 @@ mod tests {
         assert_eq!(b.words(), 16);
         assert_eq!(b.faulty_word_mask(), 0b1010);
         assert!(!BlockFaults::fault_free(16).has_any_fault());
+    }
+
+    #[test]
+    fn faulty_words_in_range_clips_windows_past_the_block_without_overflow() {
+        let b = BlockFaults::new(16, 0b1100_0000_0000_0001, false);
+        // `start + len` does not fit a u8 here.
+        assert_eq!(b.faulty_words_in_range(200, 100), 0);
+        assert_eq!(b.faulty_words_in_range(10, 250), 2);
+        assert_eq!(b.faulty_words_in_range(0, 255), 3);
+        assert_eq!(b.faulty_words_in_range(255, 255), 0);
+        let full = BlockFaults::new(64, u64::MAX, true);
+        assert_eq!(full.faulty_words_in_range(0, 255), 64);
+        assert_eq!(full.faulty_words_in_range(63, 255), 1);
+    }
+
+    #[test]
+    fn faulty_words_in_range_popcount_matches_the_word_by_word_count() {
+        // The word-by-word loop the popcount replaced, with the window end
+        // computed wide enough not to overflow.
+        fn by_words(b: &BlockFaults, start: u8, len: u8) -> u32 {
+            let end = (u16::from(start) + u16::from(len)).min(u16::from(b.words()));
+            (u16::from(start)..end)
+                .filter(|&w| b.word_is_faulty(w as u8))
+                .count() as u32
+        }
+        let masks = [
+            0,
+            u64::MAX,
+            0x8000_0000_0000_0001,
+            0xdead_beef_0bad_f00d,
+            0x5555_5555_5555_5555,
+        ];
+        for words in [16u8, 64] {
+            for &mask in &masks {
+                let b = BlockFaults::new(words, mask, false);
+                for start in 0..=u8::MAX {
+                    for len in 0..=u8::MAX {
+                        assert_eq!(
+                            b.faulty_words_in_range(start, len),
+                            by_words(&b, start, len),
+                            "words={words} mask={mask:#x} start={start} len={len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_slices_hold_every_block_in_set_and_way_order() {
+        let m = FaultMap::generate(&l1(), 0.003, 8);
+        assert_eq!(m.sets().len() as u64, l1().sets());
+        for (set, blocks) in m.sets().enumerate() {
+            assert_eq!(blocks.len() as u64, l1().associativity());
+            for (way, block) in blocks.iter().enumerate() {
+                assert_eq!(block, m.block(set as u64, way as u64));
+            }
+        }
     }
 
     #[test]

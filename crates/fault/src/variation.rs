@@ -251,17 +251,20 @@ impl DieVariation {
             .pfail(voltage - self.systematic_offset(set, way))
     }
 
+    /// [`DieVariation::cell_pfail_at`] for every block, in (set-major,
+    /// way-minor) order, with the bridge's anchor evaluated once.
+    pub(crate) fn cell_pfails_at(&self, voltage: f64) -> impl Iterator<Item = f64> + '_ {
+        let pfail = self.model.pfail_voltage.pfail_curve();
+        self.offsets.iter().map(move |s| pfail(voltage - s))
+    }
+
     /// The die-average per-cell failure probability at `voltage` (the i.i.d.
     /// `pfail` this die is "equivalent" to; used as fault-map metadata and in
     /// diagnostics).
     #[must_use]
     pub fn mean_cell_pfail_at(&self, voltage: f64) -> f64 {
         let ways = self.geometry.associativity();
-        self.offsets
-            .iter()
-            .map(|s| self.model.pfail_voltage.pfail(voltage - s))
-            .sum::<f64>()
-            / (self.geometry.sets() * ways) as f64
+        self.cell_pfails_at(voltage).sum::<f64>() / (self.geometry.sets() * ways) as f64
     }
 }
 

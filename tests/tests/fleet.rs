@@ -7,11 +7,15 @@
 //!   snapshot);
 //! * a checkpointed campaign that is interrupted (shards deleted and
 //!   corrupted) resumes to the same bytes as an uninterrupted run;
-//! * property test: the binary-searched minimum operational voltage equals
-//!   the linear-scan reference for every registry scheme across randomized
-//!   campaigns (population, grid and seed);
+//! * property test: the lockstep binary-searched minimum operational voltage
+//!   equals the linear-scan reference for every registry scheme across
+//!   randomized campaigns (population, grid, capacity floor, variation and
+//!   seed), through the serial, parallel and checkpointed executors, with
+//!   shards both smaller and larger than the population;
 //! * the per-scheme quantile sketch cross-checks against the closed forms of
 //!   `vccmin_analysis::yield_model` in the i.i.d. limit.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
@@ -153,9 +157,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole's core soundness claim: binary-searching each die's
-    /// operational true-prefix over the nested voltage grid finds exactly the
-    /// minimum operational voltage a linear scan finds, for every scheme in
-    /// the registry, whatever the campaign parameters.
+    /// operational true-prefix over the nested voltage grid, all schemes in
+    /// lockstep, finds exactly the minimum operational voltage a linear scan
+    /// finds, for every scheme in the registry, whatever the campaign
+    /// parameters and whichever executor runs it. Shard sizes above the
+    /// population put every die in one shard, whose dies are then the only
+    /// unit of parallel work.
     #[test]
     fn binary_search_equals_linear_scan_for_every_registry_scheme(
         dies in 1usize..14,
@@ -163,8 +170,10 @@ proptest! {
         v_low_milli in 440u64..520,
         span_milli in 20u64..240,
         master_seed in 0u64..1_000_000,
-        shard_dies in 1usize..6,
+        shard_dies in 1usize..20,
         include_l2 in any::<bool>(),
+        min_capacity_index in 0usize..4,
+        sigma_index in 0usize..3,
     ) {
         let v_low = v_low_milli as f64 / 1000.0;
         let yields = YieldParams {
@@ -174,16 +183,33 @@ proptest! {
             v_high: v_low + span_milli as f64 / 1000.0,
             master_seed,
             include_l2,
-            ..YieldParams::quick()
+            min_capacity: [0.0, 0.5, 0.9, 1.0][min_capacity_index],
+            variation: VariationModel::new(
+                PfailVoltageModel::ispass2010(),
+                [0.0, 0.0125, 0.05][sigma_index],
+                4,
+            ),
         };
         // Linear-scan reference: probe every grid voltage per die.
         let study = YieldStudy::run(&yields);
         let (hist, dead) = study.min_voltage_histogram();
-        // Binary-searched fleet executor over the same population.
-        let fleet = FleetStudy::run(&FleetParams { yields, shard_dies });
+        // Binary-searched fleet executors over the same population.
+        let params = FleetParams { yields, shard_dies };
+        let fleet = FleetStudy::run(&params);
         prop_assert_eq!(&fleet.hist, &hist);
         prop_assert_eq!(&fleet.dead, &dead);
         prop_assert_eq!(fleet_csv(&fleet), study_csv(&study));
+        prop_assert_eq!(&FleetStudy::run_parallel(&params), &fleet);
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "vccmin-fleet-prop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let checkpointed = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(&checkpointed, &fleet);
         // Scheme by scheme, the sketch holds exactly the live dies' minima.
         for (i, _) in YieldStudy::scheme_labels().iter().enumerate() {
             let expected: u64 = study
