@@ -29,9 +29,12 @@
 //!
 //! Writes are atomic (temp file + rename), so a shard file either holds a
 //! complete record or does not exist. Loads are strict: a missing file, a
-//! short file, a bad magic/version/checksum, or a fingerprint/shape mismatch
-//! all yield `Ok(None)` — the shard is simply recomputed. Corruption can cost
-//! work, never correctness.
+//! short file, a bad magic/version/checksum, a fingerprint/shape mismatch,
+//! or counts that do not add up (per scheme, the dead count plus the
+//! histogram must equal the shard's die count, without overflow) all yield
+//! `Ok(None)` — the shard is simply recomputed. The FNV-1a checksum catches
+//! accidents, not tampering, so the counts are checked on their own.
+//! Corruption can cost work, never correctness.
 
 use std::fs;
 use std::io;
@@ -116,8 +119,9 @@ fn take_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Decodes a shard record, returning `None` on any structural problem: short
-/// buffer, bad magic/version/checksum, wrong fingerprint, or a shape that
-/// disagrees with the expected scheme/grid dimensions.
+/// buffer, bad magic/version/checksum, wrong fingerprint, a shape that
+/// disagrees with the expected scheme/grid dimensions, or a scheme whose
+/// dead count and histogram do not sum to the die count in `u64`.
 fn decode(bytes: &[u8], fingerprint: u64, schemes: usize, grid_len: usize) -> Option<ShardRecord> {
     let body_len = bytes.len().checked_sub(8)?;
     let (body, checksum_bytes) = bytes.split_at(body_len);
@@ -155,6 +159,12 @@ fn decode(bytes: &[u8], fingerprint: u64, schemes: usize, grid_len: usize) -> Op
         hist.push(counts);
     }
     if pos != body.len() {
+        return None;
+    }
+    let consistent = hist.iter().zip(&dead).all(|(counts, &dead)| {
+        counts.iter().try_fold(dead, |sum, &c| sum.checked_add(c)) == Some(die_count)
+    });
+    if !consistent {
         return None;
     }
     Some(ShardRecord {
@@ -328,6 +338,28 @@ mod tests {
         // A record copied into the wrong slot is treated as invalid.
         fs::copy(store.shard_path(3), store.shard_path(4)).unwrap();
         assert_eq!(store.load(4, 2, 3).unwrap(), None);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn counts_that_do_not_add_up_are_rejected() {
+        let dir = temp_dir("counts");
+        let store = CheckpointStore::open(&dir, 5).unwrap();
+        // A well-formed, correctly checksummed record whose second scheme
+        // accounts for 33 dies out of 32.
+        let mut short = record();
+        short.dead[1] += 1;
+        store.save(&short).unwrap();
+        assert_eq!(store.load(3, 2, 3).unwrap(), None);
+        // Counts that only add up modulo 2^64.
+        let mut wrapped = record();
+        wrapped.hist[0] = vec![u64::MAX, 1, 32];
+        wrapped.dead[0] = 0;
+        store.save(&wrapped).unwrap();
+        assert_eq!(store.load(3, 2, 3).unwrap(), None);
+        // The consistent record still loads.
+        store.save(&record()).unwrap();
+        assert_eq!(store.load(3, 2, 3).unwrap(), Some(record()));
         let _ = fs::remove_dir_all(&dir);
     }
 

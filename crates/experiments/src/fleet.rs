@@ -31,9 +31,16 @@
 //!   then drops them. A search over a monotone true-prefix finds the same
 //!   boundary whatever pivots it takes, so sharing probes this way changes no
 //!   result, and only one (L1, L2) map pair per die is ever alive.
+//! * **Probes at draw speed** — each probe samples its maps with
+//!   [`FaultMap::generate_at_voltage`], which decides a block's draws against
+//!   its tile's threshold band and computes the block's own thresholds only
+//!   when a draw lands inside the band. A probe therefore costs about its 17
+//!   uniform draws per block, as i.i.d. sampling does, and sharing draws
+//!   across a die's probes is all that could make it cheaper.
 //! * **Checkpointing** — with a [`CheckpointStore`], every finished shard is
 //!   persisted atomically as soon as its dies finish. A killed campaign
-//!   resumes by recomputing only the missing or invalid shards; because the
+//!   resumes by recomputing only the missing or invalid shards (a record
+//!   whose counts do not add up to its die count is invalid); because the
 //!   on-disk payload *is* the in-memory aggregate, a resumed run's reports
 //!   are byte-identical to an uninterrupted run's.
 //!

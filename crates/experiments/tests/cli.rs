@@ -1,7 +1,8 @@
 //! The `vccmin-repro` usage contract, pinned by running the real binary:
-//! asking for help succeeds, and a degenerate campaign size or a `--pfail`
-//! that is not a probability is a usage error instead of a table of zeros or
-//! a panic.
+//! asking for help succeeds, and a degenerate campaign size, a `--pfail`
+//! that is not a probability, or an unknown workload, core, scheme or L2
+//! protection name is an error that names the problem, instead of a table
+//! of zeros or a panic.
 
 use std::process::{Command, Output};
 
@@ -100,5 +101,37 @@ fn unknown_targets_and_missing_values_still_fail() {
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+    }
+}
+
+#[test]
+fn unknown_names_are_named_errors() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["schemes", "--workload", "nosuch"],
+            "unknown workload nosuch",
+        ),
+        (&["schemes", "--workload", ","], "unknown workload"),
+        (&["schemes", "--core", "vliw"], "unknown core vliw"),
+        (&["schemes", "--scheme", "nosuch"], "unknown scheme nosuch"),
+        (
+            &["yield", "--l2-scheme", "nosuch"],
+            "unknown L2 protection nosuch",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = repro(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?} must fail, stderr:\n{stderr}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "{args:?} must not print a table:\n{stdout}"
+        );
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
 }

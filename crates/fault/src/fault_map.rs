@@ -143,7 +143,8 @@ impl FaultMap {
         let blocks = sample_blocks(
             geometry,
             seed,
-            std::iter::repeat_n(thresholds, geometry.blocks() as usize),
+            |_, _| Band::exact(thresholds),
+            |_| thresholds,
         );
         Self {
             geometry: *geometry,
@@ -170,6 +171,22 @@ impl FaultMap {
     ///   is bit-for-bit identical to `FaultMap::generate(geom, pfail(V), seed)`:
     ///   same per-word probabilities, same RNG consumption order.
     ///
+    /// A block's thresholds come from a `pfail(V)`, `ln_1p` and `exp_m1`
+    /// chain that costs more than the block's 17 draws, so it runs only where
+    /// a draw needs it. Each tile of the die (a run of consecutive sets in one
+    /// way) evaluates the chain at its smallest and its largest offset, and
+    /// every draw of the tile's blocks is first decided against the band
+    /// between those two thresholds: below the band the draw is faulty, at or
+    /// above it clean. Only a block with a draw inside the band computes its
+    /// own thresholds. This is exact because the threshold is monotone in the
+    /// offset up to libm rounding. The steps from the offset to the exponent
+    /// of `powf` are correctly rounded monotone operations, the exact `10^y`,
+    /// `ln(1 - p)` and `1 - e^z` are monotone, and `powf`, `ln_1p` and
+    /// `exp_m1` err by a few ulps. The band is widened on both sides by a
+    /// margin of `4 + t / 2^32` units that covers that rounding many times
+    /// over. So every block's own thresholds lie inside its tile's band, and
+    /// debug builds assert it for every block of every map.
+    ///
     /// The map's `pfail` metadata records the i.i.d.-bridge failure
     /// probability `pfail(voltage)` (the die-average including systematic
     /// offsets is available as [`DieVariation::mean_cell_pfail_at`]).
@@ -180,13 +197,17 @@ impl FaultMap {
     #[must_use]
     pub fn generate_at_voltage(die: &DieVariation, voltage: f64, seed: u64) -> Self {
         assert!(!voltage.is_nan(), "voltage must not be NaN");
-        let geometry = *die.geometry();
-        let thresholds = die
-            .cell_pfails_at(voltage)
-            .map(|p| BlockThresholds::new(&geometry, p));
-        let blocks = sample_blocks(&geometry, seed, thresholds);
+        let thresholds = offset_thresholds(die, voltage);
+        let bands = tile_bands(die, &thresholds);
+        let offsets = die.offsets();
+        let blocks = sample_blocks(
+            die.geometry(),
+            seed,
+            |set, way| bands[die.tile(set, way)],
+            |block| thresholds(offsets[block]),
+        );
         Self {
-            geometry,
+            geometry: *die.geometry(),
             pfail: die.model().pfail_voltage.pfail(voltage),
             seed,
             blocks,
@@ -347,7 +368,7 @@ impl FaultMap {
 
 /// The fault thresholds of one block: a word (the tag) is faulty when the top
 /// 53 bits of its uniform draw fall below `word` (`tag`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockThresholds {
     word: u64,
     tag: u64,
@@ -379,6 +400,23 @@ impl BlockThresholds {
     }
 }
 
+/// The thresholds at `voltage` of a block of `die` whose systematic offset
+/// is the argument: the block sees the supply `voltage - offset`.
+fn offset_thresholds(die: &DieVariation, voltage: f64) -> impl Fn(f64) -> BlockThresholds {
+    let geometry = *die.geometry();
+    let pfail = die.model().pfail_voltage.pfail_curve();
+    move |offset| BlockThresholds::new(&geometry, pfail(voltage - offset))
+}
+
+/// The [`Band`] of every tile of `die`, indexed by [`DieVariation::tile`],
+/// from `thresholds` at the tile's extreme offsets.
+fn tile_bands(die: &DieVariation, thresholds: impl Fn(f64) -> BlockThresholds) -> Vec<Band> {
+    die.tile_extremes()
+        .iter()
+        .map(|&(fast, slow)| Band::widened(thresholds(fast), thresholds(slow)))
+        .collect()
+}
+
 /// `2^53`, the number of distinct uniforms [`Rng::next_f64`] draws.
 const UNIFORMS: f64 = (1u64 << 53) as f64;
 
@@ -396,43 +434,138 @@ fn threshold(p: f64) -> u64 {
     (p * UNIFORMS).ceil() as u64
 }
 
-/// The one sampling loop behind both [`FaultMap::generate`] (one threshold
-/// pair for every block) and [`FaultMap::generate_at_voltage`] (a pair per
-/// block): blocks in (set-major, way-minor) order, each drawing one uniform
-/// per word then one for the tag. Sharing the loop makes the documented
-/// invariant — zero-systematic voltage sampling is bit-identical to i.i.d.
-/// sampling at the same probability — structural rather than merely
-/// test-enforced.
+/// How far a [`Band`] reaches past a threshold `t` it was built from: 4
+/// units plus `t / 2^32`. A block's threshold can differ from the one its
+/// tile's extreme would imply only through the rounding of `powf`, `ln_1p`
+/// and `exp_m1`. Each errs by a few ulps, which moves `t` by at most about
+/// `t / 2^50` plus one unit for the `ceil`, so the margin covers it many
+/// times over while widening the band by a negligible fraction.
+fn rounding_margin(t: u64) -> u64 {
+    4 + (t >> 32)
+}
+
+/// The thresholds every block of one tile is known to lie between: for each
+/// block, `lo.word <= word <= hi.word` and `lo.tag <= tag <= hi.tag`. A draw
+/// `x` below `lo` is faulty for every block of the tile, one at or above
+/// `hi` is clean for every block, and only a draw in `[lo, hi)` needs the
+/// block's own thresholds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Band {
+    lo: BlockThresholds,
+    hi: BlockThresholds,
+}
+
+impl Band {
+    /// The empty band of one exactly known threshold pair: every draw is
+    /// decided by a single comparison.
+    fn exact(t: BlockThresholds) -> Self {
+        Self { lo: t, hi: t }
+    }
+
+    /// The band of a tile from the thresholds at its smallest offset
+    /// (`fast`, the lowest thresholds) and at its largest (`slow`, the
+    /// highest), each widened by its [`rounding_margin`].
+    fn widened(fast: BlockThresholds, slow: BlockThresholds) -> Self {
+        let below = |t: u64| t.saturating_sub(rounding_margin(t));
+        let above = |t: u64| t + rounding_margin(t);
+        Self {
+            lo: BlockThresholds {
+                word: below(fast.word),
+                tag: below(fast.tag),
+            },
+            hi: BlockThresholds {
+                word: above(slow.word),
+                tag: above(slow.tag),
+            },
+        }
+    }
+
+    /// Whether a block with thresholds `t` may be decided by this band.
+    fn contains(&self, t: BlockThresholds) -> bool {
+        (self.lo.word..=self.hi.word).contains(&t.word)
+            && (self.lo.tag..=self.hi.tag).contains(&t.tag)
+    }
+}
+
+/// Draws one block (one uniform per word, then one for the tag) and decides
+/// each draw against `band`. Returns the faulty-word mask, whether the tag
+/// is faulty, and whether any draw fell inside the band, in which case the
+/// mask and tag flag are not final.
 ///
-/// Each draw is decided by one integer comparison against its block's
+/// One `overflowing_sub` per draw gives both answers. It borrows exactly
+/// when the draw is below `lo` (faulty), and then the wrapped difference
+/// exceeds any band width; otherwise the difference is below the band's
+/// width exactly when the draw is inside the band. For a [`Band::exact`]
+/// band the width is zero, so the second test folds away. Word `w`'s bit
+/// enters the mask at the top and is shifted down into place, which keeps
+/// every shift by a constant.
+#[inline]
+fn draw_block(rng: &mut SmallRng, words: u8, band: &Band) -> (u64, bool, bool) {
+    let word_width = band.hi.word - band.lo.word;
+    let mut mask = 0u64;
+    let mut undecided = false;
+    for _ in 0..words {
+        let (above, faulty) = (rng.next_u64() >> 11).overflowing_sub(band.lo.word);
+        mask = (mask >> 1) | (u64::from(faulty) << 63);
+        undecided |= above < word_width;
+    }
+    let mask = mask.checked_shr(64 - u32::from(words)).unwrap_or(0);
+    let (above, tag_faulty) = (rng.next_u64() >> 11).overflowing_sub(band.lo.tag);
+    undecided |= above < band.hi.tag - band.lo.tag;
+    (mask, tag_faulty, undecided)
+}
+
+/// The one sampling loop behind both [`FaultMap::generate`] and
+/// [`FaultMap::generate_at_voltage`]: blocks in (set-major, way-minor)
+/// order, each drawing one uniform per word then one for the tag. `band`
+/// gives the [`Band`] of the block in (set, way) and `exact` the thresholds
+/// of block number `block` in that order. `generate` passes the same empty
+/// band for every block, so each of its draws is one comparison. Sharing
+/// the loop makes the documented invariants (zero-systematic voltage
+/// sampling is bit-identical to i.i.d. sampling at the same probability, and
+/// faults nest across voltages) structural rather than merely test-enforced.
+///
+/// Each draw is decided by integer comparisons against its block's
 /// [`threshold`], and the decision is exactly `gen_bool`'s on the same draw.
 /// `gen_bool(p)` takes `x = next_u64() >> 11`, an integer below `2^53`, and
 /// tests `x * 2^-53 < p`. Multiplying by a power of two is exact in `f64`
 /// (no `p` in `[0, 1]` overflows or loses bits), so that test is the real
 /// inequality `x < p * 2^53`, and for an integer `x` it holds exactly when
-/// `x < ceil(p * 2^53)`. So a map is bit-identical to one that samples every
-/// word with `gen_bool(p_word)` and every tag with `gen_bool(p_tag)`.
+/// `x < ceil(p * 2^53)`. A draw decided by the band agrees with its
+/// block's threshold because the threshold lies inside the band (see
+/// [`FaultMap::generate_at_voltage`]; debug builds assert it for every
+/// block). A block with a draw inside its band replays its draws from a
+/// copy of the generator against its own thresholds. So a map is
+/// bit-identical to one that samples every word with `gen_bool(p_word)` and
+/// every tag with `gen_bool(p_tag)`.
 fn sample_blocks(
     geometry: &CacheGeometry,
     seed: u64,
-    thresholds: impl Iterator<Item = BlockThresholds>,
+    band: impl Fn(u64, u64) -> Band,
+    exact: impl Fn(usize) -> BlockThresholds,
 ) -> Vec<BlockFaults> {
     let words_per_block = geometry.words_per_block() as u8;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut blocks = Vec::with_capacity(geometry.blocks() as usize);
-    for t in thresholds {
-        let mut mask = 0u64;
-        for w in 0..words_per_block {
-            mask |= u64::from(rng.next_u64() >> 11 < t.word) << w;
+    for set in 0..geometry.sets() {
+        for way in 0..geometry.associativity() {
+            let band = band(set, way);
+            debug_assert!(
+                band.contains(exact(blocks.len())),
+                "block {} (set {set}, way {way}) has thresholds {:?} outside its band {band:?}",
+                blocks.len(),
+                exact(blocks.len())
+            );
+            let mut replay = rng.clone();
+            let (mut mask, mut tag_faulty, undecided) =
+                draw_block(&mut rng, words_per_block, &band);
+            if undecided {
+                let own = Band::exact(exact(blocks.len()));
+                (mask, tag_faulty, _) = draw_block(&mut replay, words_per_block, &own);
+            }
+            blocks.push(BlockFaults::new(words_per_block, mask, tag_faulty));
         }
-        let tag_faulty = rng.next_u64() >> 11 < t.tag;
-        blocks.push(BlockFaults::new(words_per_block, mask, tag_faulty));
     }
-    debug_assert_eq!(
-        blocks.len() as u64,
-        geometry.blocks(),
-        "one threshold pair per block"
-    );
     blocks
 }
 
@@ -757,5 +890,83 @@ mod tests {
             (frac - expected).abs() < 0.01,
             "empirical {frac} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn every_block_lies_inside_its_tile_band() {
+        use crate::variation::{DieVariation, VariationModel};
+        use vccmin_analysis::yield_model::PfailVoltageModel;
+
+        // From saturation at 1 for every offset (-inf) through the yield
+        // grid and its surroundings to saturation at 0 (20 V, inf).
+        let voltages = [
+            f64::NEG_INFINITY,
+            0.2,
+            0.4,
+            0.45,
+            0.475,
+            0.5,
+            0.5123456,
+            0.55,
+            0.6,
+            0.7,
+            1.0,
+            20.0,
+            f64::INFINITY,
+        ];
+        let geometries = [
+            (CacheGeometry::ispass2010_l1(), 6),
+            (CacheGeometry::ispass2010_l2(), 1),
+            (CacheGeometry::ispass2010_victim_cache(), 6),
+        ];
+        for (geometry, dies) in geometries {
+            for sigma in [0.0, 0.0125, 0.05, 0.2] {
+                for grid_points in [1, 4, 7] {
+                    let model =
+                        VariationModel::new(PfailVoltageModel::ispass2010(), sigma, grid_points);
+                    for die_seed in 0..dies {
+                        let die = DieVariation::sample(&geometry, &model, die_seed);
+                        for &v in &voltages {
+                            let thresholds = offset_thresholds(&die, v);
+                            let bands = tile_bands(&die, &thresholds);
+                            for set in 0..geometry.sets() {
+                                for way in 0..geometry.associativity() {
+                                    let own = thresholds(die.systematic_offset(set, way));
+                                    let band = bands[die.tile(set, way)];
+                                    assert!(
+                                        band.contains(own),
+                                        "{geometry} sigma={sigma} points={grid_points} \
+                                         die={die_seed} V={v} set={set} way={way}: \
+                                         {own:?} outside {band:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_band_reaches_past_its_extremes_by_more_than_libm_rounding() {
+        // A few ulps of `powf`, `ln_1p` or `exp_m1` error move a threshold
+        // `t` by about `t / 2^50`, plus one unit for the `ceil`. A block whose
+        // threshold overshoots either extreme of its tile by that much (here
+        // 64 times as much) must still be inside the tile's band.
+        for t in [0, 1, 7, 1 << 20, 1 << 40, (1 << 52) + 3, 1 << 53] {
+            let error = 2 + (t >> 44);
+            let pair = BlockThresholds {
+                word: t,
+                tag: t / 2,
+            };
+            let band = Band::widened(pair, pair);
+            let shifted = |delta: i64| BlockThresholds {
+                word: pair.word.saturating_add_signed(delta),
+                tag: pair.tag.saturating_add_signed(delta),
+            };
+            assert!(band.contains(shifted(error as i64)), "t={t}");
+            assert!(band.contains(shifted(-(error as i64))), "t={t}");
+        }
     }
 }

@@ -172,6 +172,13 @@ impl SystematicField {
     }
 }
 
+/// Sets per tile: a tile is a run of this many consecutive sets in one way
+/// (the last run of a cache may be short). The field is bilinear along the
+/// set axis, so the offsets of a tile span a narrow range, and
+/// [`crate::FaultMap::generate_at_voltage`] decides most draws against the
+/// tile's extremes instead of each block's own thresholds.
+const TILE_SETS: u64 = 32;
+
 /// One sampled die: a systematic Vcc-min offset per cache block (the cache's
 /// sets span one axis of the die plane, its ways the other) plus the variation
 /// model that produced it.
@@ -182,12 +189,16 @@ pub struct DieVariation {
     seed: u64,
     /// Per-block systematic Vcc-min offsets in (set-major, way-minor) order.
     offsets: Vec<f64>,
+    /// Per tile, the (minimum, maximum) of its blocks' offsets: tile rows of
+    /// `TILE_SETS` sets in set order, each holding one tile per way.
+    tile_extremes: Vec<(f64, f64)>,
 }
 
 impl DieVariation {
     /// Samples one die for `geometry` under `model`, deterministically from
     /// `seed`: the coarse Gaussian field is drawn first, then evaluated at the
-    /// center of every (set, way) cell of the unit square.
+    /// center of every (set, way) cell of the unit square. One more pass
+    /// records the extreme offsets of every tile.
     #[must_use]
     pub fn sample(geometry: &CacheGeometry, model: &VariationModel, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -202,11 +213,24 @@ impl DieVariation {
                 offsets.push(field.at(x, y));
             }
         }
+        let ways = ways as usize;
+        let mut tile_extremes = Vec::with_capacity(sets.div_ceil(TILE_SETS) as usize * ways);
+        for row in offsets.chunks(TILE_SETS as usize * ways) {
+            tile_extremes.extend((0..ways).map(|way| {
+                row.iter()
+                    .skip(way)
+                    .step_by(ways)
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+                        (lo.min(s), hi.max(s))
+                    })
+            }));
+        }
         Self {
             geometry: *geometry,
             model: *model,
             seed,
             offsets,
+            tile_extremes,
         }
     }
 
@@ -251,20 +275,29 @@ impl DieVariation {
             .pfail(voltage - self.systematic_offset(set, way))
     }
 
-    /// [`DieVariation::cell_pfail_at`] for every block, in (set-major,
-    /// way-minor) order, with the bridge's anchor evaluated once.
-    pub(crate) fn cell_pfails_at(&self, voltage: f64) -> impl Iterator<Item = f64> + '_ {
-        let pfail = self.model.pfail_voltage.pfail_curve();
-        self.offsets.iter().map(move |s| pfail(voltage - s))
-    }
-
     /// The die-average per-cell failure probability at `voltage` (the i.i.d.
     /// `pfail` this die is "equivalent" to; used as fault-map metadata and in
     /// diagnostics).
     #[must_use]
     pub fn mean_cell_pfail_at(&self, voltage: f64) -> f64 {
-        let ways = self.geometry.associativity();
-        self.cell_pfails_at(voltage).sum::<f64>() / (self.geometry.sets() * ways) as f64
+        let pfail = self.model.pfail_voltage.pfail_curve();
+        self.offsets.iter().map(|s| pfail(voltage - s)).sum::<f64>() / self.offsets.len() as f64
+    }
+
+    /// Every block's systematic offset, in (set-major, way-minor) order.
+    pub(crate) fn offsets(&self) -> &[f64] {
+        &self.offsets
+    }
+
+    /// The (minimum, maximum) offset of every tile, indexed by
+    /// [`DieVariation::tile`].
+    pub(crate) fn tile_extremes(&self) -> &[(f64, f64)] {
+        &self.tile_extremes
+    }
+
+    /// The index of the tile holding the block in (`set`, `way`).
+    pub(crate) fn tile(&self, set: u64, way: u64) -> usize {
+        (set / TILE_SETS * self.geometry.associativity() + way) as usize
     }
 }
 

@@ -13,14 +13,19 @@
 //!   seed), through the serial, parallel and checkpointed executors, with
 //!   shards both smaller and larger than the population;
 //! * the per-scheme quantile sketch cross-checks against the closed forms of
-//!   `vccmin_analysis::yield_model` in the i.i.d. limit.
+//!   `vccmin_analysis::yield_model` in the i.i.d. limit;
+//! * property test: a `VFS1` shard record cut short at any length or with
+//!   any single bit flipped is rejected without a panic, and one re-checksummed
+//!   after the flip is rejected unless only its first-die field moved.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use vccmin_core::analysis::yield_model;
-use vccmin_core::experiments::checkpoint::CheckpointStore;
+use vccmin_core::experiments::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
 use vccmin_core::experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
 use vccmin_core::{CacheGeometry, PfailVoltageModel, VariationModel};
@@ -219,5 +224,98 @@ proptest! {
                 .count() as u64;
             prop_assert_eq!(fleet.sketch(i).total(), expected);
         }
+    }
+}
+
+/// A shard record whose `die_count` dies are split at random, per scheme,
+/// between the dead count and `grid_len` histogram buckets.
+fn consistent_record(
+    schemes: usize,
+    grid_len: usize,
+    die_count: u64,
+    shard_index: u64,
+    split_seed: u64,
+) -> ShardRecord {
+    let mut rng = SmallRng::seed_from_u64(split_seed);
+    let mut dead = Vec::with_capacity(schemes);
+    let mut hist = Vec::with_capacity(schemes);
+    for _ in 0..schemes {
+        let mut rest = die_count;
+        let mut counts = Vec::with_capacity(grid_len);
+        for _ in 0..grid_len {
+            let take = rng.next_u64() % (rest + 1);
+            counts.push(take);
+            rest -= take;
+        }
+        dead.push(rest);
+        hist.push(counts);
+    }
+    ShardRecord {
+        shard_index,
+        die_start: shard_index * 2048,
+        die_count,
+        hist,
+        dead,
+    }
+}
+
+/// Byte range of the first-die field in a `VFS1` record.
+const DIE_START_BYTES: std::ops::Range<usize> = 28..36;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A checkpoint is either rejected (`Ok(None)`, so the shard is
+    /// recomputed) or accepted exactly, and loading never panics. Cut short
+    /// at any length, or with any single bit flipped, a record is rejected.
+    /// With its checksum recomputed after the flip, as a deliberate edit
+    /// would be, it is still rejected: a flipped count no longer adds up to
+    /// the die count. The one exception is the first-die field, which
+    /// `FleetStudy` checks against the shard's bounds itself.
+    #[test]
+    fn damaged_checkpoint_records_are_rejected_not_trusted(
+        schemes in 1usize..4,
+        grid_len in 1usize..8,
+        die_count in 0u64..3000,
+        shard_index in 0u64..1000,
+        fingerprint in any::<u64>(),
+        split_seed in any::<u64>(),
+    ) {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "vccmin-checkpoint-prop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir, fingerprint).unwrap();
+        let record = consistent_record(schemes, grid_len, die_count, shard_index, split_seed);
+        store.save(&record).unwrap();
+        let path = store.shard_path(shard_index);
+        let bytes = std::fs::read(&path).unwrap();
+        let load = |damaged: &[u8]| {
+            std::fs::write(&path, damaged).unwrap();
+            store.load(shard_index, schemes, grid_len).unwrap()
+        };
+        prop_assert_eq!(load(&bytes), Some(record.clone()));
+        for len in 0..bytes.len() {
+            prop_assert_eq!(load(&bytes[..len]), None, "cut to {} bytes", len);
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert_eq!(load(&flipped), None, "bit {} flipped", bit);
+            let body = flipped.len() - 8;
+            if bit / 8 < body {
+                let checksum = fnv1a64(&flipped[..body]);
+                flipped[body..].copy_from_slice(&checksum.to_le_bytes());
+                let expected = DIE_START_BYTES.contains(&(bit / 8)).then(|| ShardRecord {
+                    die_start: record.die_start ^ 1 << (bit - 8 * DIE_START_BYTES.start),
+                    ..record.clone()
+                });
+                prop_assert_eq!(load(&flipped), expected, "bit {} flipped, re-checksummed", bit);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
