@@ -1,6 +1,16 @@
 //! The RV32IM user-mode interpreter: fetch, decode, execute, one instruction
 //! per [`Cpu::step`].
 //!
+//! Each text word is decoded once, not once per execution: the fetch reads
+//! the word's slot in its page's decoded table ([`SparseMemory`] keeps one
+//! per page fetched from), and only the first fetch of a word since its page
+//! was last written runs [`Instr::decode`]. The slot also holds the word's
+//! trace template, so the trace adapter fills only the dynamic fields of a
+//! record. Both are pure functions of the word, and every write to a page
+//! drops its table, so a step is the same whether its slot was filled or
+//! not: a word that a store turned illegal traps at the same pc with the
+//! same word.
+//!
 //! The machine model is deliberately minimal — 32 integer registers, a pc,
 //! and a [`SparseMemory`] — because the *timing* model lives entirely in
 //! `vccmin-cpu`'s pipeline; this crate only has to produce an architecturally
@@ -16,6 +26,7 @@
 
 use crate::inst::{AluOp, BranchOp, Instr, LoadOp, MulOp, StoreOp};
 use crate::mem::SparseMemory;
+use crate::trace::Template;
 
 /// Why execution stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +87,25 @@ pub struct Retired {
     pub branch: Option<ExecBranch>,
 }
 
+/// A text word decoded once: the instruction and the static fields of its
+/// trace record, held in its page's decoded table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decoded {
+    pub(crate) instr: Instr,
+    pub(crate) template: Template,
+}
+
+impl Decoded {
+    /// Decodes `word`, or `None` if it is not a legal instruction.
+    pub(crate) fn new(word: u32) -> Option<Self> {
+        let instr = Instr::decode(word)?;
+        Some(Self {
+            instr,
+            template: Template::of(instr),
+        })
+    }
+}
+
 /// The architectural state: 32 integer registers, pc, memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cpu {
@@ -129,7 +159,9 @@ impl Cpu {
         &self.mem
     }
 
-    /// Mutable memory access (for loading programs and seeding data).
+    /// Mutable memory access (for loading programs and seeding data). A
+    /// write through it drops its page's decoded instructions exactly like
+    /// a store the interpreter executes.
     pub fn mem_mut(&mut self) -> &mut SparseMemory {
         &mut self.mem
     }
@@ -138,12 +170,21 @@ impl Cpu {
     /// retired record describes what happened; on a trap the architectural
     /// state is left at the faulting instruction.
     pub fn step(&mut self) -> Result<Retired, Trap> {
+        self.step_traced().map(|(retired, _)| retired)
+    }
+
+    /// [`Self::step`], also returning the retired instruction's trace
+    /// template from its decoded slot.
+    #[inline]
+    pub(crate) fn step_traced(&mut self) -> Result<(Retired, Template), Trap> {
         let pc = self.pc;
         if pc & 0x3 != 0 {
             return Err(Trap::MisalignedFetch { pc });
         }
-        let word = self.mem.load_u32(pc);
-        let instr = Instr::decode(word).ok_or(Trap::IllegalInstruction { pc, word })?;
+        let Some(Decoded { instr, template }) = self.mem.fetch(pc) else {
+            let word = self.mem.load_u32(pc);
+            return Err(Trap::IllegalInstruction { pc, word });
+        };
         let next = pc.wrapping_add(4);
         let mut mem_addr = None;
         let mut branch = None;
@@ -269,15 +310,17 @@ impl Cpu {
 
         self.pc = new_pc;
         self.retired += 1;
-        Ok(Retired {
+        let retired = Retired {
             pc,
             instr,
             mem_addr,
             branch,
-        })
+        };
+        Ok((retired, template))
     }
 }
 
+#[inline]
 fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -296,6 +339,7 @@ fn alu(op: AluOp, a: u32, b: u32) -> u32 {
 /// M-extension semantics, including the spec-mandated results for division
 /// by zero (quotient all-ones, remainder = dividend) and signed overflow
 /// (`i32::MIN / -1` → quotient `i32::MIN`, remainder 0).
+#[inline]
 fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
     match op {
         MulOp::Mul => a.wrapping_mul(b),

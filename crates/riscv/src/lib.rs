@@ -13,11 +13,13 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`mem`] — a flat sparse 32-bit memory over 4 KiB pages (`BTreeMap`, no
-//!   ambient hash state);
+//! * [`mem`] — a sparse 32-bit memory over 4 KiB pages, found through a flat
+//!   two-level page table (no search, no ambient hash state); a page that
+//!   instructions are fetched from also keeps their decoded form;
 //! * [`inst`] — the RV32IM instruction set with exact `decode`/`encode`;
 //! * [`cpu`] — the fetch–decode–execute interpreter ([`Cpu`]), spec-accurate
-//!   including div/rem-by-zero and signed-overflow semantics;
+//!   including div/rem-by-zero and signed-overflow semantics, decoding each
+//!   text word once;
 //! * [`asm`] — a tiny two-pass program builder ([`Assembler`]) with labels
 //!   and pseudo-ops, replacing an external assembler and ELF loading;
 //! * [`kernels`] — the four shipped kernels ([`RvKernel`]), parameterizable
@@ -30,6 +32,13 @@
 //! `(kernel, seed, working-set)`, and the interpreter reads no host state,
 //! so two runs retire bit-identical streams — pinned by FNV-1a trace hashes
 //! in the workspace test suite.
+//!
+//! Decoding each word once changes no stream. Decoding, and the trace
+//! template kept with it, are pure functions of the word, and every write
+//! that can reach a page — a store the interpreter executes, or one made
+//! through [`Cpu::mem_mut`] — drops that page's decoded table. The workspace
+//! tests check this step for step against a frozen port of the interpreter
+//! that decoded every fetch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,6 +9,11 @@
 //! the real effective address for loads/stores, and the actually-executed
 //! control-flow outcome for branches.
 //!
+//! The static half of a record (`OpClass`, registers, `BranchKind`) is the
+//! word's trace template, computed once when the word is decoded and kept in
+//! its decoded slot (see [`crate::cpu`]); a step fills in only the pc, the
+//! effective address and the branch outcome.
+//!
 //! # `OpClass` translation
 //!
 //! The ISPASS-2010 pipeline model is configured for SPEC CPU2000 and has no
@@ -50,6 +55,13 @@ pub const MEMORY_BOUND_PCT: u64 = 20;
 const REG_RA: u8 = 1;
 
 /// A `TraceSource` producing the instruction stream of a running kernel.
+///
+/// Each record is the template from the retired word's decoded slot plus
+/// the step's pc, address and branch outcome. The stream and
+/// [`Self::memory_bound`] are exactly those of applying [`translate`] to
+/// every [`Cpu::step`]: the template is what `translate` derives from the
+/// instruction, decoding is a pure function of the word, and every store to
+/// a page drops that page's decoded slots.
 #[derive(Debug, Clone)]
 pub struct RvTraceSource {
     cpu: Cpu,
@@ -77,8 +89,17 @@ impl RvTraceSource {
     /// A trace source with an explicit working-set size class.
     #[must_use]
     pub fn with_working_set(kernel: RvKernel, seed: u64, ws: WorkingSet) -> Self {
+        Self::from_cpu(kernel, kernel.image_with(seed, ws, true).into_cpu())
+    }
+
+    /// A trace source that runs `cpu` from its current state: a kernel
+    /// image whose registers or memory were changed by hand, or any program
+    /// loaded with the [`Assembler`](crate::asm::Assembler). `kernel` is
+    /// only what [`Self::kernel`] reports.
+    #[must_use]
+    pub fn from_cpu(kernel: RvKernel, cpu: Cpu) -> Self {
         Self {
-            cpu: kernel.image_with(seed, ws, true).into_cpu(),
+            cpu,
             kernel,
             trap: None,
             epoch_total: 0,
@@ -134,11 +155,10 @@ impl Iterator for RvTraceSource {
         if self.trap.is_some() {
             return None;
         }
-        match self.cpu.step() {
-            Ok(retired) => {
-                let instr = translate(&retired);
-                self.account_phase(matches!(instr.op, OpClass::Load | OpClass::Store));
-                Some(instr)
+        match self.cpu.step_traced() {
+            Ok((retired, template)) => {
+                self.account_phase(matches!(template.op, OpClass::Load | OpClass::Store));
+                Some(template.fill(&retired))
             }
             Err(trap) => {
                 self.trap = Some(trap);
@@ -156,19 +176,47 @@ fn reg(r: u8) -> Option<u8> {
 /// Translates one retired instruction into the pipeline's trace record.
 #[must_use]
 pub fn translate(retired: &Retired) -> TraceInstruction {
-    let (op, dest, srcs) = classify(retired.instr);
-    let branch = retired.branch.map(|b| BranchInfo {
-        kind: branch_kind(retired.instr),
-        taken: b.taken,
-        target: u64::from(b.target),
-    });
-    TraceInstruction {
-        pc: u64::from(retired.pc),
-        op,
-        dest,
-        srcs,
-        mem_addr: retired.mem_addr.map(u64::from),
-        branch,
+    Template::of(retired.instr).fill(retired)
+}
+
+/// The static fields of an instruction's trace record: a pure function of
+/// the instruction, computed once per decoded word and kept in its slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Template {
+    op: OpClass,
+    dest: Option<u8>,
+    srcs: [Option<u8>; 2],
+    /// Used only if the instruction transfers control.
+    kind: BranchKind,
+}
+
+impl Template {
+    pub(crate) fn of(instr: Instr) -> Self {
+        let (op, dest, srcs) = classify(instr);
+        Self {
+            op,
+            dest,
+            srcs,
+            kind: branch_kind(instr),
+        }
+    }
+
+    /// The trace record of `retired`, an execution of this template's
+    /// instruction: the template plus the pc, address and branch outcome.
+    #[inline]
+    fn fill(self, retired: &Retired) -> TraceInstruction {
+        TraceInstruction {
+            pc: u64::from(retired.pc),
+            op: self.op,
+            dest: self.dest,
+            srcs: self.srcs,
+            mem_addr: retired.mem_addr.map(u64::from),
+            branch: retired.branch.map(|b| BranchInfo {
+                kind: self.kind,
+                taken: b.taken,
+                target: u64::from(b.target),
+            }),
+        }
     }
 }
 

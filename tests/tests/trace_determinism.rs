@@ -190,6 +190,46 @@ fn every_riscv_kernel_trace_is_pinned_to_its_golden_hash() {
     );
 }
 
+/// Instructions covered by the long RISC-V pins. At seed 2010 on the `Large`
+/// working set each kernel returns from its fill routine at instruction
+/// 27,660 (matmul), 73,739 (qsort), 65,542 (hashjoin) and 397,325
+/// (compress), so this prefix reaches every kernel's data-dependent body.
+const LONG_INSTRUCTIONS: usize = 450_000;
+
+/// The long RISC-V pins: `(kernel, seed, fnv1a64 of the first 450,000
+/// retired instructions)`, each kernel at seeds 2010 and 20100.
+const RISCV_LONG_HASHES: [(RvKernel, u64, u64); 8] = [
+    (RvKernel::Matmul, 2010, 0xbc080063dbc1865e),
+    (RvKernel::Matmul, 20100, 0x9f53dfe67634dc44),
+    (RvKernel::Quicksort, 2010, 0xce3cba182a4bb878),
+    (RvKernel::Quicksort, 20100, 0x6268d1514305514d),
+    (RvKernel::HashJoin, 2010, 0xa05b7416ee268241),
+    (RvKernel::HashJoin, 20100, 0xcd62e76afaf52f12),
+    (RvKernel::Compress, 2010, 0xd167998a423333a2),
+    (RvKernel::Compress, 20100, 0xda28011f278f6fd3),
+];
+
+#[test]
+fn every_riscv_kernel_body_is_pinned_past_its_fill_loop() {
+    let mut drifted = Vec::new();
+    for (kernel, seed, expected) in RISCV_LONG_HASHES {
+        let actual = kernel_hash(kernel, seed, LONG_INSTRUCTIONS);
+        if actual != expected {
+            drifted.push(format!(
+                "    (RvKernel::{kernel:?}, {seed}, {actual:#018x}), // was {expected:#018x}"
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "RISC-V kernel bodies drifted for {} (kernel, seed) pair(s); if \
+         intentional, update RISCV_LONG_HASHES with the lines below AND \
+         regenerate tests/golden/riscv_schemes.csv:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
+}
+
 #[test]
 fn riscv_hashes_distinguish_the_kernels_and_repeat_exactly() {
     let mut seen = std::collections::HashSet::new();
