@@ -29,8 +29,17 @@
 //!   instructions oldest first: loads reach the data cache in the same order,
 //!   and the issue-width and functional-unit limits pick the same instructions,
 //!   as a scan of the whole reorder buffer would.
-//! - Issued instructions wait in a `(complete_cycle, seq)` min-queue, so the
-//!   completion stage pops exactly what finishes this cycle.
+//! - Issued instructions wait on a completion wheel (a hashed timing wheel,
+//!   Varghese and Lauck, SOSP 1987): one bucket per due cycle modulo
+//!   [`WHEEL_BUCKETS`], each a singly linked list threaded through the
+//!   reorder-buffer slots, with an occupancy bitset over the buckets. Each
+//!   executed cycle drains its own bucket. An entry due on a later lap of the
+//!   wheel stays in its bucket until its lap comes round, so every latency is
+//!   exact and the wheel never grows. The order in which one cycle's
+//!   completions are taken does not matter, because they commute: completing
+//!   an entry only decrements its consumers' pending counts and sets ready
+//!   bits, and a resolving mispredicted branch only raises the end of the
+//!   fetch stall to the next cycle.
 //! - Commit clears the rename table at the retiring instruction's own
 //!   destination register, the only one that can still name it.
 //!
@@ -39,17 +48,19 @@
 //! the front end neither touches the instruction cache nor finds the trace
 //! exhausted — leaves the machine exactly as it found it, apart from the
 //! clock. The clock enters the stages' decisions through three comparisons
-//! only: a pending completion's `complete_cycle`, the fetch-queue head's
-//! `ready_at`, and the end of a fetch stall. Until the clock reaches the
-//! earliest of these, every cycle would repeat the idle one, so the loop
-//! jumps straight to it. Skipped cycles still count, and no cache access moves
+//! only: an issued entry's due cycle, the fetch-queue head's `ready_at`, and
+//! the end of a fetch stall. Until the clock reaches the earliest of these,
+//! every cycle would repeat the idle one, so the loop jumps straight to it,
+//! or to the wheel's next occupied bucket if that comes first (the bucket's
+//! entries may be due a lap later, and the cycle reached is then idle again).
+//! The jump never passes a due cycle, so every entry completes in the cycle
+//! it is due. Skipped cycles still count, and no cache access moves
 //! to another cycle or order, so [`SimResult`] is exactly that of a loop that
 //! steps one cycle at a time. An idle cycle with none of the three events
 //! ahead can never be followed by progress: that is a deadlock, and the loop
 //! reports it at once.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use vccmin_cache::CacheHierarchy;
 
@@ -86,8 +97,21 @@ enum EntryState {
     Completed,
 }
 
-/// Ends a consumer list.
-const NO_CONSUMER: usize = usize::MAX;
+/// Ends an intrusive list: a consumer list or a completion-wheel bucket.
+const NIL: usize = usize::MAX;
+
+/// Buckets of the completion wheel. A power of two, so a due cycle finds its
+/// bucket with a mask, and above the longest latency of the paper's
+/// hierarchies (a 4-cycle L1 hit, then the L2 with any repair overhead and
+/// 255 cycles of memory, under 300 in all), so at Table II no entry waits a
+/// lap.
+const WHEEL_BUCKETS: usize = 512;
+const WHEEL_MASK: usize = WHEEL_BUCKETS - 1;
+
+/// The completion-wheel bucket of due cycle `due`.
+fn bucket_of(due: u64) -> usize {
+    due as usize & WHEEL_MASK
+}
 
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
@@ -98,11 +122,15 @@ struct RobEntry {
     /// Source operands whose producer has not completed yet.
     pending: u8,
     /// The first consumer operand waiting on this entry's result, encoded as
-    /// `slot * 2 + operand`, or [`NO_CONSUMER`].
+    /// `slot * 2 + operand`, or [`NIL`].
     consumers: usize,
     /// For each source operand, the next consumer operand waiting on the same
     /// producer.
     next_consumer: [usize; 2],
+    /// Once issued, the cycle the entry completes in.
+    due: u64,
+    /// Once issued, the next slot in the same wheel bucket, or [`NIL`].
+    next_due: usize,
 }
 
 impl RobEntry {
@@ -113,16 +141,39 @@ impl RobEntry {
             mem_addr: instr.mem_addr,
             state: EntryState::Waiting,
             pending: 0,
-            consumers: NO_CONSUMER,
-            next_consumer: [NO_CONSUMER; 2],
+            consumers: NIL,
+            next_consumer: [NIL; 2],
+            due: 0,
+            next_due: NIL,
         }
+    }
+}
+
+/// The lowest set bit of `bits` in `from..to`.
+fn first_set_in(bits: &[u64], from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
+    }
+    let mut word = from / 64;
+    let mut set = bits[word] & (u64::MAX << (from % 64));
+    loop {
+        if set != 0 {
+            let bit = word * 64 + set.trailing_zeros() as usize;
+            return (bit < to).then_some(bit);
+        }
+        word += 1;
+        if word * 64 >= to {
+            return None;
+        }
+        set = bits[word];
     }
 }
 
 /// The reorder buffer: a ring of `rob_entries` slots holding the in-flight
 /// sequence numbers `head..head + len` (sequence number `seq` in slot
-/// `seq mod rob_entries`), plus the bitset of ready slots — entries waiting in
-/// an issue queue whose every producer has completed.
+/// `seq mod rob_entries`), the bitset of ready slots — entries waiting in an
+/// issue queue whose every producer has completed — and the completion wheel
+/// of the issued entries (see the module documentation).
 #[derive(Debug)]
 struct ReorderBuffer {
     entries: Vec<RobEntry>,
@@ -130,6 +181,10 @@ struct ReorderBuffer {
     head_slot: usize,
     len: usize,
     ready: Vec<u64>,
+    /// The first slot of each wheel bucket's list, or [`NIL`].
+    wheel: Box<[usize; WHEEL_BUCKETS]>,
+    /// The non-empty wheel buckets.
+    occupied: [u64; WHEEL_BUCKETS / 64],
 }
 
 impl ReorderBuffer {
@@ -141,6 +196,8 @@ impl ReorderBuffer {
             head_slot: 0,
             len: 0,
             ready: vec![0; capacity.div_ceil(64)],
+            wheel: Box::new([NIL; WHEEL_BUCKETS]),
+            occupied: [0; WHEEL_BUCKETS / 64],
         }
     }
 
@@ -169,6 +226,11 @@ impl ReorderBuffer {
     /// The slot of in-flight sequence number `seq`.
     fn slot(&self, seq: u64) -> usize {
         self.slot_at((seq - self.head) as usize)
+    }
+
+    /// How far behind the head the entry in `slot` is.
+    fn age(&self, slot: usize) -> usize {
+        self.wrap(slot + self.entries.len() - self.head_slot)
     }
 
     fn head(&self) -> Option<&RobEntry> {
@@ -223,10 +285,59 @@ impl ReorderBuffer {
         Some((seq, head))
     }
 
-    /// Marks `slot` issued, taking it out of the ready set.
-    fn issue(&mut self, slot: usize) {
-        self.entries[slot].state = EntryState::Issued;
+    /// Marks `slot` issued, taking it out of the ready set and onto the wheel
+    /// bucket of the cycle `due` it completes in.
+    fn issue(&mut self, slot: usize, due: u64) {
+        let bucket = bucket_of(due);
+        let entry = &mut self.entries[slot];
+        entry.state = EntryState::Issued;
+        entry.due = due;
+        entry.next_due = self.wheel[bucket];
+        self.wheel[bucket] = slot;
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
         self.ready[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Completes every issued entry due at `cycle`, in any order (they
+    /// commute), and leaves the bucket's entries due on a later lap in it.
+    /// Returns how many completed, and whether sequence number `branch` was
+    /// among them.
+    fn complete_due(&mut self, cycle: u64, branch: Option<u64>) -> (usize, bool) {
+        let bucket = bucket_of(cycle);
+        if self.wheel[bucket] == NIL {
+            return (0, false);
+        }
+        let mut link = std::mem::replace(&mut self.wheel[bucket], NIL);
+        let (mut completed, mut resolved) = (0, false);
+        while link != NIL {
+            let slot = link;
+            let entry = &mut self.entries[slot];
+            link = entry.next_due;
+            if entry.due != cycle {
+                entry.next_due = self.wheel[bucket];
+                self.wheel[bucket] = slot;
+                continue;
+            }
+            self.complete(slot);
+            completed += 1;
+            if let Some(branch) = branch {
+                resolved |= self.head + self.age(slot) as u64 == branch;
+            }
+        }
+        if self.wheel[bucket] == NIL {
+            self.occupied[bucket / 64] &= !(1 << (bucket % 64));
+        }
+        (completed, resolved)
+    }
+
+    /// The first cycle after `cycle` whose wheel bucket is occupied, or `None`
+    /// with nothing issued. That is the next completion, unless the bucket's
+    /// entries are due on a later lap; it is never after the next completion.
+    fn next_due(&self, cycle: u64) -> Option<u64> {
+        let from = bucket_of(cycle + 1);
+        let next = first_set_in(&self.occupied, from, WHEEL_BUCKETS)
+            .or_else(|| first_set_in(&self.occupied, 0, from))?;
+        Some(cycle + 1 + (next.wrapping_sub(from) & WHEEL_MASK) as u64)
     }
 
     /// Marks `slot` completed and wakes its consumers; each one left with no
@@ -234,8 +345,8 @@ impl ReorderBuffer {
     fn complete(&mut self, slot: usize) {
         let entry = &mut self.entries[slot];
         entry.state = EntryState::Completed;
-        let mut link = std::mem::replace(&mut entry.consumers, NO_CONSUMER);
-        while link != NO_CONSUMER {
+        let mut link = std::mem::replace(&mut entry.consumers, NIL);
+        while link != NIL {
             let (consumer, operand) = (link / 2, link % 2);
             let entry = &mut self.entries[consumer];
             link = entry.next_consumer[operand];
@@ -261,34 +372,14 @@ impl ReorderBuffer {
         let capacity = self.entries.len();
         let from = self.head_slot + age;
         if from < capacity {
-            if let Some(slot) = self.first_ready_in(from, capacity) {
+            if let Some(slot) = first_set_in(&self.ready, from, capacity) {
                 return Some((slot, slot - self.head_slot));
             }
-            self.first_ready_in(0, self.head_slot)
+            first_set_in(&self.ready, 0, self.head_slot)
                 .map(|slot| (slot, slot + capacity - self.head_slot))
         } else {
-            self.first_ready_in(from - capacity, self.head_slot)
+            first_set_in(&self.ready, from - capacity, self.head_slot)
                 .map(|slot| (slot, slot + capacity - self.head_slot))
-        }
-    }
-
-    /// The lowest ready slot in `from..to`.
-    fn first_ready_in(&self, from: usize, to: usize) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        let mut word = from / 64;
-        let mut bits = self.ready[word] & (u64::MAX << (from % 64));
-        loop {
-            if bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                return (slot < to).then_some(slot);
-            }
-            word += 1;
-            if word * 64 >= to {
-                return None;
-            }
-            bits = self.ready[word];
         }
     }
 
@@ -296,12 +387,7 @@ impl ReorderBuffer {
     /// the loop executes (a skipped cycle changes no state); release builds
     /// compile neither the check nor its call.
     #[cfg(debug_assertions)]
-    fn debug_check(
-        &self,
-        issue_queues: usize,
-        lsq: usize,
-        completions: &BinaryHeap<Reverse<(u64, u64)>>,
-    ) {
+    fn debug_check(&self, cycle: u64, issue_queues: usize, lsq: usize) {
         let (mut waiting, mut issued, mut memory, mut ready) = (0, 0, 0, 0);
         for age in 0..self.len {
             let slot = self.slot_at(age);
@@ -325,18 +411,31 @@ impl ReorderBuffer {
             "issue-queue occupancy must equal the waiting entries"
         );
         debug_assert_eq!(lsq, memory, "LSQ occupancy must equal the in-flight memory ops");
-        debug_assert_eq!(
-            completions.len(),
-            issued,
-            "the completion queue must hold exactly the issued entries"
-        );
-        for &Reverse((_, seq)) in completions {
-            debug_assert!(
-                seq >= self.head && seq - self.head < self.len as u64,
-                "completion queued for sequence number {seq} outside the reorder buffer"
+
+        // The wheel holds exactly the issued entries, each in the bucket of
+        // its due cycle, and every due cycle is still ahead.
+        let mut on_wheel = 0;
+        for (bucket_index, &first) in self.wheel.iter().enumerate() {
+            debug_assert_eq!(
+                self.occupied[bucket_index / 64] & (1 << (bucket_index % 64)) != 0,
+                first != NIL,
+                "bucket {bucket_index}: the occupancy bit must mark a non-empty bucket"
             );
-            debug_assert_eq!(self.entries[self.slot(seq)].state, EntryState::Issued);
+            let mut link = first;
+            while link != NIL {
+                let entry = &self.entries[link];
+                debug_assert!(
+                    self.age(link) < self.len && entry.state == EntryState::Issued,
+                    "slot {link} is on the wheel but not an issued in-flight entry"
+                );
+                debug_assert_eq!(bucket_of(entry.due), bucket_index, "slot {link}: wrong bucket");
+                debug_assert!(entry.due > cycle, "slot {link}: due by cycle {cycle}");
+                on_wheel += 1;
+                debug_assert!(on_wheel <= issued, "the wheel holds more than the issued entries");
+                link = entry.next_due;
+            }
         }
+        debug_assert_eq!(on_wheel, issued, "the wheel must hold exactly the issued entries");
     }
 }
 
@@ -439,9 +538,6 @@ impl Pipeline {
         let mut stores: u64 = 0;
 
         let mut rob = ReorderBuffer::new(cfg.rob_entries);
-        // Issued instructions by (complete_cycle, seq), earliest first.
-        let mut completions: BinaryHeap<Reverse<(u64, u64)>> =
-            BinaryHeap::with_capacity(cfg.rob_entries);
         let mut fetch_queue: VecDeque<FetchedInstr> = VecDeque::new();
         let mut pending_fetch: Option<TraceInstruction> = None;
         let mut trace_done = false;
@@ -512,20 +608,12 @@ impl Pipeline {
             // ------------------------------------------------------------------
             // 2. Completion: finish the issued instructions due this cycle.
             // ------------------------------------------------------------------
-            let mut completed = 0;
-            while let Some(&Reverse((due, seq))) = completions.peek() {
-                if due > cycle {
-                    break;
-                }
-                completions.pop();
-                rob.complete(rob.slot(seq));
-                if waiting_branch == Some(seq) {
-                    // The mispredicted branch resolved: the front end may
-                    // restart next cycle.
-                    waiting_branch = None;
-                    fetch_stall_until = fetch_stall_until.max(cycle + 1);
-                }
-                completed += 1;
+            let (completed, branch_resolved) = rob.complete_due(cycle, waiting_branch);
+            if branch_resolved {
+                // The mispredicted branch resolved: the front end may restart
+                // next cycle.
+                waiting_branch = None;
+                fetch_stall_until = fetch_stall_until.max(cycle + 1);
             }
 
             // ------------------------------------------------------------------
@@ -566,9 +654,7 @@ impl Pipeline {
                     }
                     other => cfg.exec_latency(other),
                 };
-                rob.issue(slot);
-                let seq = rob.head + slot_age as u64;
-                completions.push(Reverse((cycle + u64::from(latency.max(1)), seq)));
+                rob.issue(slot, cycle + u64::from(latency.max(1)));
                 // Leaving the issue queue frees its entry.
                 if entry.op.is_fp() {
                     fp_iq -= 1;
@@ -691,7 +777,7 @@ impl Pipeline {
             }
 
             #[cfg(debug_assertions)]
-            rob.debug_check(int_iq + fp_iq, lsq, &completions);
+            rob.debug_check(cycle, int_iq + fp_iq, lsq);
 
             // ------------------------------------------------------------------
             // Termination, then the next cycle that can change anything.
@@ -711,7 +797,7 @@ impl Pipeline {
             // An idle cycle: nothing changes until the clock reaches the next
             // completion, the fetch-queue head's dispatch time or the end of a
             // fetch stall (see the module documentation).
-            let next_completion = completions.peek().map(|&Reverse((due, _))| due);
+            let next_completion = rob.next_due(cycle);
             let next_dispatch = fetch_queue.front().map(|f| f.ready_at).filter(|&t| t > cycle);
             let fetch_resume =
                 (waiting_branch.is_none() && !trace_done && fetch_stall_until > cycle)

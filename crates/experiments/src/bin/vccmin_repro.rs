@@ -62,9 +62,9 @@
 //! `[0, 1]`, is a usage error.
 
 use std::env;
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -367,76 +367,90 @@ fn usage() -> String {
     "usage: vccmin-repro <fig1|fig3|fig4|fig5|fig6|fig7|table1|fig8|fig9|fig10|fig11|fig12|analysis|lowvolt|highvolt|schemes|governor|yield|core-matrix|workloads|cores|all> [--workload W[,W...]] [--core ooo|in-order] [--scheme baseline|block-disable|word-disable|bit-fix|way-sacrifice] [--l2-scheme perfect-l2|matched|<scheme>] [--instructions N] [--pairs K] [--dies D] [--seed S] [--pfail P] [--smoke] [--csv] [--serial] [--out PATH] [--checkpoint DIR]".to_string()
 }
 
-fn emit(out: &mut dyn Write, table: &FigureTable, csv: bool) {
-    let result = if csv {
+/// Why a target failed once its arguments parsed.
+enum RunError {
+    /// Writing the output failed: a full disk, or a reader that closed the
+    /// pipe.
+    Output(io::Error),
+    /// A failure already worded for the user.
+    Message(String),
+}
+
+impl From<io::Error> for RunError {
+    fn from(e: io::Error) -> Self {
+        Self::Output(e)
+    }
+}
+
+impl Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Output(e) => write!(f, "cannot write output: {e}"),
+            Self::Message(message) => f.write_str(message),
+        }
+    }
+}
+
+fn emit(out: &mut dyn Write, table: &FigureTable, csv: bool) -> io::Result<()> {
+    if csv {
         write!(out, "{}", table.to_csv())
     } else {
         writeln!(out, "{table}")
-    };
-    result.expect("failed to write output");
+    }
 }
 
-fn print_table1(out: &mut dyn Write) {
+fn print_table1(out: &mut dyn Write) -> io::Result<()> {
     let table = OverheadTable::ispass2010();
-    let mut render = || -> std::io::Result<()> {
-        writeln!(out, "Table I: overhead comparison of the disabling schemes")?;
+    writeln!(out, "Table I: overhead comparison of the disabling schemes")?;
+    writeln!(
+        out,
+        "{:<24} {:>12} {:>12} {:>12} {:>10} {:>12}",
+        "scheme", "tag", "disable", "victim $", "align net", "total"
+    )?;
+    for row in table.rows() {
         writeln!(
             out,
             "{:<24} {:>12} {:>12} {:>12} {:>10} {:>12}",
-            "scheme", "tag", "disable", "victim $", "align net", "total"
+            row.scheme,
+            row.tag_transistors,
+            row.disable_transistors,
+            row.victim_transistors,
+            if row.alignment_network { "yes" } else { "no" },
+            row.total_transistors
         )?;
-        for row in table.rows() {
-            writeln!(
-                out,
-                "{:<24} {:>12} {:>12} {:>12} {:>10} {:>12}",
-                row.scheme,
-                row.tag_transistors,
-                row.disable_transistors,
-                row.victim_transistors,
-                if row.alignment_network { "yes" } else { "no" },
-                row.total_transistors
-            )?;
-        }
-        writeln!(out)
-    };
-    render().expect("failed to write output");
+    }
+    writeln!(out)
 }
 
-fn print_workloads(out: &mut dyn Write) {
-    let mut render = || -> std::io::Result<()> {
-        writeln!(
-            out,
-            "available workloads (pass to --workload, comma-separated):"
-        )?;
-        for workload in Workload::all() {
-            writeln!(out, "  {:<16} {}", workload.name(), workload.description())?;
-        }
-        Ok(())
-    };
-    render().expect("failed to write output");
+fn print_workloads(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "available workloads (pass to --workload, comma-separated):"
+    )?;
+    for workload in Workload::all() {
+        writeln!(out, "  {:<16} {}", workload.name(), workload.description())?;
+    }
+    Ok(())
 }
 
-fn print_cores(out: &mut dyn Write) {
-    let mut render = || -> std::io::Result<()> {
-        writeln!(out, "available CPU backends (pass to --core):")?;
-        for core in CoreModel::ALL {
-            writeln!(out, "  {:<10} {}", core.name(), core.description())?;
-        }
-        Ok(())
-    };
-    render().expect("failed to write output");
+fn print_cores(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "available CPU backends (pass to --core):")?;
+    for core in CoreModel::ALL {
+        writeln!(out, "  {:<10} {}", core.name(), core.description())?;
+    }
+    Ok(())
 }
 
-fn run_analysis(out: &mut dyn Write, csv: bool) {
-    emit(out, &af::figure1(af::DEFAULT_STEPS), csv);
-    emit(out, &af::figure3(af::DEFAULT_STEPS), csv);
-    emit(out, &af::figure4(), csv);
-    emit(out, &af::figure5(af::DEFAULT_STEPS), csv);
-    emit(out, &af::figure6(af::DEFAULT_STEPS), csv);
-    emit(out, &af::figure7(af::DEFAULT_STEPS), csv);
-    emit(out, &af::scheme_capacity_figure(af::DEFAULT_STEPS), csv);
-    emit(out, &af::l2_scheme_capacity_figure(af::DEFAULT_STEPS), csv);
-    print_table1(out);
+fn run_analysis(out: &mut dyn Write, csv: bool) -> io::Result<()> {
+    emit(out, &af::figure1(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::figure3(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::figure4(), csv)?;
+    emit(out, &af::figure5(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::figure6(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::figure7(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::scheme_capacity_figure(af::DEFAULT_STEPS), csv)?;
+    emit(out, &af::l2_scheme_capacity_figure(af::DEFAULT_STEPS), csv)?;
+    print_table1(out)
 }
 
 fn run_lowvolt(
@@ -445,7 +459,7 @@ fn run_lowvolt(
     pool: &FaultMapPool,
     csv: bool,
     serial: bool,
-) {
+) -> io::Result<()> {
     eprintln!(
         "running low-voltage campaign: {} workloads x {} fault-map pairs x {} instructions ({})",
         params.workloads.len(),
@@ -454,9 +468,9 @@ fn run_lowvolt(
         executor_label(serial),
     );
     let study = LowVoltageStudy::run_with_pool(params, pool, serial);
-    emit(out, &study.figure8(), csv);
-    emit(out, &study.figure9(), csv);
-    emit(out, &study.figure10(), csv);
+    emit(out, &study.figure8(), csv)?;
+    emit(out, &study.figure9(), csv)?;
+    emit(out, &study.figure10(), csv)?;
     let word = study.average_normalized(
         vccmin_experiments::SchemeConfig::WordDisabling,
         vccmin_experiments::SchemeConfig::Baseline,
@@ -477,6 +491,7 @@ fn run_lowvolt(
         100.0 * block_vc,
         100.0 * (block_vc / word - 1.0)
     );
+    Ok(())
 }
 
 fn run_schemes(
@@ -486,7 +501,7 @@ fn run_schemes(
     csv: bool,
     serial: bool,
     scheme: Option<SchemeConfig>,
-) {
+) -> io::Result<()> {
     let described = match scheme {
         Some(s) => format!("scheme {}", s.scheme().name()),
         None => "full scheme matrix".to_string(),
@@ -504,7 +519,7 @@ fn run_schemes(
         Some(s) => SchemeMatrixStudy::run_single_with_pool(params, pool, s, serial),
         None => SchemeMatrixStudy::run_with_pool(params, pool, serial),
     };
-    emit(out, &study.table(), csv);
+    emit(out, &study.table(), csv)
 }
 
 fn run_core_matrix(
@@ -513,7 +528,7 @@ fn run_core_matrix(
     pool: &FaultMapPool,
     csv: bool,
     serial: bool,
-) {
+) -> io::Result<()> {
     eprintln!(
         "running core matrix: {} backends x {} workloads x {} fault-map pairs x {} instructions, L2 {} ({})",
         CoreModel::ALL.len(),
@@ -524,7 +539,7 @@ fn run_core_matrix(
         executor_label(serial),
     );
     let study = CoreMatrixStudy::run_with_pool(params, pool, serial);
-    emit(out, &study.table(), csv);
+    emit(out, &study.table(), csv)?;
     // Diagnostics go to stderr so `--csv` stdout stays machine-parseable.
     if let Some(first) = study.cores.first() {
         for &scheme in first.study.schemes() {
@@ -540,6 +555,7 @@ fn run_core_matrix(
             }
         }
     }
+    Ok(())
 }
 
 fn run_governor(
@@ -548,7 +564,7 @@ fn run_governor(
     pool: &FaultMapPool,
     csv: bool,
     serial: bool,
-) {
+) -> io::Result<()> {
     eprintln!(
         "running governor campaign: {} workloads x {} policies x {} fault-map pairs x {} instructions ({})",
         params.workloads.len(),
@@ -559,7 +575,7 @@ fn run_governor(
     );
     let study = GovernorStudy::run_with_pool(params, pool, serial);
     let table = study.table();
-    emit(out, &table, csv);
+    emit(out, &table, csv)?;
     let means = table.series_means();
     let mean_of = |label: &str| -> f64 {
         table
@@ -579,6 +595,7 @@ fn run_governor(
         100.0 * mean_of("reactive perf"),
         100.0 * mean_of("reactive energy"),
     );
+    Ok(())
 }
 
 fn run_highvolt(
@@ -587,7 +604,7 @@ fn run_highvolt(
     pool: &FaultMapPool,
     csv: bool,
     serial: bool,
-) {
+) -> io::Result<()> {
     eprintln!(
         "running high-voltage campaign: {} workloads x {} instructions ({})",
         params.workloads.len(),
@@ -595,8 +612,8 @@ fn run_highvolt(
         executor_label(serial),
     );
     let study = HighVoltageStudy::run_with_pool(params, pool, serial);
-    emit(out, &study.figure11(), csv);
-    emit(out, &study.figure12(), csv);
+    emit(out, &study.figure11(), csv)?;
+    emit(out, &study.figure12(), csv)
 }
 
 fn run_yield(
@@ -605,7 +622,7 @@ fn run_yield(
     checkpoint: Option<&str>,
     csv: bool,
     serial: bool,
-) -> Result<(), String> {
+) -> Result<(), RunError> {
     // Every scale runs through the streaming fleet executor: its shard
     // aggregation is byte-identical to the materializing `YieldStudy` (pinned
     // by the workspace tests), holds memory flat at millions of dies, and can
@@ -626,14 +643,14 @@ fn run_yield(
         Some(dir) => {
             eprintln!("checkpointing shards to {dir} (fingerprint {:016x})", fleet.fingerprint());
             FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), serial)
-                .map_err(|e| format!("checkpoint directory {dir}: {e}"))?
+                .map_err(|e| RunError::Message(format!("checkpoint directory {dir}: {e}")))?
         }
         None if serial => FleetStudy::run(&fleet),
         None => FleetStudy::run_parallel(&fleet),
     };
     let summary = study.vccmin_summary();
-    emit(out, &study.yield_curve(), csv);
-    emit(out, &summary, csv);
+    emit(out, &study.yield_curve(), csv)?;
+    emit(out, &summary, csv)?;
     print_summary_diagnostics(&summary);
     Ok(())
 }
@@ -667,7 +684,10 @@ fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(Some(o)) => o,
         Ok(None) => {
-            println!("{}", usage());
+            if let Err(e) = writeln!(io::stdout(), "{}", usage()) {
+                eprintln!("{}", RunError::Output(e));
+                return ExitCode::FAILURE;
+            }
             return ExitCode::SUCCESS;
         }
         Err(e) => {
@@ -675,78 +695,72 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let p = &options.params;
-    let csv = options.csv;
-    let serial = options.serial;
     let mut sink: Box<dyn Write> = match &options.out {
         Some(path) => match File::create(path) {
-            Ok(file) => Box::new(std::io::BufWriter::new(file)),
+            Ok(file) => Box::new(io::BufWriter::new(file)),
             Err(e) => {
                 eprintln!("cannot open --out {path}: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        None => Box::new(std::io::stdout()),
+        None => Box::new(io::stdout()),
     };
-    let out = sink.as_mut();
+    let result = run_target(sink.as_mut(), &options).and_then(|()| Ok(sink.flush()?));
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs the chosen target, writing its tables to `out`.
+fn run_target(out: &mut dyn Write, options: &Options) -> Result<(), RunError> {
+    let p = &options.params;
+    let csv = options.csv;
+    let serial = options.serial;
+    let yield_params = &options.yield_params;
+    let checkpoint = options.checkpoint.as_deref();
     match options.target.as_str() {
-        "fig1" => emit(out, &af::figure1(af::DEFAULT_STEPS), csv),
-        "fig3" => emit(out, &af::figure3(af::DEFAULT_STEPS), csv),
-        "fig4" => emit(out, &af::figure4(), csv),
-        "fig5" => emit(out, &af::figure5(af::DEFAULT_STEPS), csv),
-        "fig6" => emit(out, &af::figure6(af::DEFAULT_STEPS), csv),
-        "fig7" => emit(out, &af::figure7(af::DEFAULT_STEPS), csv),
-        "table1" => print_table1(out),
-        "workloads" => print_workloads(out),
-        "cores" => print_cores(out),
-        "analysis" => run_analysis(out, csv),
+        "fig1" => emit(out, &af::figure1(af::DEFAULT_STEPS), csv)?,
+        "fig3" => emit(out, &af::figure3(af::DEFAULT_STEPS), csv)?,
+        "fig4" => emit(out, &af::figure4(), csv)?,
+        "fig5" => emit(out, &af::figure5(af::DEFAULT_STEPS), csv)?,
+        "fig6" => emit(out, &af::figure6(af::DEFAULT_STEPS), csv)?,
+        "fig7" => emit(out, &af::figure7(af::DEFAULT_STEPS), csv)?,
+        "table1" => print_table1(out)?,
+        "workloads" => print_workloads(out)?,
+        "cores" => print_cores(out)?,
+        "analysis" => run_analysis(out, csv)?,
         "fig8" | "fig9" | "fig10" | "lowvolt" => {
-            run_lowvolt(out, p, &FaultMapPool::new(p), csv, serial);
+            run_lowvolt(out, p, &FaultMapPool::new(p), csv, serial)?;
         }
         "fig11" | "fig12" | "highvolt" => {
-            run_highvolt(out, p, &FaultMapPool::new(p), csv, serial);
+            run_highvolt(out, p, &FaultMapPool::new(p), csv, serial)?;
         }
-        "schemes" => run_schemes(out, p, &FaultMapPool::new(p), csv, serial, options.scheme),
-        "governor" => run_governor(out, p, &FaultMapPool::new(p), csv, serial),
-        "core-matrix" => run_core_matrix(out, p, &FaultMapPool::new(p), csv, serial),
-        "yield" => {
-            if let Err(e) = run_yield(
-                out,
-                &options.yield_params,
-                options.checkpoint.as_deref(),
-                csv,
-                serial,
-            ) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        "schemes" => run_schemes(out, p, &FaultMapPool::new(p), csv, serial, options.scheme)?,
+        "governor" => run_governor(out, p, &FaultMapPool::new(p), csv, serial)?,
+        "core-matrix" => run_core_matrix(out, p, &FaultMapPool::new(p), csv, serial)?,
+        "yield" => run_yield(out, yield_params, checkpoint, csv, serial)?,
         "all" => {
             // One pool for the whole session: the four simulation campaigns
             // share identical master-seed-derived fault maps, so they are
             // generated once here instead of once per campaign.
             let pool = FaultMapPool::new(p);
-            run_analysis(out, csv);
-            run_lowvolt(out, p, &pool, csv, serial);
-            run_highvolt(out, p, &pool, csv, serial);
-            run_schemes(out, p, &pool, csv, serial, None);
-            run_governor(out, p, &pool, csv, serial);
-            if let Err(e) = run_yield(
-                out,
-                &options.yield_params,
-                options.checkpoint.as_deref(),
-                csv,
-                serial,
-            ) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+            run_analysis(out, csv)?;
+            run_lowvolt(out, p, &pool, csv, serial)?;
+            run_highvolt(out, p, &pool, csv, serial)?;
+            run_schemes(out, p, &pool, csv, serial, None)?;
+            run_governor(out, p, &pool, csv, serial)?;
+            run_yield(out, yield_params, checkpoint, csv, serial)?;
         }
         other => {
-            eprintln!("unknown target {other}\n{}", usage());
-            return ExitCode::FAILURE;
+            return Err(RunError::Message(format!(
+                "unknown target {other}\n{}",
+                usage()
+            )));
         }
     }
-    sink.flush().expect("failed to flush output");
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -483,7 +483,7 @@ fn run_campaign(
     voltage: VoltageMode,
     serial: bool,
 ) -> Vec<BenchmarkResult> {
-    debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
+    assert!(pool.matches(params), "fault-map pool built from different parameters");
     let (pairs, l2_maps): (&[(FaultMap, FaultMap)], &[FaultMap]) = match voltage {
         VoltageMode::Low => (pool.pairs(), pool.l2_maps_if_needed(params.l2, schemes)),
         VoltageMode::High => (&[], &[]),
@@ -572,6 +572,12 @@ impl LowVoltageStudy {
     /// `serial`), reusing maps already generated for another study instead of
     /// regenerating them. Bit-identical to [`LowVoltageStudy::run`] /
     /// [`LowVoltageStudy::run_parallel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         Self {
@@ -722,6 +728,12 @@ impl HighVoltageStudy {
     /// `serial`). The high-voltage campaign needs no fault maps, so the pool
     /// is only consulted, never populated — the signature exists so every
     /// study in a multi-study session threads the same pool through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         Self {
@@ -816,6 +828,12 @@ impl SchemeMatrixStudy {
     /// Runs the full scheme matrix against a shared [`FaultMapPool`] (serially
     /// when `serial`). Bit-identical to [`SchemeMatrixStudy::run`] /
     /// [`SchemeMatrixStudy::run_parallel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         let schemes = Self::matrix_schemes();
@@ -832,6 +850,12 @@ impl SchemeMatrixStudy {
     }
 
     /// [`SchemeMatrixStudy::run_single`] against a shared [`FaultMapPool`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_single_with_pool(
         params: &SimulationParams,
@@ -932,6 +956,12 @@ impl CoreMatrixStudy {
     /// Runs the matrix on every backend against a shared [`FaultMapPool`]
     /// (serially when `serial`). `params.core` is ignored — the study sweeps
     /// the core axis itself, in [`CoreModel::ALL`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         let cores = CoreModel::ALL
@@ -1199,9 +1229,15 @@ impl GovernorStudy {
     /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
     /// thread when `serial`). Bit-identical to [`GovernorStudy::run`] /
     /// [`GovernorStudy::run_parallel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` was built from another master seed, failure
+    /// probability or fault-map pair count than `params`
+    /// ([`FaultMapPool::matches`]): its maps would be another campaign's.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
+        assert!(pool.matches(params), "fault-map pool built from different parameters");
         let pairs = pool.pairs();
         let l2_maps = pool.l2_maps_if_needed(params.l2, &[Self::SCHEME]);
         let phases = Self::phase_schedule(params);
@@ -1471,6 +1507,42 @@ mod tests {
         let mut other = params.clone();
         other.master_seed ^= 1;
         assert!(!pool.matches(&other));
+    }
+
+    // A mismatched pool must be refused in release builds too: it would
+    // otherwise simulate another campaign's fault maps without a word.
+
+    #[test]
+    #[should_panic(expected = "fault-map pool built from different parameters")]
+    fn a_pool_from_another_seed_is_refused() {
+        let params = SimulationParams::smoke();
+        let mut other = params.clone();
+        other.master_seed ^= 1;
+        let _ = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&other), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault-map pool built from different parameters")]
+    fn a_pool_with_another_pair_count_is_refused() {
+        let params = SimulationParams::smoke();
+        let mut other = params.clone();
+        other.fault_map_pairs += 1;
+        let pool = FaultMapPool::new(&other);
+        let _ = SchemeMatrixStudy::run_single_with_pool(
+            &params,
+            &pool,
+            SchemeConfig::BlockDisabling,
+            true,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fault-map pool built from different parameters")]
+    fn a_governor_pool_with_another_pfail_is_refused() {
+        let params = SimulationParams::smoke();
+        let mut other = params.clone();
+        other.pfail *= 2.0;
+        let _ = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&other), true);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `vccmin-repro` usage contract, pinned by running the real binary:
 //! asking for help succeeds, and a degenerate campaign size, a `--pfail`
-//! that is not a probability, or an unknown workload, core, scheme or L2
-//! protection name is an error that names the problem, instead of a table
-//! of zeros or a panic.
+//! that is not a probability, an unknown workload, core, scheme or L2
+//! protection name, or output that cannot be written is an error that names
+//! the problem, instead of a table of zeros or a panic.
 
 use std::process::{Command, Output};
 
@@ -133,5 +133,39 @@ fn unknown_names_are_named_errors() {
             "{args:?} must not print a table:\n{stdout}"
         );
         assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+/// Asserts that a run whose output could not be written failed with exit
+/// code 1 and a named error, not a panic.
+#[cfg(target_os = "linux")]
+fn assert_write_error(label: &str, out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{label}: stderr:\n{stderr}");
+    assert!(stderr.contains("cannot write output: "), "{label}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{label}: {stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_out_file_is_a_named_error() {
+    let out = repro(&["table1", "--out", "/dev/full"]);
+    assert_write_error("--out /dev/full", &out);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stdout_is_a_named_error() {
+    for args in [&["table1"][..], &["fig4", "--csv"], &["--help"]] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens for writing");
+        let out = Command::new(env!("CARGO_BIN_EXE_vccmin-repro"))
+            .args(args)
+            .stdout(std::process::Stdio::from(full))
+            .output()
+            .expect("failed to spawn vccmin-repro");
+        assert_write_error(&format!("{args:?} > /dev/full"), &out);
     }
 }

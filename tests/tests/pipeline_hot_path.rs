@@ -2,12 +2,19 @@
 //! line-for-line port of the per-cycle loop it replaced.
 //!
 //! The rebuilt [`Pipeline::run`] (sequence-indexed reorder buffer, wakeup
-//! lists feeding a ready bitset, a completion min-queue and the idle-cycle
-//! skip) must be *bit-identical* to the old loop, which stepped every cycle,
-//! rescanned the whole reorder buffer for completions and looked up every
-//! source operand with a linear search. Every observable is compared: the
-//! whole [`SimResult`], including the cache-hierarchy counters, which would
-//! diverge if a single cache access moved to another cycle or order.
+//! lists feeding a ready bitset, a fixed-size completion wheel whose buckets
+//! hold every issued instruction until the cycle it is due, and the
+//! idle-cycle skip) must be *bit-identical* to the old loop, which stepped
+//! every cycle, rescanned the whole reorder buffer for completions and looked
+//! up every source operand with a linear search. Every observable is
+//! compared: the whole [`SimResult`], including the cache-hierarchy counters,
+//! which would diverge if a single cache access moved to another cycle or
+//! order.
+//!
+//! Besides the paper's hierarchies, every sweep runs each one with 10T and
+//! with 6T victim caches on both L1s (a victim hit adds its own latency) and
+//! with a memory latency of several thousand cycles, so that in-flight misses
+//! stay on the completion wheel for many laps.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -15,7 +22,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use vccmin_core::cache::{
-    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode,
+    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VictimCacheConfig,
+    VoltageMode,
 };
 use vccmin_core::cpu::branch::FrontEndPredictor;
 use vccmin_core::cpu::instruction::NUM_REGS;
@@ -435,7 +443,8 @@ fn branch(
 
 /// A random trace of `len` instructions whose mix is drawn from `seed`:
 /// register dependence chains (some instructions read one register through
-/// both sources), loads and stores walking small and large strides, FP bursts
+/// both sources), loads and stores walking small and large strides or
+/// cycling through more blocks than one L1 set holds, FP bursts
 /// that saturate the single FP ALU and multiplier, conditional branches with
 /// random outcomes, calls, returns to the wrong address (RAS mispredictions,
 /// and nesting deeper than the RAS), and jumps across a code footprint larger
@@ -446,6 +455,7 @@ fn random_trace(seed: u64, len: usize) -> Vec<TraceInstruction> {
     let branch_percent = rng.below(25);
     let fp_burst_percent = rng.below(5);
     let stride = [8, 64, 4096, 1 << 20][rng.below(4) as usize];
+    let conflict_percent = rng.below(40);
     let code_span = [1u64 << 12, 1 << 16, 1 << 20][rng.below(3) as usize];
 
     let mut trace = Vec::with_capacity(len);
@@ -472,6 +482,11 @@ fn random_trace(seed: u64, len: usize) -> Vec<TraceInstruction> {
             if roll < mem_percent {
                 addr = if rng.percent(10) {
                     0x100_0000 + (rng.below(1 << 26) & !7)
+                } else if rng.percent(conflict_percent) {
+                    // Twelve blocks of one L1 set, more than its ways hold:
+                    // evicted blocks come back, from a victim cache if the
+                    // L1 has one.
+                    0x200_0000 + rng.below(12) * 4096
                 } else {
                     addr + stride
                 };
@@ -593,6 +608,31 @@ fn core_configs() -> Vec<(&'static str, CpuConfig)> {
     ]
 }
 
+/// What a hierarchy adds to the paper's, on top of its scheme, voltage and L2
+/// protection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    /// The paper's hierarchy as it is.
+    Plain,
+    /// 16-entry 10T victim caches on both L1s, as in Figs. 8–12.
+    Victim10T,
+    /// 16-entry 6T victim caches on both L1s (half usable at low voltage).
+    Victim6T,
+    /// Main memory [`FAR_MEMORY_LATENCY`] cycles away.
+    FarMemory,
+}
+
+const VARIANTS: [Variant; 4] = [
+    Variant::Plain,
+    Variant::Victim10T,
+    Variant::Victim6T,
+    Variant::FarMemory,
+];
+
+/// A memory latency far beyond the paper's 255 cycles: `HierarchyConfig`
+/// accepts any `u32`, and the loop must stay exact for all of them.
+const FAR_MEMORY_LATENCY: u32 = 3_001;
+
 /// Fault maps shared by every hierarchy: one L1 pair and one L2 map.
 struct Maps {
     l1i: FaultMap,
@@ -617,17 +657,28 @@ impl Maps {
     }
 
     /// The hierarchy of `scheme` at `voltage`, with a perfect L2 or one
-    /// protected by the same scheme (faulty below Vcc-min), or `None` if the
-    /// scheme cannot repair the maps.
+    /// protected by the same scheme (faulty below Vcc-min), changed as
+    /// `variant` says, or `None` if the scheme cannot repair the maps.
     fn hierarchy(
         &self,
         scheme: DisablingScheme,
         voltage: VoltageMode,
         faulty_l2: bool,
+        variant: Variant,
     ) -> Option<CacheHierarchy> {
         let mut config = HierarchyConfig::ispass2010(scheme, voltage);
         if faulty_l2 {
             config = config.with_l2_scheme(scheme);
+        }
+        match variant {
+            Variant::Plain => {}
+            Variant::Victim10T => {
+                config = config.with_victim_caches(VictimCacheConfig::ispass2010_10t());
+            }
+            Variant::Victim6T => {
+                config = config.with_victim_caches(VictimCacheConfig::ispass2010_6t());
+            }
+            Variant::FarMemory => config.memory_latency = FAR_MEMORY_LATENCY,
         }
         CacheHierarchy::with_all_fault_maps(
             config,
@@ -664,26 +715,38 @@ fn every_scheme_voltage_and_l2_matches_the_reference() {
     let maps = Maps::shared();
     // Four segments with different mixes, so one trace exercises them all.
     let trace: Vec<_> = (0..4).flat_map(|k| random_trace(0x5EED + k, 800)).collect();
+    // The reference steps every cycle, and a far memory makes each miss
+    // thousands of them: that variant runs four shorter segments.
+    let far_trace: Vec<_> = (0..4).flat_map(|k| random_trace(0xFA2 + k, 100)).collect();
     let mut compared = 0;
     for &scheme in &DisablingScheme::ALL {
         for voltage in [VoltageMode::High, VoltageMode::Low] {
             for faulty_l2 in [false, true] {
-                let Some(hierarchy) = maps.hierarchy(scheme, voltage, faulty_l2) else {
-                    continue; // unrepairable under these maps: nothing to compare
-                };
-                for cap in [None, Some(1_234)] {
-                    let (got, want) = both(CpuConfig::ispass2010(), &hierarchy, &trace, cap);
-                    assert_eq!(
-                        got, want,
-                        "{scheme:?} at {voltage:?}, faulty L2 {faulty_l2}, cap {cap:?}"
-                    );
-                    compared += 1;
+                for variant in VARIANTS {
+                    let Some(hierarchy) = maps.hierarchy(scheme, voltage, faulty_l2, variant)
+                    else {
+                        continue; // unrepairable under these maps: nothing to compare
+                    };
+                    let (trace, cap) = if variant == Variant::FarMemory {
+                        (&far_trace, 234)
+                    } else {
+                        (&trace, 1_234)
+                    };
+                    for cap in [None, Some(cap)] {
+                        let (got, want) = both(CpuConfig::ispass2010(), &hierarchy, trace, cap);
+                        assert_eq!(
+                            got, want,
+                            "{scheme:?} at {voltage:?}, faulty L2 {faulty_l2}, {variant:?}, \
+                             cap {cap:?}"
+                        );
+                        compared += 1;
+                    }
                 }
             }
         }
     }
     assert!(
-        compared >= 32,
+        compared >= 32 * VARIANTS.len(),
         "only {compared} hierarchies were repairable"
     );
 
@@ -693,13 +756,26 @@ fn every_scheme_voltage_and_l2_matches_the_reference() {
     assert!(r.loads > 0 && r.stores > 0, "{r:?}");
     assert!(r.branch_mispredictions > 0, "{r:?}");
     assert!(r.hierarchy.l1i.misses > 0 && r.hierarchy.memory_accesses > 0, "{r:?}");
+
+    // The victim caches serve hits, whose latency differs from both an L1
+    // and an L2 hit.
+    for variant in [Variant::Victim10T, Variant::Victim6T] {
+        let hierarchy = maps
+            .hierarchy(DisablingScheme::BlockDisabling, VoltageMode::Low, false, variant)
+            .expect("block disabling repairs the maps");
+        let (_, r) = both(CpuConfig::ispass2010(), &hierarchy, &trace, None);
+        assert!(
+            r.hierarchy.l1d_victim.hits > 0 && r.hierarchy.l1i_victim.hits > 0,
+            "{variant:?}: {r:?}"
+        );
+    }
 }
 
 #[test]
 fn non_default_core_configs_match_the_reference() {
     let maps = Maps::shared();
     let hierarchy = maps
-        .hierarchy(DisablingScheme::BlockDisabling, VoltageMode::Low, true)
+        .hierarchy(DisablingScheme::BlockDisabling, VoltageMode::Low, true, Variant::Plain)
         .expect("block disabling repairs the maps");
     for seed in 0..3 {
         let trace = random_trace(0xC0F1_6000 + seed, 1_500);
@@ -718,7 +794,7 @@ fn consecutive_runs_with_reset_stats_match_the_reference() {
     // statistics reset but cache and predictor state carried between them.
     let maps = Maps::shared();
     let hierarchy = maps
-        .hierarchy(DisablingScheme::WordDisabling, VoltageMode::Low, false)
+        .hierarchy(DisablingScheme::WordDisabling, VoltageMode::Low, false, Variant::Plain)
         .expect("word disabling repairs the maps");
     for (label, config) in core_configs() {
         let mut pipeline = Pipeline::new(config, hierarchy.clone());
@@ -742,21 +818,23 @@ fn consecutive_runs_with_reset_stats_match_the_reference() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random traces, cores, schemes, voltages, L2 protection and caps: the
-    /// event-driven loop and the per-cycle reference never diverge.
+    /// Random traces, cores, schemes, voltages, L2 protection, hierarchy
+    /// variants and caps: the event-driven loop and the per-cycle reference
+    /// never diverge.
     #[test]
     fn event_driven_loop_is_equivalent_under_random_traces(
         seed in any::<u64>(),
         len in 1usize..1_200,
         core in 0usize..5,
-        hierarchy_pick in (0usize..5, any::<bool>(), any::<bool>()),
+        hierarchy_pick in (0usize..5, any::<bool>(), any::<bool>(), 0usize..4),
         cap in 0u64..1_400,
     ) {
-        let (scheme_index, low_voltage, faulty_l2) = hierarchy_pick;
+        let (scheme_index, low_voltage, faulty_l2, variant_index) = hierarchy_pick;
         let scheme = DisablingScheme::ALL[scheme_index];
         let voltage = if low_voltage { VoltageMode::Low } else { VoltageMode::High };
+        let variant = VARIANTS[variant_index];
         let maps = Maps::shared();
-        let Some(hierarchy) = maps.hierarchy(scheme, voltage, faulty_l2) else {
+        let Some(hierarchy) = maps.hierarchy(scheme, voltage, faulty_l2, variant) else {
             return Ok(());
         };
         let (label, config) = core_configs()[core];
@@ -767,7 +845,7 @@ proptest! {
         prop_assert_eq!(
             got,
             want,
-            "{label} {scheme:?} {voltage:?} faulty L2 {faulty_l2} cap {cap:?}"
+            "{label} {scheme:?} {voltage:?} faulty L2 {faulty_l2} {variant:?} cap {cap:?}"
         );
     }
 }
