@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use vccmin_bench::bench_params;
 use vccmin_core::experiments::report::FigureTable;
-use vccmin_core::experiments::simulation::{HighVoltageStudy, LowVoltageStudy};
+use vccmin_core::experiments::simulation::{FaultMapPool, HighVoltageStudy, LowVoltageStudy};
 
 fn print_means(tag: &str, table: &FigureTable) {
     let means: Vec<String> = table
@@ -28,7 +28,7 @@ fn print_means(tag: &str, table: &FigureTable) {
 fn bench_low_voltage(c: &mut Criterion) {
     let params = bench_params();
     // Regenerate the figures once and print the headline means.
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     print_means("fig8", &study.figure8());
     print_means("fig9", &study.figure9());
     print_means("fig10", &study.figure10());
@@ -36,7 +36,15 @@ fn bench_low_voltage(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_low_voltage");
     group.sample_size(10).measurement_time(Duration::from_secs(20));
     group.bench_function("fig08_fig09_fig10_lowvolt_campaign", |b| {
-        b.iter(|| black_box(LowVoltageStudy::run(black_box(&params))))
+        // A fresh pool per run, so each run also generates its fault maps.
+        b.iter(|| {
+            let params = black_box(&params);
+            black_box(LowVoltageStudy::run_with_pool(
+                params,
+                &FaultMapPool::new(params),
+                true,
+            ))
+        })
     });
     group.bench_function("fig08_lowvolt_no_vc_baseline", |b| {
         b.iter(|| black_box(study.figure8()))
@@ -52,14 +60,21 @@ fn bench_low_voltage(c: &mut Criterion) {
 
 fn bench_high_voltage(c: &mut Criterion) {
     let params = bench_params();
-    let study = HighVoltageStudy::run(&params);
+    let study = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     print_means("fig11", &study.figure11());
     print_means("fig12", &study.figure12());
 
     let mut group = c.benchmark_group("simulation_high_voltage");
     group.sample_size(10).measurement_time(Duration::from_secs(20));
     group.bench_function("fig11_fig12_highvolt_campaign", |b| {
-        b.iter(|| black_box(HighVoltageStudy::run(black_box(&params))))
+        b.iter(|| {
+            let params = black_box(&params);
+            black_box(HighVoltageStudy::run_with_pool(
+                params,
+                &FaultMapPool::new(params),
+                true,
+            ))
+        })
     });
     group.bench_function("fig11_highvolt_no_vc", |b| {
         b.iter(|| black_box(study.figure11()))

@@ -104,7 +104,7 @@ pub mod experiments {
 // Convenience re-exports of the most commonly used types.
 pub use vccmin_analysis::{ArrayGeometry, CellPfail};
 pub use vccmin_cache::{CacheHierarchy, DisablingScheme, HierarchyConfig, VoltageMode};
-pub use vccmin_cpu::{CoreModel, CpuConfig, InOrderConfig, InOrderCore, Pipeline, SimResult};
+pub use vccmin_cpu::{CoreModel, CpuConfig, InOrderCore, Pipeline, SimResult};
 pub use vccmin_cache::{RepairScheme, WayDisableMask};
 pub use vccmin_experiments::{
     GovernedRun, GovernorPolicy, GovernorStudy, L2Protection, LowVoltageStudy, OverheadTable,

@@ -14,7 +14,7 @@ use std::fmt;
 use vccmin_cache::CacheHierarchy;
 
 use crate::config::CpuConfig;
-use crate::inorder::{InOrderConfig, InOrderCore};
+use crate::inorder::InOrderCore;
 use crate::pipeline::{Pipeline, TraceSource};
 use crate::result::SimResult;
 
@@ -140,19 +140,10 @@ impl CoreModel {
     /// — the one factory path shared by every campaign executor.
     #[must_use]
     pub fn build(self, hierarchy: CacheHierarchy) -> Box<dyn Cpu> {
-        self.build_with_config(CpuConfig::ispass2010(), hierarchy)
-    }
-
-    /// Builds this core over `hierarchy` with an explicit [`CpuConfig`].
-    #[must_use]
-    pub fn build_with_config(self, config: CpuConfig, hierarchy: CacheHierarchy) -> Box<dyn Cpu> {
+        let config = CpuConfig::ispass2010();
         match self {
             Self::OutOfOrder => Box::new(Pipeline::new(config, hierarchy)),
-            Self::InOrder => Box::new(InOrderCore::new(
-                config,
-                InOrderConfig::scalar_stall_on_use(),
-                hierarchy,
-            )),
+            Self::InOrder => Box::new(InOrderCore::new(config, hierarchy)),
         }
     }
 }

@@ -1,102 +1,56 @@
 //! A scalar stall-on-use in-order core model.
 //!
 //! The comparison axis to the out-of-order [`Pipeline`](crate::Pipeline): the
-//! same front end (I-cache fetch blocks, gshare + RAS or static not-taken),
-//! the same functional-unit latencies and the same cache hierarchy, but no
-//! reorder buffer and no memory-level parallelism. Instructions issue strictly
-//! in program order, at most [`InOrderConfig::issue_width`] per cycle; an
-//! instruction stalls only when it *uses* a register whose producer has not
-//! completed (stall-on-use, so a load's latency is hidden until its first
-//! consumer), and the data cache is blocking — a miss occupies it until the
-//! fill returns, so misses serialize instead of overlapping.
+//! same front end (I-cache fetch blocks, gshare + RAS), the same
+//! functional-unit latencies and the same cache hierarchy, but no reorder
+//! buffer and no memory-level parallelism. Instructions issue strictly in
+//! program order, one per cycle; an instruction stalls only when it *uses* a
+//! register whose producer has not completed (stall-on-use, so a load's
+//! latency is hidden until its first consumer), and the data cache is
+//! blocking — a miss occupies it until the fill returns, so misses serialize
+//! instead of overlapping.
 //!
 //! Because issue order equals program order, the model advances
 //! instruction-by-instruction instead of cycle-by-cycle: each instruction's
 //! issue cycle is the maximum of the front-end availability, its operands'
-//! ready cycles and the structural (width / functional-unit / memory-port)
-//! constraints of its issue group. Cache accesses still happen in program
-//! order, so the hierarchy state evolution is deterministic.
+//! ready cycles, the blocking data cache for memory ops, and the cycle after
+//! its predecessor issued (the one issue slot per cycle). Cache accesses still
+//! happen in program order, so the hierarchy state evolution is deterministic.
 
 use vccmin_cache::CacheHierarchy;
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
 use crate::config::CpuConfig;
 use crate::core::{CoreModel, Cpu};
-use crate::instruction::{BranchInfo, BranchKind, OpClass, NUM_REGS};
+use crate::instruction::{OpClass, NUM_REGS};
 use crate::pipeline::TraceSource;
 use crate::result::SimResult;
 
-/// The in-order sub-configuration layered on top of the shared [`CpuConfig`]
-/// (which still provides cache/latency parameters, functional-unit counts and
-/// the front-end depth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InOrderConfig {
-    /// Instructions issued per cycle (1 = scalar).
-    pub issue_width: u32,
-    /// Whether the shared gshare + RAS front end predicts branches; when
-    /// `false`, conditional branches are statically predicted not-taken and
-    /// returns always mispredict (no RAS).
-    pub use_gshare: bool,
+/// Reports a trace op that no functional unit of the configuration executes:
+/// the core could never issue it.
+#[cold]
+#[inline(never)]
+fn no_unit_for(op: OpClass) -> ! {
+    // simlint::allow(panic-path, "a configuration that cannot execute its trace is a caller error, documented under # Panics")
+    panic!("in-order core: no functional unit executes {op:?} ops (CpuConfig::units_for is 0)")
 }
 
-impl InOrderConfig {
-    /// The default comparison core: scalar, with the shared gshare front end
-    /// so the branch-prediction axis is held constant against the
-    /// out-of-order core.
-    #[must_use]
-    pub fn scalar_stall_on_use() -> Self {
-        Self {
-            issue_width: 1,
-            use_gshare: true,
-        }
-    }
-
-    /// A scalar core with a static not-taken front end (the simplest possible
-    /// fetch engine), for isolating how much the gshare front end contributes.
-    #[must_use]
-    pub fn static_not_taken() -> Self {
-        Self {
-            issue_width: 1,
-            use_gshare: false,
-        }
-    }
-}
-
-impl Default for InOrderConfig {
-    fn default() -> Self {
-        Self::scalar_stall_on_use()
-    }
-}
-
-/// Functional-unit class index for the per-cycle availability counters.
-fn fu_index(op: OpClass) -> usize {
-    match op {
-        OpClass::IntAlu | OpClass::Branch => 0,
-        OpClass::IntMul => 1,
-        OpClass::FpAlu => 2,
-        OpClass::FpMul => 3,
-        OpClass::Load | OpClass::Store => 4,
-    }
-}
-
-/// The in-order core: shared structural configuration, in-order
-/// sub-configuration, branch predictor and cache hierarchy.
+/// The in-order core: shared structural configuration, branch predictor and
+/// cache hierarchy.
 #[derive(Debug)]
 pub struct InOrderCore {
     config: CpuConfig,
-    inorder: InOrderConfig,
     hierarchy: CacheHierarchy,
     predictor: FrontEndPredictor,
 }
 
 impl InOrderCore {
-    /// Creates an in-order core with the given configurations and hierarchy.
+    /// Creates an in-order core with the given configuration and hierarchy.
     #[must_use]
-    pub fn new(config: CpuConfig, inorder: InOrderConfig, hierarchy: CacheHierarchy) -> Self {
+    pub fn new(config: CpuConfig, hierarchy: CacheHierarchy) -> Self {
         let predictor = FrontEndPredictor::new(config.gshare_history_bits, config.ras_entries);
         Self {
             config,
-            inorder,
             hierarchy,
             predictor,
         }
@@ -122,51 +76,32 @@ impl InOrderCore {
     }
 
     /// Worst-case cycles to drain the core before a voltage-mode transition:
-    /// the shallow in-order bound — flush the front end, let the (at most
-    /// `issue_width`-deep) in-flight window complete, including one access
-    /// that missed all the way to memory. There is no reorder buffer to
-    /// retire, so this is far below the out-of-order bound.
+    /// the shallow in-order bound — flush the front end, let the one in-flight
+    /// instruction complete, including one access that missed all the way to
+    /// memory. There is no reorder buffer to retire, so this is far below the
+    /// out-of-order bound.
     #[must_use]
     pub fn drain_cycles(&self) -> u64 {
         let worst_memory_access = u64::from(
             self.hierarchy.l2_hit_latency() + self.hierarchy.config().memory_latency,
         );
-        u64::from(self.config.front_end_depth)
-            + u64::from(self.inorder.issue_width.max(1))
-            + worst_memory_access
-    }
-
-    /// Static not-taken prediction: no gshare, no RAS. Counts into the same
-    /// predictor statistics fields so [`SimResult`] reporting is uniform.
-    fn predict_static_not_taken(predictor: &mut FrontEndPredictor, info: &BranchInfo) -> bool {
-        match info.kind {
-            BranchKind::Conditional => {
-                predictor.conditional_branches += 1;
-                let correct = !info.taken;
-                if !correct {
-                    predictor.mispredictions += 1;
-                }
-                correct
-            }
-            // Direct jumps/calls have static targets; without a RAS every
-            // return mispredicts.
-            BranchKind::Jump | BranchKind::Call => true,
-            BranchKind::Return => {
-                predictor.mispredictions += 1;
-                false
-            }
-        }
+        u64::from(self.config.front_end_depth) + 1 + worst_memory_access
     }
 
     /// Simulates the trace until it is exhausted or `max_instructions` have
     /// been committed, and returns the aggregate result.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an op of a class that no functional unit of the
+    /// configuration executes ([`CpuConfig::units_for`] is 0), naming the
+    /// class: such an op could never issue.
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
         max_instructions: Option<u64>,
     ) -> SimResult {
         let cfg = self.config;
-        let issue_width = self.inorder.issue_width.max(1);
         let (l1i_hit_latency, l1d_hit_latency) = {
             let hcfg = self.hierarchy.config();
             (
@@ -174,13 +109,6 @@ impl InOrderCore {
                 hcfg.l1d.hit_latency(hcfg.voltage),
             )
         };
-        let fu_limits = [
-            cfg.int_alus,
-            cfg.int_muls,
-            cfg.fp_alus,
-            cfg.fp_muls,
-            cfg.mem_ports,
-        ];
         let limit = max_instructions.unwrap_or(u64::MAX);
 
         let mut committed: u64 = 0;
@@ -195,10 +123,9 @@ impl InOrderCore {
         let mut current_fetch_block: Option<u64> = None;
         // Blocking data cache: earliest cycle the next memory op may access it.
         let mut mem_free: u64 = 0;
-        // Issue-group (current cycle) structural accounting.
-        let mut group_cycle: u64 = 0;
-        let mut issued_in_group: u32 = 0;
-        let mut fu_used = [0u32; 5];
+        // The one issue slot per cycle: earliest cycle the next instruction may
+        // issue.
+        let mut issue_free: u64 = 0;
         let mut last_complete: u64 = 0;
 
         while committed < limit {
@@ -216,32 +143,20 @@ impl InOrderCore {
             }
 
             // Earliest issue cycle: front end, then stall-on-use on source
-            // operands, then the blocking data cache for memory ops.
-            let mut issue = next_fetch;
+            // operands, then the blocking data cache for memory ops, then the
+            // issue slot. A scalar core issues into a fresh cycle, so any
+            // class with a functional unit has one free.
+            let mut issue = next_fetch.max(issue_free);
             for src in instr.srcs.iter().flatten() {
                 issue = issue.max(reg_ready[usize::from(*src)]);
             }
             if instr.is_mem() {
                 issue = issue.max(mem_free);
             }
-
-            // Structural constraints: at most `issue_width` instructions and
-            // `fu_limits` per class per cycle. Program order guarantees
-            // `issue >= group_cycle` here, so scanning forward terminates.
-            let fu = fu_index(instr.op);
-            loop {
-                if issue > group_cycle {
-                    group_cycle = issue;
-                    issued_in_group = 0;
-                    fu_used = [0; 5];
-                }
-                if issued_in_group < issue_width && fu_used[fu] < fu_limits[fu] {
-                    fu_used[fu] += 1;
-                    issued_in_group += 1;
-                    break;
-                }
-                issue += 1;
+            if cfg.units_for(instr.op) == 0 {
+                no_unit_for(instr.op);
             }
+            issue_free = issue + 1;
 
             // Execute: memory ops access the hierarchy in program order.
             let exec_latency = match instr.op {
@@ -279,11 +194,7 @@ impl InOrderCore {
             }
 
             if let Some(branch) = &instr.branch {
-                let correct = if self.inorder.use_gshare {
-                    self.predictor.predict_and_update(instr.pc, branch)
-                } else {
-                    Self::predict_static_not_taken(&mut self.predictor, branch)
-                };
+                let correct = self.predictor.predict_and_update(instr.pc, branch);
                 if branch.taken {
                     // A taken branch redirects fetch to a new block...
                     current_fetch_block = None;
@@ -354,11 +265,7 @@ mod tests {
     }
 
     fn scalar_core() -> InOrderCore {
-        InOrderCore::new(
-            CpuConfig::ispass2010(),
-            InOrderConfig::scalar_stall_on_use(),
-            hierarchy(),
-        )
+        InOrderCore::new(CpuConfig::ispass2010(), hierarchy())
     }
 
     fn run(trace: Vec<TraceInstruction>) -> SimResult {
@@ -392,6 +299,17 @@ mod tests {
             .collect();
         let r = scalar_core().run(&mut trace.into_iter(), Some(1_000));
         assert_eq!(r.instructions, 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "no functional unit executes FpMul ops")]
+    fn an_op_without_a_functional_unit_panics_naming_its_class() {
+        let config = CpuConfig {
+            fp_muls: 0,
+            ..CpuConfig::ispass2010()
+        };
+        let trace = vec![TraceInstruction::alu(0x1000, OpClass::FpMul)];
+        InOrderCore::new(config, hierarchy()).run(&mut trace.into_iter(), None);
     }
 
     #[test]
@@ -483,61 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn static_not_taken_front_end_mispredicts_taken_branches() {
-        let taken: Vec<_> = (0..5_000)
-            .map(|i| TraceInstruction::conditional_branch(0x6000 + (i % 64) * 4, true, 0x7000))
-            .collect();
-        let mut static_core = InOrderCore::new(
-            CpuConfig::ispass2010(),
-            InOrderConfig::static_not_taken(),
-            hierarchy(),
-        );
-        let r_static = static_core.run(&mut taken.clone().into_iter(), None);
-        let r_gshare = run(taken);
-        assert!(
-            r_static.branch_mispredict_rate() > 0.99,
-            "not-taken prediction must miss every taken branch, got {}",
-            r_static.branch_mispredict_rate()
-        );
-        assert!(r_gshare.branch_mispredict_rate() < 0.05);
-        assert!(r_gshare.ipc() > r_static.ipc() * 1.5);
-    }
-
-    #[test]
-    fn wider_issue_helps_independent_work() {
-        let trace: Vec<_> = (0..20_000)
-            .map(|i| {
-                TraceInstruction::alu(0x1000 + (i % 256) * 4, OpClass::IntAlu)
-                    .with_dest((i % 8) as u8)
-            })
-            .collect();
-        let mut wide = InOrderCore::new(
-            CpuConfig::ispass2010(),
-            InOrderConfig {
-                issue_width: 2,
-                use_gshare: true,
-            },
-            hierarchy(),
-        );
-        let r_wide = wide.run(&mut trace.clone().into_iter(), None);
-        let r_scalar = run(trace);
-        assert!(
-            r_wide.ipc() > r_scalar.ipc() * 1.5,
-            "dual issue should nearly double throughput on independent ops: {} vs {}",
-            r_wide.ipc(),
-            r_scalar.ipc()
-        );
-        assert!(r_wide.ipc() <= 2.0 + 1e-9);
-    }
-
-    #[test]
     fn drain_cycles_use_the_shallow_in_order_bound() {
         let core = scalar_core();
-        // front_end_depth (10) + in-flight window (1) + L2 (20) + memory (255).
+        // front_end_depth (10) + in-flight instruction (1) + L2 (20) + memory (255).
         assert_eq!(core.drain_cycles(), 10 + 1 + 20 + 255);
         let low = InOrderCore::new(
             CpuConfig::ispass2010(),
-            InOrderConfig::scalar_stall_on_use(),
             CacheHierarchy::new(HierarchyConfig::ispass2010(
                 DisablingScheme::Baseline,
                 VoltageMode::Low,

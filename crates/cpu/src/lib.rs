@@ -74,7 +74,7 @@ pub mod result;
 pub use branch::{BranchPredictor, GsharePredictor, ReturnAddressStack};
 pub use config::CpuConfig;
 pub use core::{CoreModel, Cpu};
-pub use inorder::{InOrderConfig, InOrderCore};
+pub use inorder::InOrderCore;
 pub use instruction::{BranchInfo, BranchKind, OpClass, Reg, TraceInstruction};
 pub use pipeline::{Pipeline, TraceSource};
 pub use result::SimResult;

@@ -17,14 +17,11 @@
 //!             cores (list every CPU backend; also `--list-cores`)
 //!             all
 //!     --workload: restrict a simulation campaign to a comma-separated list of
-//!               workloads — synthetic benchmark names (`gzip`) and/or real
-//!               RISC-V kernels (`riscv:matmul`); see `vccmin-repro workloads`
+//!               distinct workloads — synthetic benchmark names (`gzip`) and/or
+//!               real RISC-V kernels (`riscv:matmul`); see `vccmin-repro workloads`
 //!     --core:   which CPU backend a trace-driven campaign simulates
 //!               (ooo | in-order); the default `ooo` is the paper's out-of-order
-//!               core and reproduces every pinned snapshot bit for bit. Not
-//!               accepted by `core-matrix` (which sweeps every backend itself)
-//!               or `yield` (whose per-die pass criterion is capacity-based and
-//!               core-independent)
+//!               core and reproduces every pinned snapshot bit for bit
 //!     --scheme: restrict the `schemes` campaign to one repair scheme
 //!               (baseline | block-disable | word-disable | bit-fix | way-sacrifice);
 //!               implies the `schemes` target when no target is given
@@ -33,12 +30,10 @@
 //!               bit-fix | way-sacrifice); the default `perfect-l2` reproduces the
 //!               paper's fault-free L2 bit for bit, `matched` gives the L2 the same
 //!               scheme as the L1s under test, and a scheme name fixes it for every
-//!               configuration. Applies to the simulation campaigns (schemes,
-//!               lowvolt, highvolt, governor, figs 8-12); for `yield` — whose
-//!               scheme axis is the registry itself, matched on both arrays —
-//!               `matched` or a fault-dependent scheme name adds the L2 capacity
-//!               floor to the per-die pass criterion (`baseline` stays fault free,
-//!               like everywhere else)
+//!               configuration. For `yield` — whose scheme axis is the registry
+//!               itself, matched on both arrays — `matched` or a fault-dependent
+//!               scheme name adds the L2 capacity floor to the per-die pass
+//!               criterion (`baseline` stays fault free, like everywhere else)
 //!     --dies:   die population size of the `yield` study; the study streams
 //!               shard by shard (the fleet executor of
 //!               `vccmin_experiments::fleet`), so memory stays flat even at
@@ -55,11 +50,24 @@
 //!               (progress and summaries stay on stderr either way)
 //! ```
 //!
+//! Each value flag applies only to the targets that read it; given to any
+//! other target it is a usage error that names the flag and the target:
+//!
+//! | value flag | targets that read it |
+//! |---|---|
+//! | `--workload`, `--instructions` | `lowvolt`, `highvolt`, `schemes`, `governor`, `core-matrix`, `fig8`–`fig12`, `all` |
+//! | `--core` | the same, except `core-matrix` (which sweeps every backend itself) |
+//! | `--l2-scheme`, `--seed` | the `--instructions` targets, plus `yield` |
+//! | `--pairs`, `--pfail` | `lowvolt`, `schemes`, `governor`, `core-matrix`, `fig8`–`fig10`, `all` |
+//! | `--scheme` | `schemes` |
+//! | `--dies`, `--checkpoint` | `yield`, `all` |
+//!
+//! `--smoke`, `--csv`, `--serial` and `--out` apply to every target.
 //! Simulation campaigns run on all cores by default; `--serial` runs the same
 //! jobs on the calling thread, and both produce bit-identical output.
 //! `--help`, `-h` or `help` prints the usage line and exits successfully; a
-//! zero `--instructions`, `--pairs` or `--dies`, or a `--pfail` outside
-//! `[0, 1]`, is a usage error.
+//! zero `--instructions`, `--pairs` or `--dies`, a `--pfail` outside `[0, 1]`,
+//! or a workload named twice in `--workload`, is a usage error.
 
 use std::env;
 use std::fmt::{self, Display};
@@ -79,6 +87,64 @@ use vccmin_experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_experiments::yield_study::YieldParams;
 use vccmin_experiments::{L2Protection, OverheadTable, SchemeConfig, Workload};
 use vccmin_cache::DisablingScheme;
+
+/// The trace-driven simulation targets.
+const TRACE_DRIVEN: &[&str] = &[
+    "lowvolt", "highvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "all",
+];
+
+/// The trace-driven targets plus `yield`, whose seed and L2 floor are its own.
+const TRACE_DRIVEN_AND_YIELD: &[&str] = &[
+    "lowvolt", "highvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "all", "yield",
+];
+
+/// The targets with a campaign below Vcc-min, the only ones that read fault
+/// maps.
+const BELOW_VCC_MIN: &[&str] = &[
+    "lowvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10", "all",
+];
+
+/// Which targets read each value flag. Any other use of a value flag is a
+/// usage error that names the flag and the target, so no flag is ever
+/// silently ignored. `--smoke`, `--csv`, `--serial` and `--out` apply to
+/// every target.
+const FLAG_TARGETS: [(&str, &[&str]); 10] = [
+    ("--workload", TRACE_DRIVEN),
+    // `core-matrix` sweeps every backend itself, and `yield`'s per-die pass
+    // criterion is capacity-based, so core-independent.
+    (
+        "--core",
+        &[
+            "lowvolt", "highvolt", "schemes", "governor", "fig8", "fig9", "fig10", "fig11",
+            "fig12", "all",
+        ],
+    ),
+    ("--instructions", TRACE_DRIVEN),
+    ("--l2-scheme", TRACE_DRIVEN_AND_YIELD),
+    ("--seed", TRACE_DRIVEN_AND_YIELD),
+    ("--pairs", BELOW_VCC_MIN),
+    ("--pfail", BELOW_VCC_MIN),
+    ("--scheme", &["schemes"]),
+    ("--dies", &["yield", "all"]),
+    ("--checkpoint", &["yield", "all"]),
+];
+
+/// Rejects a value flag that `target` does not read ([`FLAG_TARGETS`]).
+fn check_flag(flag: &str, target: &str) -> Result<(), String> {
+    let Some((_, targets)) = FLAG_TARGETS.iter().find(|(name, _)| *name == flag) else {
+        return Ok(());
+    };
+    if targets.contains(&target) {
+        return Ok(());
+    }
+    Err(format!(
+        "{flag} does not apply to the `{target}` target (only to {})\n{}",
+        targets.join(", "),
+        usage()
+    ))
+}
 
 struct Options {
     target: String,
@@ -125,6 +191,7 @@ fn parse_args() -> Result<Option<Options>, String> {
     let mut checkpoint: Option<String> = None;
     let mut workloads: Option<Vec<Workload>> = None;
     while let Some(arg) = args.next() {
+        check_flag(&arg, &target)?;
         match arg.as_str() {
             "--workload" => {
                 let v = args.next().ok_or("--workload needs a value")?;
@@ -142,6 +209,15 @@ fn parse_args() -> Result<Option<Options>, String> {
                     .collect::<Result<Vec<_>, _>>()?;
                 if parsed.is_empty() {
                     return Err("--workload needs at least one name".to_string());
+                }
+                // A workload named twice would be simulated twice and weigh
+                // double in every `mean` row.
+                let twice = parsed
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, w)| parsed[..i].contains(w).then_some(w));
+                if let Some(w) = twice {
+                    return Err(format!("workload {} is named twice in --workload", w.name()));
                 }
                 workloads = Some(parsed);
             }
@@ -267,57 +343,6 @@ fn parse_args() -> Result<Option<Options>, String> {
     }
     if let Some(v) = seed {
         yield_params.master_seed = v;
-    }
-    if scheme.is_some() && target != "schemes" {
-        return Err(format!(
-            "--scheme only applies to the `schemes` target\n{}",
-            usage()
-        ));
-    }
-    let l2_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "yield", "all", "fig8",
-        "fig9", "fig10", "fig11", "fig12",
-    ];
-    if l2.is_some() && !l2_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--l2-scheme only applies to the simulation campaigns and `yield`\n{}",
-            usage()
-        ));
-    }
-    let workload_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "all", "fig8", "fig9",
-        "fig10", "fig11", "fig12",
-    ];
-    if workloads.is_some() && !workload_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--workload only applies to the trace-driven simulation campaigns\n{}",
-            usage()
-        ));
-    }
-    // `core-matrix` sweeps every backend itself, and `yield`'s per-die pass
-    // criterion is capacity-based (core-independent), so neither takes --core.
-    let core_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "all", "fig8", "fig9", "fig10", "fig11",
-        "fig12",
-    ];
-    if core.is_some() && !core_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--core only applies to the single-backend trace-driven campaigns (`core-matrix` \
-             sweeps every backend itself; the `yield` pass criterion is core-independent)\n{}",
-            usage()
-        ));
-    }
-    if dies.is_some() && target != "yield" && target != "all" {
-        return Err(format!(
-            "--dies only applies to the `yield` (or `all`) target\n{}",
-            usage()
-        ));
-    }
-    if checkpoint.is_some() && target != "yield" && target != "all" {
-        return Err(format!(
-            "--checkpoint only applies to the `yield` (or `all`) target\n{}",
-            usage()
-        ));
     }
     Ok(Some(Options {
         target,

@@ -44,10 +44,10 @@
 //! baseline without victim cache):
 //!
 //! ```no_run
-//! use vccmin_experiments::simulation::{LowVoltageStudy, SimulationParams};
+//! use vccmin_experiments::simulation::{FaultMapPool, LowVoltageStudy, SimulationParams};
 //!
 //! let params = SimulationParams::quick();
-//! let study = LowVoltageStudy::run(&params);
+//! let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
 //! println!("{}", study.figure8());
 //! ```
 

@@ -14,12 +14,15 @@
 //! chosen scheme's effective L2 organization — including whole-cache failure
 //! on the L2 — feeds the same accounting as the L1 schemes.
 //!
-//! Every study runs through one executor. It plans each (workload,
-//! configuration) cell before anything runs: word-disabling, whose halved
-//! cache performs the same on every usable map, takes only its first
-//! repairable pair. Every job is then one independent simulation, and the
-//! crate's job map runs the jobs on the rayon pool, or on the calling thread
-//! with `serial`; both give bit-identical results.
+//! Every study has one entry point, `run_with_pool(params, &pool, serial)`,
+//! and runs through one executor. A [`FaultMapPool`] is the only source of a
+//! campaign's fault maps, so studies that share a pool share its maps. The
+//! executor plans each cell (a workload with a configuration, or with a
+//! governor policy) before anything runs: word-disabling, whose halved cache
+//! performs the same on every usable map, takes only its first repairable
+//! pair. Every job is then one independent simulation, and the crate's job
+//! map runs the jobs on the rayon pool, or on the calling thread with
+//! `serial`; both give bit-identical results.
 
 use std::sync::OnceLock;
 
@@ -162,29 +165,15 @@ impl SimulationParams {
         }
     }
 
-    /// The trace seed every campaign in this module uses for `workload`
-    /// (public so equivalence tests can replay the identical stream).
+    /// The trace seed every campaign in this module uses for `workload`,
+    /// derived from the master seed so every configuration of a workload
+    /// replays the identical instruction stream (public so equivalence tests
+    /// can replay it too).
     #[must_use]
     pub fn trace_seed(&self, workload: Workload) -> u64 {
-        trace_seed(self, workload)
-    }
-
-    /// The campaign's fault-map pairs (instruction cache, data cache), derived
-    /// from the master seed (public for the same reason).
-    #[must_use]
-    pub fn derived_fault_map_pairs(&self) -> Vec<(FaultMap, FaultMap)> {
-        fault_map_pairs(self)
-    }
-
-    /// The campaign's L2 fault maps, one per fault-map pair, derived from the
-    /// master seed through a fork of their own (so enabling the L2 axis never
-    /// changes the L1 maps). Empty when the L2 protection needs no maps.
-    #[must_use]
-    pub fn derived_l2_fault_maps(&self, schemes: &[SchemeConfig]) -> Vec<FaultMap> {
-        if !self.l2.needs_fault_maps(schemes) {
-            return Vec::new();
-        }
-        l2_fault_maps(self)
+        SeedSequence::new(self.master_seed)
+            .fork(workload.name())
+            .next_seed()
     }
 }
 
@@ -273,15 +262,11 @@ impl BenchmarkResult {
 /// build cores identically.
 fn simulate(params: &SimulationParams, workload: Workload, hierarchy: CacheHierarchy) -> SimResult {
     let mut cpu = params.core.build(hierarchy);
-    let mut trace = workload.source(trace_seed(params, workload));
+    let mut trace = workload.source(params.trace_seed(workload));
     cpu.run(&mut trace, Some(params.instructions))
 }
 
-/// Generates the campaign's fault-map pairs (instruction cache, data cache).
-fn fault_map_pairs(params: &SimulationParams) -> Vec<(FaultMap, FaultMap)> {
-    generate_fault_map_pairs(params.master_seed, params.pfail, params.fault_map_pairs)
-}
-
+/// Generates a campaign's fault-map pairs (instruction cache, data cache).
 fn generate_fault_map_pairs(master_seed: u64, pfail: f64, count: usize) -> Vec<(FaultMap, FaultMap)> {
     let geom = CacheGeometry::ispass2010_l1();
     let mut seeds = SeedSequence::new(master_seed).fork("fault-maps");
@@ -297,13 +282,9 @@ fn generate_fault_map_pairs(master_seed: u64, pfail: f64, count: usize) -> Vec<(
         .collect()
 }
 
-/// Generates the campaign's L2 fault maps, one per fault-map pair, from a seed
+/// Generates a campaign's L2 fault maps, one per fault-map pair, from a seed
 /// fork of their own: the L1 pairs are bit-identical whether or not the L2 axis
 /// is enabled.
-fn l2_fault_maps(params: &SimulationParams) -> Vec<FaultMap> {
-    generate_l2_fault_maps(params.master_seed, params.pfail, params.fault_map_pairs)
-}
-
 fn generate_l2_fault_maps(master_seed: u64, pfail: f64, count: usize) -> Vec<FaultMap> {
     let geom = CacheGeometry::ispass2010_l2();
     let mut seeds = SeedSequence::new(master_seed).fork("l2-fault-maps");
@@ -312,17 +293,14 @@ fn generate_l2_fault_maps(master_seed: u64, pfail: f64, count: usize) -> Vec<Fau
         .collect()
 }
 
-/// The fault maps of one campaign parameter set, generated once and shared.
+/// The fault maps of one campaign parameter set, generated once and shared:
+/// the only source of a campaign's fault maps.
 ///
-/// Historically every study (and every `run`/`run_parallel` call within a
-/// study) regenerated the same fault-map pairs and L2 maps from
-/// `params.master_seed` — per (config, workload) campaign entry the maps were
-/// identical, only rebuilt. A pool derives them from the same
-/// [`SeedSequence`] forks exactly once, lazily per cache level (a
-/// high-voltage-only campaign never generates L1 pairs; a perfect-L2 campaign
-/// never generates L2 maps), and hands out shared slices, so campaigns that
-/// run several studies over one parameter set (`vccmin-repro all`) reuse one
-/// set of maps bit-identically.
+/// A pool derives them from `params.master_seed` through [`SeedSequence`]
+/// forks exactly once, lazily per cache level (a high-voltage-only campaign
+/// never generates L1 pairs; a perfect-L2 campaign never generates L2 maps),
+/// and hands out shared slices, so campaigns that run several studies over one
+/// parameter set (`vccmin-repro all`) reuse one set of maps bit-identically.
 #[derive(Debug)]
 pub struct FaultMapPool {
     master_seed: u64,
@@ -354,40 +332,24 @@ impl FaultMapPool {
             && self.pair_count == params.fault_map_pairs
     }
 
-    /// The campaign's L1 fault-map pairs (instruction cache, data cache),
-    /// bit-identical to [`SimulationParams::derived_fault_map_pairs`].
+    /// The campaign's L1 fault-map pairs (instruction cache, data cache).
     #[must_use]
     pub fn pairs(&self) -> &[(FaultMap, FaultMap)] {
         self.pairs
             .get_or_init(|| generate_fault_map_pairs(self.master_seed, self.pfail, self.pair_count))
     }
 
-    /// The campaign's L2 fault maps, one per pair, bit-identical to the maps
-    /// [`SimulationParams::derived_l2_fault_maps`] returns when needed.
+    /// The campaign's L2 fault maps, one per pair, if `l2` actually needs them
+    /// for any of `schemes`; an empty slice otherwise (nothing is generated in
+    /// that case).
     #[must_use]
-    pub fn l2_maps(&self) -> &[FaultMap] {
+    pub fn l2_maps_if_needed(&self, l2: L2Protection, schemes: &[SchemeConfig]) -> &[FaultMap] {
+        if !l2.needs_fault_maps(schemes) {
+            return &[];
+        }
         self.l2
             .get_or_init(|| generate_l2_fault_maps(self.master_seed, self.pfail, self.pair_count))
     }
-
-    /// The campaign's L2 fault maps if `l2` actually needs them for any of
-    /// `schemes`, an empty slice otherwise (nothing is generated in that case).
-    #[must_use]
-    pub fn l2_maps_if_needed(&self, l2: L2Protection, schemes: &[SchemeConfig]) -> &[FaultMap] {
-        if l2.needs_fault_maps(schemes) {
-            self.l2_maps()
-        } else {
-            &[]
-        }
-    }
-}
-
-/// Trace seed for a workload, derived from the master seed so every configuration
-/// of a workload replays the identical instruction stream.
-fn trace_seed(params: &SimulationParams, workload: Workload) -> u64 {
-    SeedSequence::new(params.master_seed)
-        .fork(workload.name())
-        .next_seed()
 }
 
 /// Whether `scheme` at `voltage` is evaluated once per fault-map pair: the L1
@@ -410,11 +372,8 @@ fn map_uniform(params: &SimulationParams, scheme: SchemeConfig) -> bool {
             .performance_uniform_across_maps()
 }
 
-/// One (workload, configuration) cell of a campaign, planned before anything
-/// runs.
+/// The jobs of one campaign cell, planned before anything runs.
 struct CellPlan {
-    workload: Workload,
-    scheme: SchemeConfig,
     /// The fault-map pairs to simulate, by index; `None` is one fault-free
     /// run.
     pairs: Vec<Option<usize>>,
@@ -422,13 +381,12 @@ struct CellPlan {
     skipped: usize,
 }
 
-/// Plans one cell: a fault-independent configuration runs once without maps,
-/// a map-dependent one once per pair. A [`map_uniform`] cell takes its first
-/// repairable pair, and the pairs before it count as whole-cache failures;
-/// the check builds no cache array.
+/// Plans one cell of `scheme` at `voltage`: a fault-independent configuration
+/// runs once without maps, a map-dependent one once per pair. A
+/// [`map_uniform`] cell takes its first repairable pair, and the pairs before
+/// it count as whole-cache failures; the check builds no cache array.
 fn plan_cell(
     params: &SimulationParams,
-    workload: Workload,
     scheme: SchemeConfig,
     voltage: VoltageMode,
     pairs: &[(FaultMap, FaultMap)],
@@ -449,8 +407,6 @@ fn plan_cell(
         }
     };
     CellPlan {
-        workload,
-        scheme,
         pairs: planned,
         skipped,
     }
@@ -470,12 +426,38 @@ fn tally<T>(outputs: impl Iterator<Item = Option<T>>) -> (Vec<T>, usize) {
     (runs, failures)
 }
 
-/// Runs a campaign over every (workload, configuration) cell. Every cell is
-/// planned first, so each job is one simulation, independent of every other;
-/// [`map_jobs`] runs them on the calling thread when `serial` and on the
-/// rayon pool otherwise, and returns them in job order. The fault maps and
-/// trace seeds all derive from `params.master_seed`, so the result is
-/// bit-identical either way.
+/// Runs planned cells, each named by its `cell` key, as one job map: one job
+/// per planned pair, each an independent simulation by `run`. [`map_jobs`]
+/// runs them on the calling thread when `serial` and on the rayon pool
+/// otherwise, and returns them in job order, so the result is bit-identical
+/// either way. Returns every cell with its runs and its whole-cache failures
+/// (the planned skips plus every `None` output), in cell order.
+fn run_planned<C, T>(
+    cells: Vec<(C, CellPlan)>,
+    serial: bool,
+    run: impl Fn(&C, Option<usize>) -> Option<T> + Sync,
+) -> Vec<(C, Vec<T>, usize)>
+where
+    C: Sync,
+    T: Send,
+{
+    let jobs: Vec<(&C, Option<usize>)> = cells
+        .iter()
+        .flat_map(|(cell, plan)| plan.pairs.iter().map(move |&pair| (cell, pair)))
+        .collect();
+    let mut outputs = map_jobs(jobs, serial, |(cell, pair)| run(cell, pair)).into_iter();
+    cells
+        .into_iter()
+        .map(|(cell, plan)| {
+            let (runs, failures) = tally(outputs.by_ref().take(plan.pairs.len()));
+            (cell, runs, plan.skipped + failures)
+        })
+        .collect()
+}
+
+/// Runs a campaign over every (workload, configuration) cell at `voltage`.
+/// The fault maps come from `pool` and the trace seeds from
+/// `params.master_seed`.
 fn run_campaign(
     params: &SimulationParams,
     pool: &FaultMapPool,
@@ -488,21 +470,16 @@ fn run_campaign(
         VoltageMode::Low => (pool.pairs(), pool.l2_maps_if_needed(params.l2, schemes)),
         VoltageMode::High => (&[], &[]),
     };
-    let plans: Vec<CellPlan> = params
+    let cells = params
         .workloads
         .iter()
         .flat_map(|&workload| schemes.iter().map(move |&scheme| (workload, scheme)))
-        .map(|(workload, scheme)| plan_cell(params, workload, scheme, voltage, pairs, l2_maps))
-        .collect();
-    let jobs: Vec<(Workload, SchemeConfig, Option<usize>)> = plans
-        .iter()
-        .flat_map(|plan| {
-            plan.pairs
-                .iter()
-                .map(move |&pair| (plan.workload, plan.scheme, pair))
+        .map(|(workload, scheme)| {
+            let plan = plan_cell(params, scheme, voltage, pairs, l2_maps);
+            ((workload, scheme), plan)
         })
         .collect();
-    let mut outputs = map_jobs(jobs, serial, |(workload, scheme, pair)| {
+    let mut configs = run_planned(cells, serial, |&(workload, scheme), pair| {
         let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
         let hierarchy = match pair {
             Some(i) => {
@@ -514,14 +491,11 @@ fn run_campaign(
         };
         Some(simulate(params, workload, hierarchy))
     })
-    .into_iter();
-    let mut configs = plans.into_iter().map(|plan| {
-        let (runs, failures) = tally(outputs.by_ref().take(plan.pairs.len()));
-        ConfigResult {
-            scheme: plan.scheme,
-            runs,
-            whole_cache_failures: plan.skipped + failures,
-        }
+    .into_iter()
+    .map(|((_, scheme), runs, whole_cache_failures)| ConfigResult {
+        scheme,
+        runs,
+        whole_cache_failures,
     });
     params
         .workloads
@@ -551,27 +525,11 @@ impl LowVoltageStudy {
         SchemeConfig::BlockDisablingVictim6T,
     ];
 
-    /// Runs the campaign's jobs on the calling thread; bit-identical to
-    /// [`LowVoltageStudy::run_parallel`].
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, one job per planned
-    /// workload × configuration × fault-map pair. Bit-identical to
-    /// [`LowVoltageStudy::run`]: all randomness is derived up front from
-    /// `params.master_seed` via [`SeedSequence`] and results return in job
-    /// order.
-    #[must_use]
-    pub fn run_parallel(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), false)
-    }
-
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`), reusing maps already generated for another study instead of
-    /// regenerating them. Bit-identical to [`LowVoltageStudy::run`] /
-    /// [`LowVoltageStudy::run_parallel`].
+    /// Runs the campaign with the fault maps of `pool`, one job per planned
+    /// workload × configuration × fault-map pair, on the calling thread when
+    /// `serial` and on all available cores otherwise; both give bit-identical
+    /// results. A pool shared with another study hands out the maps it has
+    /// already generated.
     ///
     /// # Panics
     ///
@@ -708,26 +666,11 @@ impl HighVoltageStudy {
         SchemeConfig::BlockDisablingVictim10T,
     ];
 
-    /// Runs the campaign's jobs on the calling thread (no fault maps are
-    /// needed at high voltage); bit-identical to
-    /// [`HighVoltageStudy::run_parallel`].
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, one job per
-    /// workload × configuration cell. Produces bit-identical results to
-    /// [`HighVoltageStudy::run`].
-    #[must_use]
-    pub fn run_parallel(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), false)
-    }
-
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`). The high-voltage campaign needs no fault maps, so the pool
-    /// is only consulted, never populated — the signature exists so every
-    /// study in a multi-study session threads the same pool through.
+    /// Runs the campaign, one job per workload × configuration cell, on the
+    /// calling thread when `serial` and on all available cores otherwise. The
+    /// high-voltage campaign needs no fault maps, so `pool` is only checked,
+    /// never populated; the signature is every study's, so a multi-study
+    /// session threads one pool through all of them.
     ///
     /// # Panics
     ///
@@ -812,22 +755,9 @@ impl SchemeMatrixStudy {
         DisablingScheme::ALL.map(SchemeConfig::for_scheme)
     }
 
-    /// Runs the full scheme matrix's jobs on the calling thread.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the full scheme matrix on all available cores (bit-identical to
-    /// [`SchemeMatrixStudy::run`]).
-    #[must_use]
-    pub fn run_parallel(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), false)
-    }
-
-    /// Runs the full scheme matrix against a shared [`FaultMapPool`] (serially
-    /// when `serial`). Bit-identical to [`SchemeMatrixStudy::run`] /
-    /// [`SchemeMatrixStudy::run_parallel`].
+    /// Runs the full scheme matrix with the fault maps of `pool`, on the
+    /// calling thread when `serial` and on all available cores otherwise;
+    /// both give bit-identical results.
     ///
     /// # Panics
     ///
@@ -843,13 +773,8 @@ impl SchemeMatrixStudy {
         }
     }
 
-    /// Runs a single scheme (plus the baseline it is normalized to).
-    #[must_use]
-    pub fn run_single(params: &SimulationParams, scheme: SchemeConfig, serial: bool) -> Self {
-        Self::run_single_with_pool(params, &FaultMapPool::new(params), scheme, serial)
-    }
-
-    /// [`SchemeMatrixStudy::run_single`] against a shared [`FaultMapPool`].
+    /// Runs a single scheme (plus the baseline it is normalized to) like
+    /// [`SchemeMatrixStudy::run_with_pool`].
     ///
     /// # Panics
     ///
@@ -940,22 +865,10 @@ pub struct CoreMatrixStudy {
 }
 
 impl CoreMatrixStudy {
-    /// Runs the matrix on every backend, its jobs on the calling thread.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the matrix on every backend on all available cores (bit-identical
-    /// to [`CoreMatrixStudy::run`]).
-    #[must_use]
-    pub fn run_parallel(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), false)
-    }
-
-    /// Runs the matrix on every backend against a shared [`FaultMapPool`]
-    /// (serially when `serial`). `params.core` is ignored — the study sweeps
-    /// the core axis itself, in [`CoreModel::ALL`] order.
+    /// Runs the matrix on every backend with the fault maps of `pool`, on the
+    /// calling thread when `serial` and on all available cores otherwise.
+    /// `params.core` is ignored — the study sweeps the core axis itself, in
+    /// [`CoreModel::ALL`] order, and both backends share the pool's maps.
     ///
     /// # Panics
     ///
@@ -1182,7 +1095,7 @@ impl GovernorStudy {
     }
 
     /// Runs one governed job: one (workload, policy, fault-map pair).
-    fn run_cell(
+    fn run_job(
         params: &SimulationParams,
         phases: &PhaseSchedule,
         workload: Workload,
@@ -1198,37 +1111,17 @@ impl GovernorStudy {
             policy,
             maps,
             l2_map,
-            trace_seed: trace_seed(params, workload),
+            trace_seed: params.trace_seed(workload),
             instructions: params.instructions,
             phases: Some(phases),
             cost: TransitionCostModel::Modeled,
         })
     }
 
-    /// Whether a policy is evaluated once per fault-map pair.
-    fn policy_map_dependent(policy: &GovernorPolicy) -> bool {
-        policy.uses_low_voltage() && Self::SCHEME.fault_dependent()
-    }
-
-    /// Runs the campaign's jobs on the calling thread; bit-identical to
-    /// [`GovernorStudy::run_parallel`].
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, one job per
-    /// workload × policy × fault-map pair. Bit-identical to
-    /// [`GovernorStudy::run`]: all randomness derives from the master seed and
-    /// results return in job order.
-    #[must_use]
-    pub fn run_parallel(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), false)
-    }
-
-    /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
-    /// thread when `serial`). Bit-identical to [`GovernorStudy::run`] /
-    /// [`GovernorStudy::run_parallel`].
+    /// Runs the campaign with the fault maps of `pool`, one job per
+    /// workload × policy × fault-map pair, on the calling thread when
+    /// `serial` and on all available cores otherwise; both give
+    /// bit-identical results.
     ///
     /// # Panics
     ///
@@ -1242,51 +1135,45 @@ impl GovernorStudy {
         let l2_maps = pool.l2_maps_if_needed(params.l2, &[Self::SCHEME]);
         let phases = Self::phase_schedule(params);
         let policies = Self::policies(params);
-        // A policy that never leaves nominal runs once, without fault maps.
-        let cell_pairs = |policy: &GovernorPolicy| -> Vec<Option<usize>> {
-            if Self::policy_map_dependent(policy) {
-                (0..pairs.len()).map(Some).collect()
-            } else {
-                vec![None]
-            }
-        };
-        let jobs: Vec<(Workload, usize, Option<usize>)> = params
+        // A policy that can select low voltage is planned as a low-voltage
+        // cell of the study's scheme, which runs once per pair; any other as a
+        // high-voltage cell, which runs once without maps.
+        let cells = params
             .workloads
             .iter()
-            .flat_map(|&workload| {
-                policies.iter().enumerate().flat_map(move |(p, policy)| {
-                    cell_pairs(policy).into_iter().map(move |pair| (workload, p, pair))
-                })
+            .flat_map(|&workload| policies.iter().map(move |policy| (workload, policy)))
+            .map(|(workload, policy)| {
+                let voltage = if policy.uses_low_voltage() {
+                    VoltageMode::Low
+                } else {
+                    VoltageMode::High
+                };
+                let plan = plan_cell(params, Self::SCHEME, voltage, pairs, l2_maps);
+                ((workload, policy), plan)
             })
             .collect();
-        let mut outputs = map_jobs(jobs, serial, |(workload, p, pair)| {
-            Self::run_cell(
+        let mut results = run_planned(cells, serial, |&(workload, policy), pair| {
+            Self::run_job(
                 params,
                 &phases,
                 workload,
-                &policies[p],
+                policy,
                 pair.map(|i| &pairs[i]),
                 pair.and_then(|i| l2_maps.get(i)),
             )
         })
-        .into_iter();
+        .into_iter()
+        .map(|((_, policy), runs, whole_cache_failures)| GovernorPolicyResult {
+            policy: policy.clone(),
+            runs,
+            whole_cache_failures,
+        });
         let workloads = params
             .workloads
             .iter()
             .map(|&workload| GovernorBenchmarkResult {
                 workload,
-                policies: policies
-                    .iter()
-                    .map(|policy| {
-                        let count = cell_pairs(policy).len();
-                        let (runs, whole_cache_failures) = tally(outputs.by_ref().take(count));
-                        GovernorPolicyResult {
-                            policy: policy.clone(),
-                            runs,
-                            whole_cache_failures,
-                        }
-                    })
-                    .collect(),
+                policies: results.by_ref().take(policies.len()).collect(),
             })
             .collect();
         Self { workloads }
@@ -1423,8 +1310,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into(), Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let serial = GovernorStudy::run(&params);
-        let parallel = GovernorStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = GovernorStudy::run_with_pool(&params, &pool, true);
+        let parallel = GovernorStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         assert_eq!(serial.table(), parallel.table());
     }
@@ -1434,7 +1322,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into()];
         params.instructions = 8_000;
-        let study = GovernorStudy::run(&params);
+        let study = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let table = study.table();
         assert_eq!(table.rows.len(), 1);
         assert_eq!(table.series_labels.len(), 9);
@@ -1481,8 +1369,11 @@ mod tests {
     #[test]
     fn fault_map_pairs_are_deterministic_and_distinct() {
         let params = SimulationParams::smoke();
-        let a = fault_map_pairs(&params);
-        let b = fault_map_pairs(&params);
+        let pairs = || {
+            generate_fault_map_pairs(params.master_seed, params.pfail, params.fault_map_pairs)
+        };
+        let a = pairs();
+        let b = pairs();
         assert_eq!(a.len(), params.fault_map_pairs);
         assert_eq!(a, b);
         assert_ne!(a[0].0, a[0].1, "instruction and data maps differ");
@@ -1495,10 +1386,11 @@ mod tests {
         params.l2 = L2Protection::Matched;
         let pool = FaultMapPool::new(&params);
         assert!(pool.matches(&params));
-        assert_eq!(pool.pairs(), params.derived_fault_map_pairs());
+        let (seed, pfail, count) = (params.master_seed, params.pfail, params.fault_map_pairs);
+        assert_eq!(pool.pairs(), generate_fault_map_pairs(seed, pfail, count));
         assert_eq!(
             pool.l2_maps_if_needed(L2Protection::Matched, &[SchemeConfig::BlockDisabling]),
-            params.derived_l2_fault_maps(&[SchemeConfig::BlockDisabling]).as_slice()
+            generate_l2_fault_maps(seed, pfail, count)
         );
         // A perfect L2 needs no maps and must not generate any.
         assert!(pool
@@ -1551,19 +1443,20 @@ mod tests {
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 4_000;
         // One pool shared across every study of the session, exactly like the
-        // CLI's `all` target.
+        // CLI's `all` target, against a fresh pool per study.
         let pool = FaultMapPool::new(&params);
+        let fresh = || FaultMapPool::new(&params);
         let low = LowVoltageStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(low, LowVoltageStudy::run(&params));
+        assert_eq!(low, LowVoltageStudy::run_with_pool(&params, &fresh(), true));
         let high = HighVoltageStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(high, HighVoltageStudy::run(&params));
+        assert_eq!(high, HighVoltageStudy::run_with_pool(&params, &fresh(), true));
         let gov = GovernorStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(gov, GovernorStudy::run(&params));
-        let single =
-            SchemeMatrixStudy::run_single_with_pool(&params, &pool, SchemeConfig::WordDisabling, false);
+        assert_eq!(gov, GovernorStudy::run_with_pool(&params, &fresh(), true));
+        let word = SchemeConfig::WordDisabling;
+        let single = SchemeMatrixStudy::run_single_with_pool(&params, &pool, word, false);
         assert_eq!(
             single,
-            SchemeMatrixStudy::run_single(&params, SchemeConfig::WordDisabling, false)
+            SchemeMatrixStudy::run_single_with_pool(&params, &fresh(), word, false)
         );
     }
 
@@ -1571,12 +1464,12 @@ mod tests {
     fn trace_seeds_differ_per_benchmark_but_not_per_call() {
         let params = SimulationParams::smoke();
         assert_eq!(
-            trace_seed(&params, Benchmark::Crafty.into()),
-            trace_seed(&params, Benchmark::Crafty.into())
+            params.trace_seed(Benchmark::Crafty.into()),
+            params.trace_seed(Benchmark::Crafty.into())
         );
         assert_ne!(
-            trace_seed(&params, Benchmark::Crafty.into()),
-            trace_seed(&params, Benchmark::Mcf.into())
+            params.trace_seed(Benchmark::Crafty.into()),
+            params.trace_seed(Benchmark::Mcf.into())
         );
     }
 
@@ -1585,8 +1478,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into(), Benchmark::Gzip.into()];
         params.instructions = 5_000;
-        let serial = LowVoltageStudy::run(&params);
-        let parallel = LowVoltageStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = LowVoltageStudy::run_with_pool(&params, &pool, true);
+        let parallel = LowVoltageStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         assert_eq!(serial.figure8(), parallel.figure8());
     }
@@ -1596,8 +1490,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let serial = HighVoltageStudy::run(&params);
-        let parallel = HighVoltageStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = HighVoltageStudy::run_with_pool(&params, &pool, true);
+        let parallel = HighVoltageStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         assert_eq!(serial.figure11(), parallel.figure11());
     }
@@ -1612,8 +1507,9 @@ mod tests {
         params.instructions = 3_000;
         params.pfail = 0.08;
         params.fault_map_pairs = 4;
-        let serial = LowVoltageStudy::run(&params);
-        let parallel = LowVoltageStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = LowVoltageStudy::run_with_pool(&params, &pool, true);
+        let parallel = LowVoltageStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         let failures: usize = serial
             .workloads
@@ -1633,8 +1529,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 5_000;
-        let serial = SchemeMatrixStudy::run(&params);
-        let parallel = SchemeMatrixStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+        let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         let table = serial.table();
         assert_eq!(table.rows.len(), 1);
@@ -1651,8 +1548,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 3_000;
-        let serial = CoreMatrixStudy::run(&params);
-        let parallel = CoreMatrixStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = CoreMatrixStudy::run_with_pool(&params, &pool, true);
+        let parallel = CoreMatrixStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel);
         assert_eq!(serial.cores.len(), CoreModel::ALL.len());
         assert_eq!(serial.cores[0].core, CoreModel::OutOfOrder);
@@ -1660,7 +1558,10 @@ mod tests {
         // The out-of-order entry is exactly the plain scheme matrix (the
         // params' default core), so the new axis cannot drift from the
         // pre-existing study.
-        assert_eq!(serial.cores[0].study, SchemeMatrixStudy::run(&params));
+        assert_eq!(
+            serial.cores[0].study,
+            SchemeMatrixStudy::run_with_pool(&params, &pool, true)
+        );
         let table = serial.table();
         assert_eq!(table.rows.len(), 1);
         // Two backends x four non-baseline schemes x (avg, min).
@@ -1681,9 +1582,10 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into()];
         params.instructions = 3_000;
-        let ooo = SchemeMatrixStudy::run(&params);
+        let pool = FaultMapPool::new(&params);
+        let ooo = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
         params.core = CoreModel::InOrder;
-        let inorder = SchemeMatrixStudy::run(&params);
+        let inorder = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
         assert_eq!(ooo.schemes(), inorder.schemes());
         for (a, b) in ooo.workloads.iter().zip(&inorder.workloads) {
             assert_eq!(a.workload, b.workload);
@@ -1702,7 +1604,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let study = SchemeMatrixStudy::run_single(&params, SchemeConfig::WaySacrifice, false);
+        let pool = FaultMapPool::new(&params);
+        let way = SchemeConfig::WaySacrifice;
+        let study = SchemeMatrixStudy::run_single_with_pool(&params, &pool, way, false);
         assert_eq!(
             study.schemes(),
             &[SchemeConfig::Baseline, SchemeConfig::WaySacrifice]
@@ -1712,7 +1616,7 @@ mod tests {
         let avg = table.rows[0].1[0].unwrap();
         let min = table.rows[0].1[1].unwrap();
         assert!(avg > 0.0 && min <= avg + 1e-9);
-        let serial = SchemeMatrixStudy::run_single(&params, SchemeConfig::WaySacrifice, true);
+        let serial = SchemeMatrixStudy::run_single_with_pool(&params, &pool, way, true);
         assert_eq!(study, serial, "serial and parallel single-scheme runs agree");
     }
 
@@ -1724,7 +1628,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 8_000;
-        let study = HighVoltageStudy::run(&params);
+        let study = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let fig11 = study.figure11();
         assert_eq!(fig11.rows.len(), 1);
         let values = &fig11.rows[0].1;

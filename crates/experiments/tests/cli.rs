@@ -1,8 +1,10 @@
 //! The `vccmin-repro` usage contract, pinned by running the real binary:
 //! asking for help succeeds, and a degenerate campaign size, a `--pfail`
 //! that is not a probability, an unknown workload, core, scheme or L2
-//! protection name, or output that cannot be written is an error that names
-//! the problem, instead of a table of zeros or a panic.
+//! protection name, a workload named twice, a value flag given to a target
+//! that does not read it, or output that cannot be written is an error that
+//! names the problem, instead of a table of zeros, a silently ignored flag or
+//! a panic.
 
 use std::process::{Command, Output};
 
@@ -134,6 +136,96 @@ fn unknown_names_are_named_errors() {
         );
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
+}
+
+const TARGETS: [&str; 22] = [
+    "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "table1", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "analysis", "lowvolt", "highvolt", "schemes", "governor", "yield", "core-matrix",
+    "workloads", "cores", "all",
+];
+
+/// The targets that read each value flag.
+fn readers(flag: &str) -> Vec<&'static str> {
+    let trace = vec![
+        "lowvolt", "highvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10",
+        "fig11", "fig12", "all",
+    ];
+    match flag {
+        "--workload" | "--instructions" => trace,
+        "--core" => trace.into_iter().filter(|&t| t != "core-matrix").collect(),
+        "--l2-scheme" | "--seed" => trace.into_iter().chain(["yield"]).collect(),
+        "--pairs" | "--pfail" => vec![
+            "lowvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10", "all",
+        ],
+        "--scheme" => vec!["schemes"],
+        "--dies" | "--checkpoint" => vec!["yield", "all"],
+        other => panic!("no such value flag {other}"),
+    }
+}
+
+#[test]
+fn every_value_flag_applies_only_to_the_targets_that_read_it() {
+    // With its value left off, a flag that applies fails on the missing
+    // value; one that does not fails first, naming the flag and the target.
+    for flag in [
+        "--workload",
+        "--core",
+        "--instructions",
+        "--l2-scheme",
+        "--seed",
+        "--pairs",
+        "--pfail",
+        "--scheme",
+        "--dies",
+        "--checkpoint",
+    ] {
+        let readers = readers(flag);
+        for target in TARGETS {
+            let out = repro(&[target, flag]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let case = format!("{target} {flag}");
+            assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+            assert!(stdout.is_empty(), "{case} must not print a table:\n{stdout}");
+            if readers.contains(&target) {
+                assert!(stderr.starts_with(&format!("{flag} needs a")), "{case}: {stderr}");
+            } else {
+                let named = format!("{flag} does not apply to the `{target}` target");
+                assert!(stderr.starts_with(&named), "{case}: {stderr}");
+                assert!(stderr.contains("usage: vccmin-repro"), "{case}: {stderr}");
+            }
+        }
+    }
+}
+
+#[test]
+fn rejected_flags_are_named_even_with_their_values() {
+    let cases: [&[&str]; 4] = [
+        &["yield", "--smoke", "--pfail", "0.5", "--pairs", "3", "--instructions", "7"],
+        &["fig1", "--pfail", "0.9", "--instructions", "5"],
+        &["highvolt", "--smoke", "--pairs", "2"],
+        &["fig12", "--smoke", "--pfail", "0.01"],
+    ];
+    for args in cases {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not print a table");
+        assert!(
+            stderr.contains(&format!("does not apply to the `{}` target", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_workload_named_twice_is_a_named_error() {
+    // Simulated twice, it would weigh double in every `mean` row.
+    let out = repro(&["schemes", "--workload", "gzip,gzip,mcf"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains("workload gzip is named twice"), "{stderr}");
 }
 
 /// Asserts that a run whose output could not be written failed with exit

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p vccmin-examples --example low_voltage_study [-- --full]`
 
-use vccmin_core::experiments::simulation::{LowVoltageStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{FaultMapPool, LowVoltageStudy, SimulationParams};
 use vccmin_core::{Benchmark, SchemeConfig};
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
         params.fault_map_pairs,
         params.instructions
     );
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
 
     println!("{}", study.figure8());
     println!("{}", study.figure9());

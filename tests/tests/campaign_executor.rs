@@ -10,18 +10,29 @@
 //! public functions only. Every study result must match it exactly, on the
 //! calling thread and on the rayon pool.
 //!
+//! The governor study plans its cells with the same planner. The second port
+//! below is its own loop from before that: for each workload and policy, one
+//! governed run per pair, in order, when the policy can select low voltage,
+//! and otherwise one run without maps, a `None` run counting as a whole-cache
+//! failure.
+//!
 //! The sweep covers the four ways a cell's pairs can turn out: the first pair
 //! usable, unusable pairs before a usable one, no usable pair, and an
-//! independent pair that fails. The test counts each one and requires it to
-//! occur, so the sweep cannot quietly stop covering a case.
+//! independent pair that fails. For the governor it covers a low-voltage cell
+//! with a whole-cache failure and an interval run that switches modes. The
+//! test counts each one and requires it to occur, so the sweep cannot quietly
+//! stop covering a case.
 
 use vccmin_core::cache::{CacheHierarchy, DisablingScheme, FaultMap, VoltageMode};
 use vccmin_core::cpu::{CoreModel, SimResult};
 use vccmin_core::experiments::simulation::{
-    BenchmarkResult, ConfigResult, FaultMapPool, HighVoltageStudy, LowVoltageStudy,
-    SchemeMatrixStudy, SimulationParams,
+    BenchmarkResult, ConfigResult, FaultMapPool, GovernorBenchmarkResult, GovernorPolicyResult,
+    GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
 };
-use vccmin_core::experiments::{L2Protection, SchemeConfig, Workload};
+use vccmin_core::experiments::{
+    run_governed, GovernedRunSpec, GovernorPolicy, L2Protection, SchemeConfig, TransitionCostModel,
+    Workload,
+};
 
 // ---------------------------------------------------------------------------
 // Reference implementation: a frozen port of the serial campaign loop.
@@ -111,6 +122,60 @@ fn reference_campaign(
         .collect()
 }
 
+/// The port of the governor campaign's loop, on the maps of `pool`.
+fn reference_governor(
+    params: &SimulationParams,
+    pool: &FaultMapPool,
+) -> Vec<GovernorBenchmarkResult> {
+    let scheme = GovernorStudy::SCHEME;
+    let pairs = pool.pairs();
+    let l2_maps = pool.l2_maps_if_needed(params.l2, &[scheme]);
+    let phases = GovernorStudy::phase_schedule(params);
+    let policy_result = |workload: Workload, policy: GovernorPolicy| {
+        let run = |maps, l2_map| {
+            run_governed(&GovernedRunSpec {
+                workload,
+                core: params.core,
+                scheme,
+                l2_scheme: params.l2.scheme_for(scheme),
+                policy: &policy,
+                maps,
+                l2_map,
+                trace_seed: params.trace_seed(workload),
+                instructions: params.instructions,
+                phases: Some(&phases),
+                cost: TransitionCostModel::Modeled,
+            })
+        };
+        let outputs: Vec<_> = if policy.uses_low_voltage() {
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, pair)| run(Some(pair), l2_maps.get(i)))
+                .collect()
+        } else {
+            vec![run(None, None)]
+        };
+        let whole_cache_failures = outputs.iter().filter(|output| output.is_none()).count();
+        GovernorPolicyResult {
+            runs: outputs.into_iter().flatten().collect(),
+            policy,
+            whole_cache_failures,
+        }
+    };
+    params
+        .workloads
+        .iter()
+        .map(|&workload| GovernorBenchmarkResult {
+            workload,
+            policies: GovernorStudy::policies(params)
+                .into_iter()
+                .map(|policy| policy_result(workload, policy))
+                .collect(),
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Outcome accounting.
 // ---------------------------------------------------------------------------
@@ -123,6 +188,11 @@ struct Outcomes {
     skipped_then_usable: usize,
     no_usable_pair: usize,
     independent_pair_failed: usize,
+    /// Governor cells that can select low voltage and lost a pair to a
+    /// whole-cache failure.
+    governor_low_cell_failed: usize,
+    /// Governed runs of the interval policy that switched modes.
+    interval_runs_switching: usize,
 }
 
 impl Outcomes {
@@ -140,6 +210,17 @@ impl Outcomes {
                 self.first_pair_usable += 1;
             } else {
                 self.skipped_then_usable += 1;
+            }
+        }
+    }
+
+    fn record_governor(&mut self, results: &[GovernorBenchmarkResult]) {
+        for result in results.iter().flat_map(|b| &b.policies) {
+            let low = result.policy.uses_low_voltage();
+            self.governor_low_cell_failed += usize::from(low && result.whole_cache_failures > 0);
+            if matches!(result.policy, GovernorPolicy::Interval { .. }) {
+                self.interval_runs_switching +=
+                    result.runs.iter().filter(|run| run.transitions > 0).count();
             }
         }
     }
@@ -197,6 +278,28 @@ fn check_against_reference(
     outcomes.record(params, &matrix);
 }
 
+/// Runs the governor study of one parameter set through the executor, on the
+/// calling thread and on the pool, and compares it with the port.
+fn check_governor_against_reference(
+    params: &SimulationParams,
+    pool: &FaultMapPool,
+    outcomes: &mut Outcomes,
+) {
+    let reference = reference_governor(params, pool);
+    for serial in [true, false] {
+        assert_eq!(
+            GovernorStudy::run_with_pool(params, pool, serial).workloads,
+            reference,
+            "governor, core {} L2 {} pfail {} seed {}, serial {serial}",
+            params.core,
+            params.l2,
+            params.pfail,
+            params.master_seed
+        );
+    }
+    outcomes.record_governor(&reference);
+}
+
 /// Sweeps every L2 protection, pfail and master seed on one core and checks
 /// that the sweep met every pair outcome.
 fn sweep(core: CoreModel) {
@@ -215,19 +318,31 @@ fn sweep(core: CoreModel) {
             };
             // The maps depend only on the seed, pfail and pair count, so every
             // L2 protection below shares one set of them.
-            let pairs = base.derived_fault_map_pairs();
-            let l2_maps = SimulationParams {
-                l2: L2Protection::Matched,
-                ..base.clone()
-            }
-            .derived_l2_fault_maps(&[SchemeConfig::BlockDisabling]);
             let pool = FaultMapPool::new(&base);
+            let pairs = pool.pairs();
+            let l2_maps =
+                pool.l2_maps_if_needed(L2Protection::Matched, &[SchemeConfig::BlockDisabling]);
+            // The governor runs past two of its quanta (512 instructions each
+            // at this scale), so the interval policy switches to low voltage
+            // and back; one workload and two pairs keep its sweep quick.
+            let governed_base = SimulationParams {
+                instructions: 1_200,
+                fault_map_pairs: 2,
+                workloads: base.workloads[..1].to_vec(),
+                ..base.clone()
+            };
+            let governor_pool = FaultMapPool::new(&governed_base);
             for l2 in L2_PROTECTIONS {
                 let params = SimulationParams {
                     l2,
                     ..base.clone()
                 };
-                check_against_reference(&params, &pool, (&pairs, &l2_maps), &mut outcomes);
+                check_against_reference(&params, &pool, (pairs, l2_maps), &mut outcomes);
+                let governed = SimulationParams {
+                    l2,
+                    ..governed_base.clone()
+                };
+                check_governor_against_reference(&governed, &governor_pool, &mut outcomes);
             }
         }
     }
@@ -235,6 +350,8 @@ fn sweep(core: CoreModel) {
     assert!(outcomes.skipped_then_usable > 0, "{outcomes:?}");
     assert!(outcomes.no_usable_pair > 0, "{outcomes:?}");
     assert!(outcomes.independent_pair_failed > 0, "{outcomes:?}");
+    assert!(outcomes.governor_low_cell_failed > 0, "{outcomes:?}");
+    assert!(outcomes.interval_runs_switching > 0, "{outcomes:?}");
 }
 
 #[test]

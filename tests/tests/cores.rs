@@ -25,7 +25,8 @@ use proptest::prelude::*;
 use vccmin_core::cache::{DisablingScheme, VoltageMode};
 use vccmin_core::cpu::CoreModel;
 use vccmin_core::experiments::simulation::{
-    CoreMatrixStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    CoreMatrixStudy, FaultMapPool, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
+    SimulationParams,
 };
 use vccmin_core::experiments::{
     run_governed, GovernedRunSpec, GovernorPolicy, SchemeConfig, TransitionCostModel,
@@ -48,7 +49,7 @@ fn small_params(core: CoreModel, seed: u64, instructions: u64) -> SimulationPara
 #[test]
 fn quick_scale_core_matrix_matches_its_snapshot() {
     let params = SimulationParams::core_matrix_quick();
-    let study = CoreMatrixStudy::run_parallel(&params);
+    let study = CoreMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(
         study.table().to_csv(),
         CORE_MATRIX,
@@ -74,13 +75,14 @@ fn core_matrix_snapshot_has_the_expected_shape() {
 #[test]
 fn serial_and_parallel_in_order_campaigns_are_bit_identical() {
     let params = small_params(CoreModel::InOrder, 2010, 5_000);
-    let serial = SchemeMatrixStudy::run(&params);
-    let parallel = SchemeMatrixStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+    let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
     assert_eq!(serial, parallel);
     assert_eq!(serial.table(), parallel.table());
 
-    let matrix_serial = CoreMatrixStudy::run(&params);
-    let matrix_parallel = CoreMatrixStudy::run_parallel(&params);
+    let matrix_serial = CoreMatrixStudy::run_with_pool(&params, &pool, true);
+    let matrix_parallel = CoreMatrixStudy::run_with_pool(&params, &pool, false);
     assert_eq!(matrix_serial, matrix_parallel);
     assert_eq!(matrix_serial.table(), matrix_parallel.table());
 }
@@ -132,15 +134,17 @@ proptest! {
     fn in_order_is_never_faster_for_any_scheme_or_voltage_mode(seed in 1u64..10_000) {
         let ooo = small_params(CoreModel::OutOfOrder, seed, 3_000);
         let inorder = small_params(CoreModel::InOrder, seed, 3_000);
+        // The two backends differ only in the core, so they share one pool.
+        let pool = FaultMapPool::new(&ooo);
 
         // Below Vcc-min: every repair scheme in the registry.
-        let low_ooo = SchemeMatrixStudy::run(&ooo);
-        let low_inorder = SchemeMatrixStudy::run(&inorder);
+        let low_ooo = SchemeMatrixStudy::run_with_pool(&ooo, &pool, true);
+        let low_inorder = SchemeMatrixStudy::run_with_pool(&inorder, &pool, true);
         assert_in_order_never_faster(&low_ooo.workloads, &low_inorder.workloads, VoltageMode::Low);
 
         // Nominal voltage: the fault-free configurations.
-        let high_ooo = HighVoltageStudy::run(&ooo);
-        let high_inorder = HighVoltageStudy::run(&inorder);
+        let high_ooo = HighVoltageStudy::run_with_pool(&ooo, &pool, true);
+        let high_inorder = HighVoltageStudy::run_with_pool(&inorder, &pool, true);
         assert_in_order_never_faster(
             &high_ooo.workloads,
             &high_inorder.workloads,
@@ -152,8 +156,9 @@ proptest! {
 #[test]
 fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
     let params = small_params(CoreModel::InOrder, 42, 6_000);
-    let study = LowVoltageStudy::run(&params);
-    let pairs = params.derived_fault_map_pairs();
+    let pool = FaultMapPool::new(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &pool, true);
+    let pairs = pool.pairs();
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)
@@ -188,7 +193,8 @@ fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
 fn interval_governor_switches_modes_on_the_in_order_core() {
     let params = small_params(CoreModel::InOrder, 7, 8_000);
     let workload = params.workloads[0];
-    let pair = &params.derived_fault_map_pairs()[0];
+    let pool = FaultMapPool::new(&params);
+    let pair = &pool.pairs()[0];
     let run = run_governed(&GovernedRunSpec {
         workload,
         core: CoreModel::InOrder,
@@ -210,10 +216,11 @@ fn interval_governor_switches_modes_on_the_in_order_core() {
     assert_eq!(run.transitions, 1);
     assert_eq!(run.instructions(), 8_000);
     // The one modeled transition (exiting nominal mode) drains the in-order
-    // core's shallow window: front end (10) + issue group (1) + L2 (20) +
-    // memory at high voltage (255), plus block-disabling reconfiguration of
-    // both 64-set L1s — cheaper than the out-of-order core's ROB drain, which
-    // the governor unit tests pin at 10 + 32 + 20 + 255 + 2 * 64.
+    // core's shallow window: front end (10) + one in-flight instruction (1) +
+    // L2 (20) + memory at high voltage (255), plus block-disabling
+    // reconfiguration of both 64-set L1s — cheaper than the out-of-order
+    // core's ROB drain, which the governor unit tests pin at
+    // 10 + 32 + 20 + 255 + 2 * 64.
     assert_eq!(run.transition_cycles_nominal, 10 + 1 + 20 + 255 + 2 * 64);
     assert_eq!(run.transition_cycles_low, 0);
 }

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the full workload → CPU → cache → statistics
 //! pipeline, exercised through the experiment harness.
 
-use vccmin_core::experiments::simulation::{HighVoltageStudy, LowVoltageStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{
+    FaultMapPool, HighVoltageStudy, LowVoltageStudy, SimulationParams,
+};
 use vccmin_core::{Benchmark, SchemeConfig};
 
 fn smoke_params() -> SimulationParams {
@@ -19,7 +21,8 @@ fn smoke_params() -> SimulationParams {
 
 #[test]
 fn low_voltage_study_reproduces_the_papers_ordering() {
-    let study = LowVoltageStudy::run(&smoke_params());
+    let params = smoke_params();
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(study.workloads.len(), 3);
 
     let word = study.average_normalized(SchemeConfig::WordDisabling, SchemeConfig::Baseline);
@@ -47,7 +50,7 @@ fn low_voltage_study_reproduces_the_papers_ordering() {
 #[test]
 fn low_voltage_figures_have_one_row_per_benchmark_and_sane_values() {
     let params = smoke_params();
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     for table in [study.figure8(), study.figure9(), study.figure10()] {
         assert_eq!(table.rows.len(), params.workloads.len());
         for (bench, values) in &table.rows {
@@ -68,7 +71,8 @@ fn low_voltage_figures_have_one_row_per_benchmark_and_sane_values() {
 
 #[test]
 fn minimum_performance_never_exceeds_average_performance() {
-    let study = LowVoltageStudy::run(&smoke_params());
+    let params = smoke_params();
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     for b in &study.workloads {
         for scheme in [
             SchemeConfig::BlockDisabling,
@@ -90,7 +94,7 @@ fn minimum_performance_never_exceeds_average_performance() {
 fn high_voltage_block_disabling_matches_the_baseline_exactly() {
     let mut params = smoke_params();
     params.workloads = vec![Benchmark::Crafty.into(), Benchmark::Mcf.into()];
-    let study = HighVoltageStudy::run(&params);
+    let study = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     let fig11 = study.figure11();
     for (bench, values) in &fig11.rows {
         let word = values[0].expect("simulation tables have no missing cells");
@@ -119,13 +123,17 @@ fn campaigns_are_reproducible_for_a_fixed_seed() {
         workloads: vec![Benchmark::Gzip.into()],
         ..SimulationParams::smoke()
     };
-    let a = LowVoltageStudy::run(&params);
-    let b = LowVoltageStudy::run(&params);
+    // Each run regenerates its maps from the seed in a pool of its own.
+    let run = |params: &SimulationParams| {
+        LowVoltageStudy::run_with_pool(params, &FaultMapPool::new(params), true)
+    };
+    let a = run(&params);
+    let b = run(&params);
     assert_eq!(a.figure8().rows, b.figure8().rows);
 
     let mut other = params;
     other.master_seed ^= 0xdead_beef;
-    let c = LowVoltageStudy::run(&other);
+    let c = run(&other);
     // A different seed draws different fault maps, so the block-disabling columns
     // (which depend on them) are allowed to differ; the table shape stays the same.
     assert_eq!(a.figure8().rows.len(), c.figure8().rows.len());

@@ -25,7 +25,8 @@
 //! then say so loudly in the commit message.
 
 use vccmin_core::experiments::simulation::{
-    GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    FaultMapPool, GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
+    SimulationParams,
 };
 
 const FIG8: &str = include_str!("../golden/fig8.csv");
@@ -46,7 +47,8 @@ fn assert_matches_golden(actual: &str, golden: &str, figure: &str) {
 
 #[test]
 fn quick_scale_low_voltage_figures_match_the_pre_refactor_snapshots() {
-    let study = LowVoltageStudy::run_parallel(&SimulationParams::quick());
+    let params = SimulationParams::quick();
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_matches_golden(&study.figure8().to_csv(), FIG8, "figure 8");
     assert_matches_golden(&study.figure9().to_csv(), FIG9, "figure 9");
     assert_matches_golden(&study.figure10().to_csv(), FIG10, "figure 10");
@@ -54,20 +56,23 @@ fn quick_scale_low_voltage_figures_match_the_pre_refactor_snapshots() {
 
 #[test]
 fn quick_scale_high_voltage_figures_match_the_pre_refactor_snapshots() {
-    let study = HighVoltageStudy::run_parallel(&SimulationParams::quick());
+    let params = SimulationParams::quick();
+    let study = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_matches_golden(&study.figure11().to_csv(), FIG11, "figure 11");
     assert_matches_golden(&study.figure12().to_csv(), FIG12, "figure 12");
 }
 
 #[test]
 fn quick_scale_scheme_matrix_matches_its_snapshot() {
-    let study = SchemeMatrixStudy::run_parallel(&SimulationParams::quick());
+    let params = SimulationParams::quick();
+    let study = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_matches_golden(&study.table().to_csv(), SCHEME_MATRIX, "scheme matrix");
 }
 
 #[test]
 fn quick_scale_governor_study_matches_its_snapshot() {
-    let study = GovernorStudy::run_parallel(&SimulationParams::quick());
+    let params = SimulationParams::quick();
+    let study = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_matches_golden(&study.table().to_csv(), GOVERNOR, "governor study");
 }
 

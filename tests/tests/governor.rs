@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use vccmin_core::analysis::governor as model;
 use vccmin_core::cache::VoltageMode;
-use vccmin_core::experiments::simulation::GovernorStudy;
+use vccmin_core::experiments::simulation::{FaultMapPool, GovernorStudy};
 use vccmin_core::experiments::{
     run_governed, Workload, GovernedRun, GovernedRunSpec, GovernorPolicy, HighVoltageStudy, LowVoltageStudy,
     SchemeConfig, SimulationParams, TransitionCostModel,
@@ -55,8 +55,9 @@ fn pinned_run(
 #[test]
 fn pinned_low_governor_is_bit_identical_to_the_low_voltage_study() {
     let params = small_params(vec![Benchmark::Crafty, Benchmark::Swim], 6_000);
-    let study = LowVoltageStudy::run(&params);
-    let pairs = params.derived_fault_map_pairs();
+    let pool = FaultMapPool::new(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &pool, true);
+    let pairs = pool.pairs();
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)
@@ -79,7 +80,7 @@ fn pinned_low_governor_is_bit_identical_to_the_low_voltage_study() {
 #[test]
 fn pinned_nominal_governor_is_bit_identical_to_the_high_voltage_study() {
     let params = small_params(vec![Benchmark::Mcf, Benchmark::Gzip], 6_000);
-    let study = HighVoltageStudy::run(&params);
+    let study = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)
@@ -99,7 +100,8 @@ fn closed_form_overhead_model_cross_validates_the_simulation() {
     let scaling = GovernorStudy::scaling_model();
     for benchmark in [Benchmark::Gzip, Benchmark::Swim] {
         let params = small_params(vec![benchmark], 12_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pool = FaultMapPool::new(&params);
+        let pair = &pool.pairs()[0];
         let quantum = 3_000;
         let cost = 500u64;
 
@@ -169,7 +171,8 @@ proptest! {
     ) {
         let benchmark = [Benchmark::Gzip, Benchmark::Swim, Benchmark::Crafty, Benchmark::Mcf][bench_idx];
         let params = small_params(vec![benchmark], 6_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pool = FaultMapPool::new(&params);
+        let pair = &pool.pairs()[0];
         let run_with_quantum = |quantum: u64| -> GovernedRun {
             run_governed(&GovernedRunSpec {
                 workload: benchmark.into(),
@@ -214,7 +217,8 @@ proptest! {
     ) {
         let benchmark = Benchmark::Gzip;
         let params = small_params(vec![benchmark], 4_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pool = FaultMapPool::new(&params);
+        let pair = &pool.pairs()[0];
         let run = run_governed(&GovernedRunSpec {
             workload: benchmark.into(),
             core: CoreModel::OutOfOrder,

@@ -19,7 +19,9 @@
 
 use vccmin_core::cache::repair::registry;
 use vccmin_core::cache::{CacheGeometry, DisablingScheme, FaultMap};
-use vccmin_core::experiments::simulation::{GovernorStudy, SchemeMatrixStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{
+    FaultMapPool, GovernorStudy, SchemeMatrixStudy, SimulationParams,
+};
 use vccmin_core::experiments::L2Protection;
 use vccmin_core::Benchmark;
 
@@ -40,7 +42,7 @@ fn quick_scale_matched_l2_matrix_matches_its_snapshot() {
         l2: L2Protection::Matched,
         ..SimulationParams::quick()
     };
-    let study = SchemeMatrixStudy::run_parallel(&params);
+    let study = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(
         study.table().to_csv(),
         L2_SCHEMES,
@@ -66,10 +68,12 @@ fn perfect_l2_campaign_is_bit_identical_to_a_baseline_protected_one() {
     // `Fixed(Baseline)` routes through the full L2 plumbing (scheme resolution,
     // map-dependence tests, job splitting) yet must reproduce the default
     // perfect-L2 campaign exactly, because the baseline scheme ignores faults.
-    let perfect = SchemeMatrixStudy::run(&smoke_params(L2Protection::Perfect));
-    let baseline = SchemeMatrixStudy::run(&smoke_params(L2Protection::Fixed(
-        DisablingScheme::Baseline,
-    )));
+    let perfect = smoke_params(L2Protection::Perfect);
+    let baseline = smoke_params(L2Protection::Fixed(DisablingScheme::Baseline));
+    // The two differ only in the L2 protection, so they share one pool.
+    let pool = FaultMapPool::new(&perfect);
+    let perfect = SchemeMatrixStudy::run_with_pool(&perfect, &pool, true);
+    let baseline = SchemeMatrixStudy::run_with_pool(&baseline, &pool, true);
     assert_eq!(perfect, baseline);
 }
 
@@ -78,10 +82,11 @@ fn faulty_l2_costs_performance() {
     // Raw IPC comparison: the block-disabled L2 loses ~40% of its blocks at
     // pfail = 0.001, so no configuration may gain more than out-of-order
     // scheduling noise, and the campaign as a whole must lose ground.
-    let perfect = SchemeMatrixStudy::run(&smoke_params(L2Protection::Perfect));
-    let faulty = SchemeMatrixStudy::run(&smoke_params(L2Protection::Fixed(
-        DisablingScheme::BlockDisabling,
-    )));
+    let perfect = smoke_params(L2Protection::Perfect);
+    let faulty = smoke_params(L2Protection::Fixed(DisablingScheme::BlockDisabling));
+    let pool = FaultMapPool::new(&perfect);
+    let perfect = SchemeMatrixStudy::run_with_pool(&perfect, &pool, true);
+    let faulty = SchemeMatrixStudy::run_with_pool(&faulty, &pool, true);
     let mut perfect_total = 0.0;
     let mut faulty_total = 0.0;
     for (p, f) in perfect.workloads.iter().zip(&faulty.workloads) {
@@ -132,8 +137,9 @@ fn serial_and_parallel_stay_bit_identical_with_a_faulty_l2() {
         L2Protection::Matched,
     ] {
         let params = smoke_params(l2);
-        let serial = SchemeMatrixStudy::run(&params);
-        let parallel = SchemeMatrixStudy::run_parallel(&params);
+        let pool = FaultMapPool::new(&params);
+        let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+        let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
         assert_eq!(serial, parallel, "L2 {l2:?}");
         assert_eq!(serial.table(), parallel.table());
     }
@@ -147,8 +153,9 @@ fn l2_whole_cache_failures_are_counted_and_stay_bit_identical() {
     let mut params = smoke_params(L2Protection::Fixed(DisablingScheme::WordDisabling));
     params.pfail = 0.005;
     params.workloads = vec![Benchmark::Swim.into()];
-    let serial = SchemeMatrixStudy::run(&params);
-    let parallel = SchemeMatrixStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+    let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
     assert_eq!(serial, parallel);
     let failures: usize = serial
         .workloads
@@ -167,10 +174,11 @@ fn l2_whole_cache_failures_are_counted_and_stay_bit_identical() {
 fn governor_with_protected_l2_stays_bit_identical_and_charges_more_per_switch() {
     let perfect = smoke_params(L2Protection::Perfect);
     let protected = smoke_params(L2Protection::Fixed(DisablingScheme::BlockDisabling));
-    let serial = GovernorStudy::run(&protected);
-    let parallel = GovernorStudy::run_parallel(&protected);
+    let pool = FaultMapPool::new(&perfect);
+    let serial = GovernorStudy::run_with_pool(&protected, &pool, true);
+    let parallel = GovernorStudy::run_with_pool(&protected, &pool, false);
     assert_eq!(serial, parallel);
-    let reference = GovernorStudy::run(&perfect);
+    let reference = GovernorStudy::run_with_pool(&perfect, &pool, true);
     for (p, f) in reference.workloads.iter().zip(&serial.workloads) {
         // Policy index 2 is the interval policy: it transitions, so the
         // block-disabled L2 must charge its per-set reconfiguration on top of

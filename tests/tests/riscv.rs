@@ -19,7 +19,9 @@
 //! ```
 
 use vccmin_core::cache::{DisablingScheme, VoltageMode};
-use vccmin_core::experiments::simulation::{LowVoltageStudy, SchemeMatrixStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{
+    FaultMapPool, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+};
 use vccmin_core::experiments::{
     run_governed, GovernedRunSpec, GovernorPolicy, GovernorStudy, SchemeConfig,
     TransitionCostModel, Workload,
@@ -40,7 +42,7 @@ fn small_riscv_params(kernels: Vec<RvKernel>, instructions: u64) -> SimulationPa
 #[test]
 fn quick_scale_riscv_scheme_matrix_matches_its_snapshot() {
     let params = SimulationParams::riscv_quick();
-    let study = SchemeMatrixStudy::run_parallel(&params);
+    let study = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(
         study.table().to_csv(),
         RISCV_SCHEMES,
@@ -61,12 +63,13 @@ fn riscv_golden_snapshot_has_the_expected_shape() {
 #[test]
 fn serial_and_parallel_riscv_campaigns_are_bit_identical() {
     let params = small_riscv_params(vec![RvKernel::Matmul, RvKernel::HashJoin], 8_000);
-    let serial = SchemeMatrixStudy::run(&params);
-    let parallel = SchemeMatrixStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+    let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
     assert_eq!(serial, parallel);
     assert_eq!(serial.table(), parallel.table());
-    let gov_serial = GovernorStudy::run(&params);
-    let gov_parallel = GovernorStudy::run_parallel(&params);
+    let gov_serial = GovernorStudy::run_with_pool(&params, &pool, true);
+    let gov_parallel = GovernorStudy::run_with_pool(&params, &pool, false);
     assert_eq!(gov_serial, gov_parallel);
 }
 
@@ -80,7 +83,7 @@ fn mixed_synthetic_and_riscv_campaigns_run_side_by_side() {
         ],
         ..SimulationParams::smoke()
     };
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(study.workloads.len(), 2);
     for b in &study.workloads {
         let v = b.normalized_mean(SchemeConfig::BlockDisabling, SchemeConfig::Baseline);
@@ -96,11 +99,12 @@ fn mixed_synthetic_and_riscv_campaigns_run_side_by_side() {
 fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
     let params = small_riscv_params(vec![RvKernel::Compress], 8_000);
     let workload = params.workloads[0];
-    let study = LowVoltageStudy::run(&params);
+    let pool = FaultMapPool::new(&params);
+    let study = LowVoltageStudy::run_with_pool(&params, &pool, true);
     let config = study.workloads[0]
         .config(SchemeConfig::BlockDisabling)
         .expect("the study evaluates block-disabling");
-    for (k, pair) in params.derived_fault_map_pairs().iter().enumerate() {
+    for (k, pair) in pool.pairs().iter().enumerate() {
         let governed = run_governed(&GovernedRunSpec {
             workload,
             core: CoreModel::OutOfOrder,
@@ -127,7 +131,8 @@ fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
 fn interval_governor_executes_a_riscv_kernel_across_mode_switches() {
     let params = small_riscv_params(vec![RvKernel::HashJoin], 12_000);
     let workload = params.workloads[0];
-    let pair = &params.derived_fault_map_pairs()[0];
+    let pool = FaultMapPool::new(&params);
+    let pair = &pool.pairs()[0];
     let run = run_governed(&GovernedRunSpec {
         workload,
         core: CoreModel::OutOfOrder,

@@ -7,7 +7,8 @@
 //! fault-map pair) is exactly the `quick()` one.
 
 use vccmin_core::experiments::simulation::{
-    GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    FaultMapPool, GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
+    SimulationParams,
 };
 
 // On single-CPU machines the parallel executor degenerates to one worker; CI
@@ -28,8 +29,9 @@ fn parallel_low_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
     assert_eq!(params.workloads.len(), 26, "quick() covers all benchmarks");
     assert_eq!(params.fault_map_pairs, 5);
 
-    let serial = LowVoltageStudy::run(&params);
-    let parallel = LowVoltageStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = LowVoltageStudy::run_with_pool(&params, &pool, true);
+    let parallel = LowVoltageStudy::run_with_pool(&params, &pool, false);
 
     // Structural equality of every SimResult of every fault-map pair…
     assert_eq!(serial, parallel);
@@ -48,8 +50,9 @@ fn parallel_low_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_high_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = HighVoltageStudy::run(&params);
-    let parallel = HighVoltageStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = HighVoltageStudy::run_with_pool(&params, &pool, true);
+    let parallel = HighVoltageStudy::run_with_pool(&params, &pool, false);
     assert_eq!(serial, parallel);
     for (s, p) in [
         (serial.figure11(), parallel.figure11()),
@@ -64,8 +67,9 @@ fn parallel_high_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_scheme_matrix_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = SchemeMatrixStudy::run(&params);
-    let parallel = SchemeMatrixStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &pool, true);
+    let parallel = SchemeMatrixStudy::run_with_pool(&params, &pool, false);
     assert_eq!(serial, parallel);
     assert_eq!(serial.schemes(), parallel.schemes());
     let (s, p) = (serial.table(), parallel.table());
@@ -77,8 +81,9 @@ fn parallel_scheme_matrix_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_governor_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = GovernorStudy::run(&params);
-    let parallel = GovernorStudy::run_parallel(&params);
+    let pool = FaultMapPool::new(&params);
+    let serial = GovernorStudy::run_with_pool(&params, &pool, true);
+    let parallel = GovernorStudy::run_with_pool(&params, &pool, false);
     // Structural equality of every governed segment of every fault-map pair…
     assert_eq!(serial, parallel);
     // …and byte-identical rendered figure tables.
@@ -93,7 +98,8 @@ fn repeated_parallel_runs_are_reproducible() {
     let mut params = quick_scale_params();
     params.workloads.truncate(4);
     params.instructions = 3_000;
-    let a = LowVoltageStudy::run_parallel(&params);
-    let b = LowVoltageStudy::run_parallel(&params);
+    // A pool per run, so the maps are regenerated too.
+    let a = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
+    let b = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), false);
     assert_eq!(a, b, "parallel scheduling must not leak into results");
 }
