@@ -32,7 +32,8 @@ fn run_block_disabled(pfail: f64, victim_entries: Option<usize>, instructions: u
             ..VictimCacheConfig::ispass2010_10t()
         });
     }
-    let hierarchy = CacheHierarchy::with_fault_maps(cfg, Some(&mi), Some(&md)).expect("maps fit");
+    let hierarchy =
+        CacheHierarchy::with_all_fault_maps(cfg, Some(&mi), Some(&md), None).expect("maps fit");
     let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
     let mut trace = TraceGenerator::new(&Benchmark::Crafty.profile(), 42);
     pipeline.run(&mut trace, Some(instructions)).ipc()

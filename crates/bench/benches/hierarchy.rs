@@ -79,7 +79,7 @@ fn hierarchies() -> Vec<(&'static str, CacheHierarchy)> {
         ("high_voltage_perfect_l2", CacheHierarchy::new(high)),
         (
             "low_voltage_block_disable_l1_perfect_l2",
-            CacheHierarchy::with_fault_maps(low_l1, Some(&map_i), Some(&map_d)).unwrap(),
+            CacheHierarchy::with_all_fault_maps(low_l1, Some(&map_i), Some(&map_d), None).unwrap(),
         ),
         (
             "low_voltage_block_disable_l1_and_l2",

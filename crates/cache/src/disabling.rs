@@ -3,15 +3,21 @@
 //! schemes).
 //!
 //! [`DisablingScheme`] is the *identifier* of a repair scheme — a small `Copy`
-//! enum that configurations can embed and serialize. All scheme behavior
+//! enum that configurations can embed and serialize, and whose
+//! [`DisablingScheme::ALL`] is the one list of schemes. All scheme behavior
 //! (structure, latency, capacity) lives behind the
 //! [`RepairScheme`](crate::repair::RepairScheme) trait;
 //! [`DisablingScheme::repair`] resolves an identifier to its `&'static`
-//! implementation from the scheme registry.
+//! implementation.
+//!
+//! One crate-private resolver turns a scheme, an array geometry, a voltage
+//! and a fault map into the organization the array presents, for the L1I,
+//! the L1D and the L2 alike; every array's hit latency is its base latency
+//! plus [`DisablingScheme::extra_latency`].
 
 use vccmin_fault::{CacheGeometry, CellTechnology, FaultMap};
 
-use crate::repair::{RepairScheme, WayDisableMask, WordDisablingScheme};
+use crate::repair::{RepairScheme, ResolvedOrganization};
 
 /// Supply-voltage operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +52,10 @@ pub enum DisablingScheme {
 }
 
 impl DisablingScheme {
-    /// Every scheme identifier, in registry order.
+    /// Every scheme identifier, in the order the paper and the CLI present
+    /// them: the one list of schemes, which
+    /// [`repair::registry`](crate::repair::registry) resolves to
+    /// implementations.
     pub const ALL: [DisablingScheme; 5] = [
         Self::Baseline,
         Self::BlockDisabling,
@@ -55,7 +64,7 @@ impl DisablingScheme {
         Self::WaySacrifice,
     ];
 
-    /// The behavior of this scheme: its entry in the repair-scheme registry.
+    /// The behavior of this scheme: its [`RepairScheme`] implementation.
     #[must_use]
     pub fn repair(self) -> &'static dyn RepairScheme {
         match self {
@@ -76,28 +85,14 @@ impl DisablingScheme {
     /// Parses a stable scheme name back into an identifier.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        crate::repair::by_name(name).map(crate::repair::RepairScheme::id)
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 
-    /// Extra L1 hit latency (cycles) imposed by the scheme in the given voltage
-    /// mode.
+    /// Extra hit latency (cycles) the scheme's repair hardware adds to an
+    /// access of any array it protects, L1 or L2, in the given voltage mode.
     #[must_use]
     pub fn extra_latency(self, mode: VoltageMode) -> u32 {
         self.repair().extra_latency(mode)
-    }
-
-    /// Extra unified-L2 hit latency (cycles) imposed by the scheme in the given
-    /// voltage mode, when this scheme protects the L2.
-    #[must_use]
-    pub fn extra_l2_latency(self, mode: VoltageMode) -> u32 {
-        self.repair().extra_l2_latency(mode)
-    }
-
-    /// Words per word-disable subblock (8 in the paper). Only meaningful for
-    /// [`DisablingScheme::WordDisabling`].
-    #[must_use]
-    pub fn subblock_words(self) -> u8 {
-        WordDisablingScheme::SUBBLOCK_WORDS
     }
 }
 
@@ -149,7 +144,8 @@ impl VictimCacheConfig {
     }
 }
 
-/// Configuration of one L1 cache (instruction or data side).
+/// Configuration of the L1 caches: the instruction and the data side are
+/// built alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct L1Config {
     /// Physical geometry of the cache at high voltage.
@@ -175,86 +171,11 @@ impl L1Config {
         }
     }
 
-    /// Same as [`L1Config::ispass2010`] with a victim cache attached.
-    #[must_use]
-    pub fn ispass2010_with_victim(scheme: DisablingScheme, victim: VictimCacheConfig) -> Self {
-        Self {
-            victim: Some(victim),
-            ..Self::ispass2010(scheme)
-        }
-    }
-
-    /// L1 hit latency in cycles including the scheme overhead in the given
-    /// voltage mode.
+    /// L1 hit latency in cycles in the given voltage mode: the base latency
+    /// plus the scheme's [`DisablingScheme::extra_latency`].
     #[must_use]
     pub fn hit_latency(&self, mode: VoltageMode) -> u32 {
         self.base_latency + self.scheme.extra_latency(mode)
-    }
-
-    /// Resolves the *effective* organization of this L1 in the given voltage mode
-    /// with the given fault map, by dispatching to the scheme's
-    /// [`RepairScheme`](crate::repair::RepairScheme) implementation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DisableError`] if a fault map is required but missing, does not
-    /// match the geometry, or the scheme cannot repair the map at all
-    /// (whole-cache failure).
-    pub fn effective_organization(
-        &self,
-        mode: VoltageMode,
-        fault_map: Option<&FaultMap>,
-    ) -> Result<EffectiveL1, DisableError> {
-        let victim_entries = self.victim.map_or(0, |v| v.usable_entries(mode));
-        let victim_latency = self.victim.map_or(0, |v| v.latency);
-        let base = EffectiveL1 {
-            geometry: self.geometry,
-            disabled: None,
-            hit_latency: self.hit_latency(mode),
-            victim_entries,
-            victim_latency,
-        };
-        let repair = self.scheme.repair();
-        if mode == VoltageMode::High || !repair.needs_fault_map() {
-            return Ok(base);
-        }
-        let map = fault_map.ok_or(DisableError::MissingFaultMap)?;
-        if map.geometry() != &self.geometry {
-            return Err(DisableError::GeometryMismatch);
-        }
-        let resolved = repair.repair(map)?;
-        Ok(EffectiveL1 {
-            geometry: resolved.geometry,
-            disabled: resolved.disabled,
-            ..base
-        })
-    }
-}
-
-/// The resolved organization of an L1 for a particular voltage mode and fault map.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EffectiveL1 {
-    /// Geometry presented to the access stream (halved for low-voltage word-disable).
-    pub geometry: CacheGeometry,
-    /// Ways the repair scheme disabled, if it disables at way granularity.
-    pub disabled: Option<WayDisableMask>,
-    /// Hit latency in cycles.
-    pub hit_latency: u32,
-    /// Usable victim-cache entries (0 = no victim cache).
-    pub victim_entries: usize,
-    /// Additional latency of a victim-cache hit.
-    pub victim_latency: u32,
-}
-
-impl EffectiveL1 {
-    /// Fraction of the full-size cache capacity available in this organization.
-    #[must_use]
-    pub fn capacity_fraction(&self, full: &CacheGeometry) -> f64 {
-        let blocks = match &self.disabled {
-            Some(mask) => mask.usable_blocks(),
-            None => self.geometry.blocks(),
-        };
-        blocks as f64 / full.blocks() as f64
     }
 }
 
@@ -286,9 +207,35 @@ impl std::fmt::Display for DisableError {
 
 impl std::error::Error for DisableError {}
 
-/// Alias kept for API clarity: a low-voltage configuration is an [`L1Config`]
-/// resolved with [`L1Config::effective_organization`] in [`VoltageMode::Low`].
-pub type LowVoltageConfig = L1Config;
+/// The organization `scheme` gives an array of `geometry` at `voltage`: the
+/// whole array at high voltage or under a scheme that needs no fault map,
+/// otherwise the scheme's repair of `fault_map`. The one path from a repair
+/// scheme to a cache organization, for the L1I, the L1D and the L2 alike.
+///
+/// # Errors
+///
+/// Returns [`DisableError`] if a fault map is required but missing, does not
+/// match the geometry, or the scheme cannot repair the map at all
+/// (whole-cache failure).
+pub(crate) fn resolve(
+    scheme: DisablingScheme,
+    geometry: CacheGeometry,
+    voltage: VoltageMode,
+    fault_map: Option<&FaultMap>,
+) -> Result<ResolvedOrganization, DisableError> {
+    let repair = scheme.repair();
+    if voltage == VoltageMode::High || !repair.needs_fault_map() {
+        return Ok(ResolvedOrganization {
+            geometry,
+            disabled: None,
+        });
+    }
+    let map = fault_map.ok_or(DisableError::MissingFaultMap)?;
+    if map.geometry() != &geometry {
+        return Err(DisableError::GeometryMismatch);
+    }
+    repair.repair(map)
+}
 
 #[cfg(test)]
 mod tests {
@@ -298,55 +245,59 @@ mod tests {
         FaultMap::generate(&CacheGeometry::ispass2010_l1(), pfail, seed)
     }
 
+    /// The organization `cfg`'s scheme gives the paper's L1 in `mode`.
+    fn resolve_l1(
+        cfg: &L1Config,
+        mode: VoltageMode,
+        map: Option<&FaultMap>,
+    ) -> Result<ResolvedOrganization, DisableError> {
+        resolve(cfg.scheme, cfg.geometry, mode, map)
+    }
+
+    fn capacity(org: &ResolvedOrganization, full: &CacheGeometry) -> f64 {
+        org.usable_blocks() as f64 / full.blocks() as f64
+    }
+
     #[test]
     fn baseline_ignores_fault_maps() {
         let cfg = L1Config::ispass2010(DisablingScheme::Baseline);
-        let eff = cfg.effective_organization(VoltageMode::Low, None).unwrap();
-        assert_eq!(eff.geometry, cfg.geometry);
-        assert!(eff.disabled.is_none());
-        assert_eq!(eff.hit_latency, 3);
-        assert_eq!(eff.capacity_fraction(&cfg.geometry), 1.0);
+        let org = resolve_l1(&cfg, VoltageMode::Low, None).unwrap();
+        assert_eq!(org.geometry, cfg.geometry);
+        assert!(org.disabled.is_none());
+        assert_eq!(cfg.hit_latency(VoltageMode::Low), 3);
+        assert_eq!(capacity(&org, &cfg.geometry), 1.0);
     }
 
     #[test]
     fn word_disabling_adds_latency_even_at_high_voltage() {
         let cfg = L1Config::ispass2010(DisablingScheme::WordDisabling);
-        let eff = cfg.effective_organization(VoltageMode::High, None).unwrap();
-        assert_eq!(eff.hit_latency, 4);
-        assert_eq!(eff.geometry, cfg.geometry);
+        let org = resolve_l1(&cfg, VoltageMode::High, None).unwrap();
+        assert_eq!(cfg.hit_latency(VoltageMode::High), 4);
+        assert_eq!(org.geometry, cfg.geometry);
         let block = L1Config::ispass2010(DisablingScheme::BlockDisabling);
-        assert_eq!(
-            block
-                .effective_organization(VoltageMode::High, None)
-                .unwrap()
-                .hit_latency,
-            3
-        );
+        assert!(resolve_l1(&block, VoltageMode::High, None).is_ok());
+        assert_eq!(block.hit_latency(VoltageMode::High), 3);
     }
 
     #[test]
     fn word_disabling_halves_capacity_at_low_voltage() {
         let cfg = L1Config::ispass2010(DisablingScheme::WordDisabling);
         let map = map_at(0.001, 11);
-        let eff = cfg
-            .effective_organization(VoltageMode::Low, Some(&map))
-            .unwrap();
-        assert_eq!(eff.geometry.size_bytes(), 16 * 1024);
-        assert_eq!(eff.geometry.associativity(), 4);
-        assert_eq!(eff.capacity_fraction(&cfg.geometry), 0.5);
-        assert_eq!(eff.hit_latency, 4);
+        let org = resolve_l1(&cfg, VoltageMode::Low, Some(&map)).unwrap();
+        assert_eq!(org.geometry.size_bytes(), 16 * 1024);
+        assert_eq!(org.geometry.associativity(), 4);
+        assert_eq!(capacity(&org, &cfg.geometry), 0.5);
+        assert_eq!(cfg.hit_latency(VoltageMode::Low), 4);
     }
 
     #[test]
     fn block_disabling_keeps_geometry_but_disables_blocks() {
         let cfg = L1Config::ispass2010(DisablingScheme::BlockDisabling);
         let map = map_at(0.001, 11);
-        let eff = cfg
-            .effective_organization(VoltageMode::Low, Some(&map))
-            .unwrap();
-        assert_eq!(eff.geometry, cfg.geometry);
-        assert_eq!(eff.hit_latency, 3);
-        let cap = eff.capacity_fraction(&cfg.geometry);
+        let org = resolve_l1(&cfg, VoltageMode::Low, Some(&map)).unwrap();
+        assert_eq!(org.geometry, cfg.geometry);
+        assert_eq!(cfg.hit_latency(VoltageMode::Low), 3);
+        let cap = capacity(&org, &cfg.geometry);
         assert!((0.4..0.8).contains(&cap), "capacity fraction {cap}");
     }
 
@@ -354,7 +305,7 @@ mod tests {
     fn low_voltage_block_disabling_requires_a_fault_map() {
         let cfg = L1Config::ispass2010(DisablingScheme::BlockDisabling);
         assert_eq!(
-            cfg.effective_organization(VoltageMode::Low, None).unwrap_err(),
+            resolve_l1(&cfg, VoltageMode::Low, None).unwrap_err(),
             DisableError::MissingFaultMap
         );
     }
@@ -364,8 +315,7 @@ mod tests {
         let cfg = L1Config::ispass2010(DisablingScheme::BlockDisabling);
         let other = FaultMap::generate(&CacheGeometry::ispass2010_l2(), 0.001, 0);
         assert_eq!(
-            cfg.effective_organization(VoltageMode::Low, Some(&other))
-                .unwrap_err(),
+            resolve_l1(&cfg, VoltageMode::Low, Some(&other)).unwrap_err(),
             DisableError::GeometryMismatch
         );
     }
@@ -376,12 +326,14 @@ mod tests {
         // At pfail=0.2 some subblock will certainly exceed 4 faulty words.
         let map = map_at(0.2, 3);
         assert_eq!(
-            cfg.effective_organization(VoltageMode::Low, Some(&map))
-                .unwrap_err(),
+            resolve_l1(&cfg, VoltageMode::Low, Some(&map)).unwrap_err(),
             DisableError::WholeCacheFailure
         );
     }
 
+    /// The built hierarchy's side of this case (a 6T victim cache behind a
+    /// block-disabled L1 keeps 8 entries and 1 cycle below Vcc-min) is
+    /// checked against the frozen port in `hierarchy::resolver_port`.
     #[test]
     fn victim_cache_entry_count_depends_on_technology_and_voltage() {
         let v10 = VictimCacheConfig::ispass2010_10t();
@@ -390,14 +342,7 @@ mod tests {
         assert_eq!(v10.usable_entries(VoltageMode::Low), 16);
         assert_eq!(v6.usable_entries(VoltageMode::High), 16);
         assert_eq!(v6.usable_entries(VoltageMode::Low), 8);
-
-        let cfg = L1Config::ispass2010_with_victim(DisablingScheme::BlockDisabling, v6);
-        let map = map_at(0.001, 1);
-        let eff = cfg
-            .effective_organization(VoltageMode::Low, Some(&map))
-            .unwrap();
-        assert_eq!(eff.victim_entries, 8);
-        assert_eq!(eff.victim_latency, 1);
+        assert_eq!(v6.latency, 1);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! entry of the [`crate::repair::registry`]): below Vcc-min the scheme resolves
 //! the L2 fault map into an effective organization (disabled ways for
 //! block-disabling/bit-fix/way-sacrifice, a halved 1 MB geometry for
-//! word-disabling) and adds its scheme-specific hit-latency penalty
-//! ([`RepairScheme::extra_l2_latency`](crate::repair::RepairScheme::extra_l2_latency)).
-//! The default scheme is the idealized fault-free baseline ("perfect L2"),
-//! which reproduces the paper's original memory system bit for bit.
+//! word-disabling) and adds its repair hardware's hit-latency penalty
+//! ([`RepairScheme::extra_latency`](crate::repair::RepairScheme::extra_latency)).
+//! The L1s and the L2 go through the same resolver and the same latency rule,
+//! so a scheme behaves alike on every array it protects. The default L2
+//! scheme is the idealized fault-free baseline ("perfect L2"), which
+//! reproduces the paper's original memory system bit for bit.
 //!
 //! # Write-back model
 //!
@@ -41,8 +43,8 @@
 
 use vccmin_fault::{CacheGeometry, FaultMap};
 
-use crate::disabling::{DisableError, DisablingScheme, EffectiveL1, L1Config, VoltageMode};
-use crate::repair::{ResolvedOrganization, WayDisableMask};
+use crate::disabling::{resolve, DisableError, DisablingScheme, L1Config, VoltageMode};
+use crate::repair::ResolvedOrganization;
 use crate::set_assoc::SetAssocCache;
 use crate::stats::HierarchyStats;
 use crate::victim::VictimCache;
@@ -72,10 +74,9 @@ pub struct AccessResult {
 /// Configuration of the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
-    /// Instruction-side L1 configuration.
-    pub l1i: L1Config,
-    /// Data-side L1 configuration.
-    pub l1d: L1Config,
+    /// Configuration of both L1s: the instruction and the data cache are
+    /// built alike, each from its own fault map.
+    pub l1: L1Config,
     /// Unified L2 geometry.
     pub l2_geometry: CacheGeometry,
     /// Fault-repair scheme protecting the unified L2. The default
@@ -102,10 +103,8 @@ impl HierarchyConfig {
     /// both the instruction and data side, and the given voltage mode.
     #[must_use]
     pub fn ispass2010(scheme: DisablingScheme, voltage: VoltageMode) -> Self {
-        let l1 = L1Config::ispass2010(scheme);
         Self {
-            l1i: l1,
-            l1d: l1,
+            l1: L1Config::ispass2010(scheme),
             l2_geometry: CacheGeometry::ispass2010_l2(),
             l2_scheme: DisablingScheme::Baseline,
             l2_latency: Self::L2_LATENCY,
@@ -126,8 +125,7 @@ impl HierarchyConfig {
     /// Attaches the same victim-cache configuration to both L1s.
     #[must_use]
     pub fn with_victim_caches(mut self, victim: crate::disabling::VictimCacheConfig) -> Self {
-        self.l1i.victim = Some(victim);
-        self.l1d.victim = Some(victim);
+        self.l1.victim = Some(victim);
         self
     }
 
@@ -138,11 +136,12 @@ impl HierarchyConfig {
         self
     }
 
-    /// L2 hit latency in cycles including the L2 scheme's overhead in this
-    /// configuration's voltage mode.
+    /// L2 hit latency in cycles in this configuration's voltage mode: the
+    /// base latency plus the L2 scheme's
+    /// [`DisablingScheme::extra_latency`], the rule every array follows.
     #[must_use]
     pub fn l2_hit_latency(&self) -> u32 {
-        self.l2_latency + self.l2_scheme.extra_l2_latency(self.voltage)
+        self.l2_latency + self.l2_scheme.extra_latency(self.voltage)
     }
 }
 
@@ -158,12 +157,12 @@ fn dirty_displacement(displaced: Option<(u64, bool)>) -> Option<u64> {
     }
 }
 
-/// The tag store of a resolved organization: `geometry` with the repair
+/// The tag store of a resolved organization: its geometry with the repair
 /// scheme's disabled ways, if it disables any.
-fn tag_store(geometry: CacheGeometry, disabled: Option<&WayDisableMask>) -> SetAssocCache {
-    match disabled {
-        Some(mask) => SetAssocCache::with_disabled_ways(geometry, mask),
-        None => SetAssocCache::new(geometry),
+fn tag_store(org: &ResolvedOrganization) -> SetAssocCache {
+    match &org.disabled {
+        Some(mask) => SetAssocCache::with_disabled_ways(org.geometry, mask),
+        None => SetAssocCache::new(org.geometry),
     }
 }
 
@@ -192,21 +191,21 @@ struct L1Outcome {
 }
 
 impl L1Side {
-    fn build(effective: &EffectiveL1) -> Self {
-        let cache = tag_store(effective.geometry, effective.disabled.as_ref());
-        let victim = if effective.victim_entries > 0 {
-            Some(VictimCache::new(
-                effective.victim_entries,
-                effective.geometry.block_bytes(),
-            ))
-        } else {
-            None
-        };
+    /// An L1 of `config` in the organization its scheme resolved, with the
+    /// victim-cache entries usable at the configured voltage (none if no
+    /// entry is usable).
+    fn build(org: &ResolvedOrganization, config: &HierarchyConfig) -> Self {
+        let l1 = &config.l1;
+        let victim = l1
+            .victim
+            .map(|v| v.usable_entries(config.voltage))
+            .filter(|&entries| entries > 0)
+            .map(|entries| VictimCache::new(entries, org.geometry.block_bytes()));
         Self {
-            cache,
+            cache: tag_store(org),
             victim,
-            hit_latency: effective.hit_latency,
-            victim_latency: effective.victim_latency,
+            hit_latency: l1.hit_latency(config.voltage),
+            victim_latency: l1.victim.map_or(0, |v| v.latency),
         }
     }
 
@@ -307,7 +306,6 @@ impl CacheHierarchy {
     ///
     /// Panics if the configuration requires fault maps (a low-voltage
     /// fault-dependent scheme on an L1 or the L2); use
-    /// [`CacheHierarchy::with_fault_maps`] or
     /// [`CacheHierarchy::with_all_fault_maps`] for those.
     #[must_use]
     pub fn new(config: HierarchyConfig) -> Self {
@@ -316,25 +314,9 @@ impl CacheHierarchy {
             .expect("configurations without fault maps cannot fail to build")
     }
 
-    /// Builds a hierarchy, resolving the low-voltage organization of each L1 from the
-    /// provided fault maps. The L2 is built fault free; use
-    /// [`CacheHierarchy::with_all_fault_maps`] when the L2 carries a
-    /// fault-dependent repair scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DisableError`] if a required fault map is missing or inconsistent,
-    /// or if word-disabling cannot repair one of the maps (whole-cache failure).
-    pub fn with_fault_maps(
-        config: HierarchyConfig,
-        l1i_faults: Option<&FaultMap>,
-        l1d_faults: Option<&FaultMap>,
-    ) -> Result<Self, DisableError> {
-        Self::with_all_fault_maps(config, l1i_faults, l1d_faults, None)
-    }
-
-    /// Builds a hierarchy, resolving the low-voltage organization of each L1 *and*
-    /// of the unified L2 from the provided fault maps.
+    /// Builds a hierarchy, resolving the organization of each L1 *and* of the
+    /// unified L2 from the provided fault maps. A map is only read where its
+    /// array's scheme needs one below Vcc-min.
     ///
     /// # Errors
     ///
@@ -346,12 +328,12 @@ impl CacheHierarchy {
         l1d_faults: Option<&FaultMap>,
         l2_faults: Option<&FaultMap>,
     ) -> Result<Self, DisableError> {
-        let (l1i, l1d, l2) = Self::resolve(&config, l1i_faults, l1d_faults, l2_faults)?;
+        let [l1i, l1d, l2] = Self::organizations(&config, l1i_faults, l1d_faults, l2_faults)?;
         Ok(Self {
             config,
-            l1i: L1Side::build(&l1i),
-            l1d: L1Side::build(&l1d),
-            l2: tag_store(l2.geometry, l2.disabled.as_ref()),
+            l1i: L1Side::build(&l1i, &config),
+            l1d: L1Side::build(&l1d, &config),
+            l2: tag_store(&l2),
             l2_hit_latency: config.l2_hit_latency(),
             memory_accesses: 0,
             writebacks: 0,
@@ -370,41 +352,21 @@ impl CacheHierarchy {
         l1d_faults: Option<&FaultMap>,
         l2_faults: Option<&FaultMap>,
     ) -> bool {
-        Self::resolve(&config, l1i_faults, l1d_faults, l2_faults).is_ok()
+        Self::organizations(&config, l1i_faults, l1d_faults, l2_faults).is_ok()
     }
 
-    /// Resolves the effective organization of both L1s and of the L2: the
-    /// half of construction that can fail, and that allocates no tag store.
-    fn resolve(
+    /// The organizations of the L1I, the L1D and the L2, in that order, each
+    /// from the one resolver: the half of construction that can fail, and
+    /// that allocates no tag store.
+    fn organizations(
         config: &HierarchyConfig,
         l1i_faults: Option<&FaultMap>,
         l1d_faults: Option<&FaultMap>,
         l2_faults: Option<&FaultMap>,
-    ) -> Result<(EffectiveL1, EffectiveL1, ResolvedOrganization), DisableError> {
-        let l1i = config.l1i.effective_organization(config.voltage, l1i_faults)?;
-        let l1d = config.l1d.effective_organization(config.voltage, l1d_faults)?;
-        let l2 = Self::resolve_l2(config, l2_faults)?;
-        Ok((l1i, l1d, l2))
-    }
-
-    /// Resolves the L2's effective organization for the configured scheme, voltage
-    /// and fault map — the L2 counterpart of [`L1Config::effective_organization`].
-    fn resolve_l2(
-        config: &HierarchyConfig,
-        l2_faults: Option<&FaultMap>,
-    ) -> Result<ResolvedOrganization, DisableError> {
-        let repair = config.l2_scheme.repair();
-        if config.voltage == VoltageMode::High || !repair.needs_fault_map() {
-            return Ok(ResolvedOrganization {
-                geometry: config.l2_geometry,
-                disabled: None,
-            });
-        }
-        let map = l2_faults.ok_or(DisableError::MissingFaultMap)?;
-        if map.geometry() != &config.l2_geometry {
-            return Err(DisableError::GeometryMismatch);
-        }
-        repair.repair(map)
+    ) -> Result<[ResolvedOrganization; 3], DisableError> {
+        let l1 = |faults| resolve(config.l1.scheme, config.l1.geometry, config.voltage, faults);
+        let l2 = |faults| resolve(config.l2_scheme, config.l2_geometry, config.voltage, faults);
+        Ok([l1(l1i_faults)?, l1(l1d_faults)?, l2(l2_faults)?])
     }
 
     /// The configuration this hierarchy was built from.
@@ -670,9 +632,10 @@ impl CacheHierarchy {
         self.l1d.cache.usable_blocks()
     }
 
-    /// L1 data hit latency in cycles (includes any scheme overhead).
+    /// L1 hit latency in cycles (includes any scheme overhead), shared by
+    /// the instruction and the data side.
     #[must_use]
-    pub fn l1d_hit_latency(&self) -> u32 {
+    pub fn l1_hit_latency(&self) -> u32 {
         self.l1d.hit_latency
     }
 
@@ -688,6 +651,9 @@ impl CacheHierarchy {
         self.l2_hit_latency
     }
 }
+
+/// Test only: the resolver against a frozen port of the code it replaced.
+mod resolver_port;
 
 #[cfg(test)]
 mod tests {
@@ -760,12 +726,12 @@ mod tests {
     #[test]
     fn low_voltage_block_disabling_requires_maps_and_reduces_capacity() {
         let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
-        assert!(CacheHierarchy::with_fault_maps(cfg, None, None).is_err());
+        assert!(CacheHierarchy::with_all_fault_maps(cfg, None, None, None).is_err());
 
         let geom = CacheGeometry::ispass2010_l1();
         let mi = FaultMap::generate(&geom, 0.001, 1);
         let md = FaultMap::generate(&geom, 0.001, 2);
-        let h = CacheHierarchy::with_fault_maps(cfg, Some(&mi), Some(&md)).unwrap();
+        let h = CacheHierarchy::with_all_fault_maps(cfg, Some(&mi), Some(&md), None).unwrap();
         assert_eq!(h.l1d_usable_blocks(), md.fault_free_blocks());
         assert!(h.l1d_usable_blocks() < geom.blocks());
         assert_eq!(h.config().memory_latency, HierarchyConfig::MEMORY_LATENCY_LOW_VOLTAGE);
@@ -777,7 +743,7 @@ mod tests {
         let geom = CacheGeometry::ispass2010_l1();
         let mi = FaultMap::generate(&geom, 0.001, 5);
         let md = FaultMap::generate(&geom, 0.001, 6);
-        let mut h = CacheHierarchy::with_fault_maps(cfg, Some(&mi), Some(&md)).unwrap();
+        let mut h = CacheHierarchy::with_all_fault_maps(cfg, Some(&mi), Some(&md), None).unwrap();
         assert_eq!(h.l1d_usable_blocks(), geom.blocks() / 2);
         h.access_data(0x40, false);
         assert_eq!(h.access_data(0x40, false).latency, 4);
@@ -855,7 +821,8 @@ mod tests {
             .with_victim_caches(VictimCacheConfig::ispass2010_10t());
         let all_faulty = FaultMap::generate(&geom, 1.0, 0);
         let mut h =
-            CacheHierarchy::with_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty)).unwrap();
+            CacheHierarchy::with_all_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty), None)
+                .unwrap();
         h.access_data(0x40, true); // miss -> fill_bypassed stores it dirty
         let second = h.access_data(0x40, false); // victim hit, re-inserted (bypassed path)
         assert_eq!(second.level, HitLevel::Victim);
@@ -877,7 +844,8 @@ mod tests {
         let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
         let all_faulty = FaultMap::generate(&geom, 1.0, 0);
         let mut h =
-            CacheHierarchy::with_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty)).unwrap();
+            CacheHierarchy::with_all_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty), None)
+                .unwrap();
         h.access_data(0x40, false);
         assert_eq!(h.stats().writebacks, 0, "loads never write through");
         h.access_data(0x40, true);
@@ -953,8 +921,9 @@ mod tests {
 
     #[test]
     fn perfect_l2_is_the_default_and_matches_the_legacy_constructor() {
-        // The default configuration carries the idealized baseline L2, and the
-        // three constructors agree bit for bit on the access stream.
+        // The default configuration carries the idealized baseline L2, and a
+        // hierarchy built without an L2 map agrees bit for bit on the access
+        // stream with one handed a stray L2 map.
         let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
         assert_eq!(cfg.l2_scheme, DisablingScheme::Baseline);
         assert_eq!(cfg.l2_hit_latency(), HierarchyConfig::L2_LATENCY);
@@ -962,7 +931,7 @@ mod tests {
         let mi = FaultMap::generate(&geom, 0.001, 1);
         let md = FaultMap::generate(&geom, 0.001, 2);
         let stray_l2_map = FaultMap::generate(&CacheGeometry::ispass2010_l2(), 0.001, 3);
-        let mut a = CacheHierarchy::with_fault_maps(cfg, Some(&mi), Some(&md)).unwrap();
+        let mut a = CacheHierarchy::with_all_fault_maps(cfg, Some(&mi), Some(&md), None).unwrap();
         // A baseline L2 ignores any provided map, like the baseline L1 does.
         let mut b =
             CacheHierarchy::with_all_fault_maps(cfg, Some(&mi), Some(&md), Some(&stray_l2_map))
@@ -1072,7 +1041,9 @@ mod tests {
         let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low)
             .with_victim_caches(VictimCacheConfig::ispass2010_10t());
         let all_faulty = FaultMap::generate(&geom, 1.0, 0);
-        let mut h = CacheHierarchy::with_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty)).unwrap();
+        let mut h =
+            CacheHierarchy::with_all_fault_maps(cfg, Some(&all_faulty), Some(&all_faulty), None)
+                .unwrap();
         let first = h.access_data(0x40, false);
         assert_eq!(first.level, HitLevel::Memory);
         let second = h.access_data(0x40, false);

@@ -9,14 +9,18 @@
 //! * [`RepairScheme`] — the trait every cache repair organization implements:
 //!   structure (geometry transform + [`WayDisableMask`]), latency overhead per
 //!   voltage, per-fault-map capacity and the closed-form expected capacity. The
-//!   [`repair::registry`] lists the five shipped schemes: baseline,
+//!   [`repair::registry`] resolves the five shipped schemes: baseline,
 //!   block-disabling, word-disabling, bit-fix and way-sacrifice;
-//! * [`DisablingScheme`] and [`LowVoltageConfig`] — the `Copy` identifiers
-//!   configurations embed; [`DisablingScheme::repair`] resolves an identifier to
-//!   its trait implementation;
+//! * [`DisablingScheme`] — the `Copy` identifier configurations embed, whose
+//!   [`DisablingScheme::ALL`] is the one list of schemes;
+//!   [`DisablingScheme::repair`] resolves an identifier to its trait
+//!   implementation;
+//! * [`HierarchyConfig`] and [`L1Config`] — the hierarchy description: one
+//!   L1 description for both L1s, plus the L2's geometry, scheme and latency;
 //! * [`CacheHierarchy`] — L1 instruction + data caches (optionally with victim
 //!   caches), a unified L2 and a flat memory latency, returning per-access latencies
-//!   that the CPU model consumes;
+//!   that the CPU model consumes. One resolver gives every array its
+//!   organization from its scheme, voltage and fault map;
 //! * [`CacheStats`] — hit/miss accounting at every level.
 //!
 //! # Example
@@ -58,10 +62,7 @@ pub mod set_assoc;
 pub mod stats;
 pub mod victim;
 
-pub use disabling::{
-    DisableError, DisablingScheme, EffectiveL1, L1Config, LowVoltageConfig, VictimCacheConfig,
-    VoltageMode,
-};
+pub use disabling::{DisableError, DisablingScheme, L1Config, VictimCacheConfig, VoltageMode};
 pub use hierarchy::{AccessResult, CacheHierarchy, HierarchyConfig, HitLevel};
 pub use repair::{RepairScheme, ResolvedOrganization, WayDisableMask};
 pub use set_assoc::{AccessOutcome, SetAssocCache};

@@ -6,8 +6,9 @@
 //! 1. **Structure** — given a fault map, what organization does the cache
 //!    present at low voltage ([`RepairScheme::repair`]): a possibly transformed
 //!    geometry plus a per-(set, way) disable mask?
-//! 2. **Latency** — how many extra cycles does the repair hardware add to an L1
-//!    hit at each voltage ([`RepairScheme::extra_latency`])?
+//! 2. **Latency** — how many extra cycles does the repair hardware add to a
+//!    hit at each voltage ([`RepairScheme::extra_latency`]), on the L1s and
+//!    the L2 alike?
 //! 3. **Capacity** — how much of the cache survives, both for a concrete fault
 //!    map ([`RepairScheme::effective_capacity`]) and in expectation from the
 //!    closed-form models of `vccmin-analysis`
@@ -15,10 +16,14 @@
 //!
 //! Everything downstream — [`crate::hierarchy::CacheHierarchy`], the campaign
 //! executor in `vccmin-experiments` and the `vccmin-repro` CLI — dispatches
-//! through this trait via the scheme [`registry`], so adding a scheme is a
-//! one-file change: implement the trait, add the unit struct to the registry
-//! and to the [`DisablingScheme`](crate::disabling::DisablingScheme) identifier
-//! enum.
+//! through this trait via the scheme [`registry`], which is
+//! [`DisablingScheme::ALL`](crate::disabling::DisablingScheme::ALL) resolved
+//! to implementations. Adding a scheme is therefore one trait impl plus one
+//! [`DisablingScheme`](crate::disabling::DisablingScheme) variant, listed in
+//! `ALL` and mapped to the impl by
+//! [`DisablingScheme::repair`](crate::disabling::DisablingScheme::repair);
+//! the compiler then names every exhaustive match downstream that must learn
+//! the new variant.
 
 use vccmin_analysis::bit_fix::BitFixParams;
 use vccmin_analysis::{bit_fix, block_faults, way_sacrifice, word_disable};
@@ -122,9 +127,11 @@ impl WayDisableMask {
     }
 }
 
-/// The organization a repair scheme presents to the access stream at low
-/// voltage: a geometry (possibly transformed, e.g. halved for word-disabling)
-/// and an optional disable mask over that geometry's ways.
+/// The organization a cache array presents to the access stream: a geometry
+/// (possibly transformed, e.g. halved for low-voltage word-disabling) and an
+/// optional disable mask over that geometry's ways. A scheme's
+/// [`RepairScheme::repair`] gives it below Vcc-min; above Vcc-min, or under
+/// a scheme that needs no fault map, it is the whole array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedOrganization {
     /// Geometry presented to the access stream.
@@ -150,29 +157,17 @@ impl ResolvedOrganization {
 /// map, geometry) flows through the method arguments so a single `&'static`
 /// registry entry serves every cache.
 pub trait RepairScheme: std::fmt::Debug + Send + Sync {
-    /// The enum identifier of this scheme (the reverse of
-    /// [`DisablingScheme::repair`]).
-    fn id(&self) -> DisablingScheme;
-
     /// Stable machine-readable name, used by `vccmin-repro --scheme`.
     fn name(&self) -> &'static str;
 
     /// Human-readable label, matching the paper's figure legends.
     fn label(&self) -> &'static str;
 
-    /// Extra L1 hit latency (cycles) imposed by the repair hardware in the
-    /// given voltage mode.
+    /// Extra hit latency (cycles) imposed by the repair hardware in the given
+    /// voltage mode. The repair datapath (disable lookup, alignment network,
+    /// fix/realign pipeline) has the same depth regardless of the array
+    /// behind it, so this one figure prices the L1s and the L2 alike.
     fn extra_latency(&self, mode: VoltageMode) -> u32;
-
-    /// Extra hit latency (cycles) the repair hardware adds in front of the
-    /// unified L2 in the given voltage mode. The repair datapath (disable
-    /// lookup, alignment network, fix/realign pipeline) has the same depth
-    /// regardless of the array behind it, so the default matches
-    /// [`RepairScheme::extra_latency`]; schemes whose L2 organization differs
-    /// from their L1 one can override this.
-    fn extra_l2_latency(&self, mode: VoltageMode) -> u32 {
-        self.extra_latency(mode)
-    }
 
     /// Whether the scheme needs a fault map to operate at low voltage.
     fn needs_fault_map(&self) -> bool {
@@ -246,10 +241,6 @@ pub trait RepairScheme: std::fmt::Debug + Send + Sync {
 pub struct BaselineScheme;
 
 impl RepairScheme for BaselineScheme {
-    fn id(&self) -> DisablingScheme {
-        DisablingScheme::Baseline
-    }
-
     fn name(&self) -> &'static str {
         "baseline"
     }
@@ -288,10 +279,6 @@ impl RepairScheme for BaselineScheme {
 pub struct BlockDisablingScheme;
 
 impl RepairScheme for BlockDisablingScheme {
-    fn id(&self) -> DisablingScheme {
-        DisablingScheme::BlockDisabling
-    }
-
     fn name(&self) -> &'static str {
         "block-disable"
     }
@@ -332,10 +319,6 @@ impl WordDisablingScheme {
 }
 
 impl RepairScheme for WordDisablingScheme {
-    fn id(&self) -> DisablingScheme {
-        DisablingScheme::WordDisabling
-    }
-
     fn name(&self) -> &'static str {
         "word-disable"
     }
@@ -420,10 +403,6 @@ impl BitFixScheme {
 }
 
 impl RepairScheme for BitFixScheme {
-    fn id(&self) -> DisablingScheme {
-        DisablingScheme::BitFix
-    }
-
     fn name(&self) -> &'static str {
         "bit-fix"
     }
@@ -494,10 +473,6 @@ impl WaySacrificeScheme {
 }
 
 impl RepairScheme for WaySacrificeScheme {
-    fn id(&self) -> DisablingScheme {
-        DisablingScheme::WaySacrifice
-    }
-
     fn name(&self) -> &'static str {
         "way-sacrifice"
     }
@@ -534,22 +509,10 @@ impl RepairScheme for WaySacrificeScheme {
 }
 
 /// Every repair scheme the repo ships, in the order the paper (and the CLI)
-/// presents them.
+/// presents them: [`DisablingScheme::ALL`], resolved to implementations.
 #[must_use]
-pub fn registry() -> [&'static dyn RepairScheme; 5] {
-    [
-        &BaselineScheme,
-        &BlockDisablingScheme,
-        &WordDisablingScheme,
-        &BitFixScheme,
-        &WaySacrificeScheme,
-    ]
-}
-
-/// Looks up a scheme by its stable [`RepairScheme::name`].
-#[must_use]
-pub fn by_name(name: &str) -> Option<&'static dyn RepairScheme> {
-    registry().into_iter().find(|s| s.name() == name)
+pub fn registry() -> [&'static dyn RepairScheme; DisablingScheme::ALL.len()] {
+    DisablingScheme::ALL.map(DisablingScheme::repair)
 }
 
 #[cfg(test)]
@@ -566,14 +529,23 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let names: std::collections::HashSet<_> =
-            registry().iter().map(|s| s.name()).collect();
+        let names: std::collections::HashSet<_> = registry().iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), registry().len());
-        for scheme in registry() {
-            assert_eq!(by_name(scheme.name()).unwrap().id(), scheme.id());
-            assert_eq!(scheme.id().repair().name(), scheme.name());
+        for (id, scheme) in DisablingScheme::ALL.into_iter().zip(registry()) {
+            assert_eq!(DisablingScheme::from_name(scheme.name()), Some(id));
+            assert_eq!(id.name(), scheme.name());
         }
-        assert!(by_name("no-such-scheme").is_none());
+        assert_eq!(
+            registry().map(RepairScheme::label),
+            [
+                "baseline",
+                "block disabling",
+                "word disabling",
+                "bit fix",
+                "way sacrifice"
+            ]
+        );
+        assert!(DisablingScheme::from_name("no-such-scheme").is_none());
     }
 
     #[test]
@@ -724,14 +696,21 @@ mod tests {
 
     #[test]
     fn l2_latency_penalties_default_to_the_l1_repair_pipeline_depth() {
-        for scheme in registry() {
+        use crate::hierarchy::HierarchyConfig;
+        let l2_hit = |scheme, mode| {
+            HierarchyConfig::ispass2010(DisablingScheme::Baseline, mode)
+                .with_l2_scheme(scheme)
+                .l2_hit_latency()
+                - HierarchyConfig::L2_LATENCY
+        };
+        for scheme in DisablingScheme::ALL {
             for mode in [VoltageMode::High, VoltageMode::Low] {
-                assert_eq!(scheme.extra_l2_latency(mode), scheme.extra_latency(mode));
+                assert_eq!(l2_hit(scheme, mode), scheme.extra_latency(mode));
             }
         }
-        assert_eq!(BitFixScheme.extra_l2_latency(VoltageMode::Low), 2);
-        assert_eq!(WordDisablingScheme.extra_l2_latency(VoltageMode::High), 1);
-        assert_eq!(BlockDisablingScheme.extra_l2_latency(VoltageMode::Low), 0);
+        assert_eq!(l2_hit(DisablingScheme::BitFix, VoltageMode::Low), 2);
+        assert_eq!(l2_hit(DisablingScheme::WordDisabling, VoltageMode::High), 1);
+        assert_eq!(l2_hit(DisablingScheme::BlockDisabling, VoltageMode::Low), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! compared — victim selection keys them above every live way — so no
 //! sentinel LRU value exists to collide with a live clock.
 
-use vccmin_fault::{CacheGeometry, FaultMap};
+use vccmin_fault::CacheGeometry;
 
 use crate::repair::WayDisableMask;
 use crate::stats::CacheStats;
@@ -187,25 +187,6 @@ impl SetAssocCache {
             stats: CacheStats::default(),
             geometry,
         }
-    }
-
-    /// Creates a cache whose faulty blocks (per `fault_map`) are disabled, i.e. the
-    /// block-disabling organization at low voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault map was generated for a different geometry.
-    #[must_use]
-    pub fn with_block_disabling(geometry: CacheGeometry, fault_map: &FaultMap) -> Self {
-        assert_eq!(
-            fault_map.geometry(),
-            &geometry,
-            "fault map geometry must match the cache geometry"
-        );
-        Self::with_disabled_ways(
-            geometry,
-            &WayDisableMask::from_fn(&geometry, |set, way| fault_map.block_is_faulty(set, way)),
-        )
     }
 
     /// Creates a cache with the ways of `mask` disabled — the organization any
@@ -487,11 +468,18 @@ mod tests {
         assert!(out.evicted_dirty);
     }
 
+    /// The block-disabling organization of `map`: every faulty block disabled.
+    fn block_disabled(map: &vccmin_fault::FaultMap) -> SetAssocCache {
+        use crate::repair::{BlockDisablingScheme, RepairScheme};
+        let org = BlockDisablingScheme.repair(map).unwrap();
+        SetAssocCache::with_disabled_ways(org.geometry, org.disabled.as_ref().unwrap())
+    }
+
     #[test]
     fn disabled_ways_are_never_used() {
         let geom = CacheGeometry::ispass2010_l1();
         let map = vccmin_fault::FaultMap::generate(&geom, 0.05, 3);
-        let c = SetAssocCache::with_block_disabling(geom, &map);
+        let c = block_disabled(&map);
         assert_eq!(c.usable_blocks(), map.fault_free_blocks());
         for set in 0..geom.sets() {
             assert_eq!(c.usable_ways(set), map.usable_ways_in_set(set));
@@ -503,7 +491,7 @@ mod tests {
         // Disable everything by generating a map at pfail=1.
         let geom = CacheGeometry::new(512, 64, 2, 24).unwrap();
         let map = vccmin_fault::FaultMap::generate(&geom, 1.0, 0);
-        let mut c = SetAssocCache::with_block_disabling(geom, &map);
+        let mut c = block_disabled(&map);
         let out = c.access(0x40, false);
         assert!(!out.hit);
         assert!(out.bypassed);

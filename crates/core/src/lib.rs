@@ -37,7 +37,7 @@
 //! let map_i = FaultMap::generate(&cache_geom, 0.001, 1);
 //! let map_d = FaultMap::generate(&cache_geom, 0.001, 2);
 //! let config = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
-//! let hierarchy = CacheHierarchy::with_fault_maps(config, Some(&map_i), Some(&map_d)).unwrap();
+//! let hierarchy = CacheHierarchy::with_all_fault_maps(config, Some(&map_i), Some(&map_d), None).unwrap();
 //! let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
 //! let mut trace = TraceGenerator::new(&Benchmark::Gzip.profile(), 42);
 //! let result = pipeline.run(&mut trace, Some(20_000));
@@ -108,8 +108,8 @@ pub use vccmin_cpu::{CoreModel, CpuConfig, InOrderCore, Pipeline, SimResult};
 pub use vccmin_cache::{RepairScheme, WayDisableMask};
 pub use vccmin_experiments::{
     GovernedRun, GovernorPolicy, GovernorStudy, L2Protection, LowVoltageStudy, OverheadTable,
-    SchemeConfig, SchemeMatrixStudy, SimulationParams, TransitionCostModel, Workload,
-    WorkloadSource, YieldParams, YieldStudy,
+    SchemeConfig, SchemeMatrixStudy, SimulationParams, Workload, WorkloadSource, YieldParams,
+    YieldStudy,
 };
 pub use vccmin_fault::{CacheGeometry, DieVariation, FaultMap, PfailVoltageModel, VariationModel};
 pub use vccmin_riscv::{RvKernel, RvTraceSource};

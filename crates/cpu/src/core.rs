@@ -27,13 +27,6 @@ pub trait Cpu {
     /// been committed, and returns the aggregate result.
     fn run(&mut self, trace: &mut dyn TraceSource, max_instructions: Option<u64>) -> SimResult;
 
-    /// The cache hierarchy (e.g. to inspect statistics after a run).
-    fn hierarchy(&self) -> &CacheHierarchy;
-
-    /// Mutable access to the cache hierarchy (e.g. to reconfigure or warm it
-    /// between runs).
-    fn hierarchy_mut(&mut self) -> &mut CacheHierarchy;
-
     /// Resets every statistics counter (cache hierarchy, branch predictor)
     /// while preserving cache contents and predictor training state, so
     /// consecutive [`Cpu::run`] calls report per-segment counters.
@@ -44,27 +37,11 @@ pub trait Cpu {
     /// must retire up to a full reorder buffer, the in-order core only its
     /// shallow in-flight window.
     fn drain_cycles(&self) -> u64;
-
-    /// Which [`CoreModel`] this backend implements.
-    fn model(&self) -> CoreModel;
-
-    /// Short stable name for reporting (`"ooo"` / `"in-order"`).
-    fn name(&self) -> &'static str {
-        self.model().name()
-    }
 }
 
 impl Cpu for Pipeline {
     fn run(&mut self, trace: &mut dyn TraceSource, max_instructions: Option<u64>) -> SimResult {
         Pipeline::run(self, trace, max_instructions)
-    }
-
-    fn hierarchy(&self) -> &CacheHierarchy {
-        Pipeline::hierarchy(self)
-    }
-
-    fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        Pipeline::hierarchy_mut(self)
     }
 
     fn reset_stats(&mut self) {
@@ -73,10 +50,6 @@ impl Cpu for Pipeline {
 
     fn drain_cycles(&self) -> u64 {
         Pipeline::drain_cycles(self)
-    }
-
-    fn model(&self) -> CoreModel {
-        CoreModel::OutOfOrder
     }
 }
 
@@ -178,15 +151,6 @@ mod tests {
     fn default_is_the_out_of_order_core() {
         assert_eq!(CoreModel::default(), CoreModel::OutOfOrder);
         assert_eq!(CoreModel::ALL[0], CoreModel::OutOfOrder);
-    }
-
-    #[test]
-    fn factory_builds_a_backend_that_reports_its_model() {
-        for core in CoreModel::ALL {
-            let cpu = core.build(hierarchy());
-            assert_eq!(cpu.model(), core);
-            assert_eq!(cpu.name(), core.name());
-        }
     }
 
     #[test]

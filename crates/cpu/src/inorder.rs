@@ -21,7 +21,7 @@ use vccmin_cache::CacheHierarchy;
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
 use crate::config::CpuConfig;
-use crate::core::{CoreModel, Cpu};
+use crate::core::Cpu;
 use crate::instruction::{OpClass, NUM_REGS};
 use crate::pipeline::TraceSource;
 use crate::result::SimResult;
@@ -54,17 +54,6 @@ impl InOrderCore {
             hierarchy,
             predictor,
         }
-    }
-
-    /// The cache hierarchy (e.g. to inspect statistics after a run).
-    #[must_use]
-    pub fn hierarchy(&self) -> &CacheHierarchy {
-        &self.hierarchy
-    }
-
-    /// Mutable access to the cache hierarchy.
-    pub fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        &mut self.hierarchy
     }
 
     /// Resets statistics counters while preserving cache contents and
@@ -102,13 +91,9 @@ impl InOrderCore {
         max_instructions: Option<u64>,
     ) -> SimResult {
         let cfg = self.config;
-        let (l1i_hit_latency, l1d_hit_latency) = {
-            let hcfg = self.hierarchy.config();
-            (
-                hcfg.l1i.hit_latency(hcfg.voltage),
-                hcfg.l1d.hit_latency(hcfg.voltage),
-            )
-        };
+        // Both L1s hit in the hierarchy's one L1 hit latency.
+        let l1d_hit_latency = self.hierarchy.l1_hit_latency();
+        let l1i_hit_latency = l1d_hit_latency;
         let limit = max_instructions.unwrap_or(u64::MAX);
 
         let mut committed: u64 = 0;
@@ -232,24 +217,12 @@ impl Cpu for InOrderCore {
         InOrderCore::run(self, trace, max_instructions)
     }
 
-    fn hierarchy(&self) -> &CacheHierarchy {
-        InOrderCore::hierarchy(self)
-    }
-
-    fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        InOrderCore::hierarchy_mut(self)
-    }
-
     fn reset_stats(&mut self) {
         InOrderCore::reset_stats(self);
     }
 
     fn drain_cycles(&self) -> u64 {
         InOrderCore::drain_cycles(self)
-    }
-
-    fn model(&self) -> CoreModel {
-        CoreModel::InOrder
     }
 }
 

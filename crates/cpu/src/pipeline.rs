@@ -466,17 +466,6 @@ impl Pipeline {
         }
     }
 
-    /// The cache hierarchy (e.g. to inspect statistics after a run).
-    #[must_use]
-    pub fn hierarchy(&self) -> &CacheHierarchy {
-        &self.hierarchy
-    }
-
-    /// Mutable access to the cache hierarchy.
-    pub fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        &mut self.hierarchy
-    }
-
     /// Resets every statistics counter (cache hierarchy, branch predictor)
     /// while preserving cache contents and predictor training state. Callers
     /// that issue multiple [`Pipeline::run`] calls on one pipeline (e.g. a
@@ -525,10 +514,7 @@ impl Pipeline {
         max_instructions: Option<u64>,
     ) -> SimResult {
         let cfg = self.config;
-        let l1i_hit_latency = {
-            let hcfg = self.hierarchy.config();
-            hcfg.l1i.hit_latency(hcfg.voltage)
-        };
+        let l1i_hit_latency = self.hierarchy.l1_hit_latency();
         let fetch_limit = max_instructions.unwrap_or(u64::MAX);
 
         let mut cycle: u64 = 0;

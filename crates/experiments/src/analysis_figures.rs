@@ -135,26 +135,11 @@ pub fn figure7(steps: usize) -> FigureTable {
 /// here (and everywhere else) the moment it joins the registry.
 #[must_use]
 pub fn scheme_capacity_figure(steps: usize) -> FigureTable {
-    assert!(steps >= 2, "a sweep needs at least two points");
-    let geom = CacheGeometry::ispass2010_l1();
-    let schemes = repair::registry();
-    let mut table = FigureTable::new(
+    capacity_sweep(
         "Scheme capacity: expected capacity below Vcc-min vs pfail (32KB, 8-way)",
-        "pfail",
-        schemes.iter().map(|s| s.label().into()).collect(),
-    );
-    let max_pfail = 0.005;
-    for i in 0..steps {
-        let pfail = max_pfail * i as f64 / (steps - 1) as f64;
-        table.push_row(
-            format!("{pfail:.5}"),
-            schemes
-                .iter()
-                .map(|s| s.expected_capacity(&geom, pfail))
-                .collect(),
-        );
-    }
-    table
+        &CacheGeometry::ispass2010_l1(),
+        steps,
+    )
 }
 
 /// The L2 companion of [`scheme_capacity_figure`]: expected low-voltage
@@ -164,11 +149,20 @@ pub fn scheme_capacity_figure(steps: usize) -> FigureTable {
 /// limits Vcc-min, and the analytical models quantify the L2's share.
 #[must_use]
 pub fn l2_scheme_capacity_figure(steps: usize) -> FigureTable {
+    capacity_sweep(
+        "L2 scheme capacity: expected capacity below Vcc-min vs pfail (2MB, 8-way)",
+        &CacheGeometry::ispass2010_l2(),
+        steps,
+    )
+}
+
+/// Expected capacity of every registry scheme over `geom`, at `steps` pfail
+/// points from 0 to 0.005.
+fn capacity_sweep(title: &str, geom: &CacheGeometry, steps: usize) -> FigureTable {
     assert!(steps >= 2, "a sweep needs at least two points");
-    let geom = CacheGeometry::ispass2010_l2();
     let schemes = repair::registry();
     let mut table = FigureTable::new(
-        "L2 scheme capacity: expected capacity below Vcc-min vs pfail (2MB, 8-way)",
+        title,
         "pfail",
         schemes.iter().map(|s| s.label().into()).collect(),
     );
@@ -179,7 +173,7 @@ pub fn l2_scheme_capacity_figure(steps: usize) -> FigureTable {
             format!("{pfail:.5}"),
             schemes
                 .iter()
-                .map(|s| s.expected_capacity(&geom, pfail))
+                .map(|s| s.expected_capacity(geom, pfail))
                 .collect(),
         );
     }

@@ -246,13 +246,13 @@ mod tests {
     fn hierarchy_configs_follow_table_three() {
         let low = SchemeConfig::WordDisabling.hierarchy_config(VoltageMode::Low);
         assert_eq!(low.memory_latency, HierarchyConfig::MEMORY_LATENCY_LOW_VOLTAGE);
-        assert_eq!(low.l1d.hit_latency(VoltageMode::Low), 4);
+        assert_eq!(low.l1.hit_latency(VoltageMode::Low), 4);
         let high = SchemeConfig::BlockDisabling.hierarchy_config(VoltageMode::High);
         assert_eq!(high.memory_latency, HierarchyConfig::MEMORY_LATENCY_HIGH_VOLTAGE);
-        assert_eq!(high.l1d.hit_latency(VoltageMode::High), 3);
+        assert_eq!(high.l1.hit_latency(VoltageMode::High), 3);
         assert!(SchemeConfig::BaselineVictim
             .hierarchy_config(VoltageMode::High)
-            .l1d
+            .l1
             .victim
             .is_some());
     }
@@ -316,7 +316,7 @@ mod tests {
         }
         // Bit-fix pays its two fix-pipeline cycles only below Vcc-min.
         let low = SchemeConfig::BitFix.hierarchy_config(VoltageMode::Low);
-        assert_eq!(low.l1d.hit_latency(VoltageMode::Low), 5);
-        assert_eq!(low.l1d.hit_latency(VoltageMode::High), 3);
+        assert_eq!(low.l1.hit_latency(VoltageMode::Low), 5);
+        assert_eq!(low.l1.hit_latency(VoltageMode::High), 3);
     }
 }

@@ -15,8 +15,10 @@
 //!   ([`Cpu::drain_cycles`]) and reconfigures the active cache-repair
 //!   scheme
 //!   ([`RepairScheme::reconfiguration_cycles`](vccmin_cache::RepairScheme::reconfiguration_cycles)),
-//!   modeled by [`TransitionCostModel`]; re-entering a mode also restarts with
-//!   cold caches, which the simulation captures for free;
+//!   and is charged both; re-entering a mode also restarts with cold caches,
+//!   which the simulation captures for free
+//!   ([`GovernedRun::with_fixed_transition_cost`] re-prices a run at a fixed
+//!   cost per transition);
 //! * the result ([`GovernedRun`]) carries one [`SimResult`] per executed
 //!   segment plus the per-mode transition overhead, and composes the measured
 //!   cycle counts with the [`VoltageScalingModel`] power curves into
@@ -116,29 +118,14 @@ impl GovernorPolicy {
     }
 }
 
-/// How a mode transition is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransitionCostModel {
-    /// Transitions are free — the idealized governor used by the equivalence
-    /// and sensitivity tests.
-    Free,
-    /// The physical model: drain the core of the mode being exited
-    /// ([`Cpu::drain_cycles`]) plus reconfigure the repair scheme's
-    /// per-set state
-    /// ([`RepairScheme::reconfiguration_cycles`](vccmin_cache::RepairScheme::reconfiguration_cycles)).
-    Modeled,
-    /// A fixed cycle cost per transition (sensitivity studies and tests).
-    Fixed(u64),
-}
-
 /// Everything needed to execute one governed run.
 #[derive(Debug, Clone, Copy)]
 pub struct GovernedRunSpec<'a> {
     /// Workload to execute.
     pub workload: Workload,
     /// CPU backend executing every segment (constructed through the shared
-    /// [`CoreModel::build`] factory; its drain bound prices `Modeled`
-    /// transitions).
+    /// [`CoreModel::build`] factory; its drain bound prices every
+    /// transition).
     pub core: CoreModel,
     /// Cache configuration governing both voltage modes.
     pub scheme: SchemeConfig,
@@ -162,8 +149,6 @@ pub struct GovernedRunSpec<'a> {
     /// Optional workload-phase schedule (reactive policies need one to see
     /// anything other than compute-bound execution).
     pub phases: Option<&'a PhaseSchedule>,
-    /// Transition cost accounting.
-    pub cost: TransitionCostModel,
 }
 
 /// One executed segment of a governed run.
@@ -277,23 +262,22 @@ impl GovernedRun {
         }
     }
 
-    /// Re-prices the transition overhead at a fixed per-transition cost
-    /// without re-simulating (the segment results are unaffected by
-    /// bookkeeping): the overhead is re-split over the exited modes in the
-    /// same proportions as the original run (evenly when the run had none).
+    /// Re-prices the transition overhead at `cycles_per_transition` per
+    /// transition without re-simulating (the segment results are unaffected
+    /// by bookkeeping). Each transition is charged to the mode it exits, and
+    /// the exits alternate starting from the first segment's mode.
     #[must_use]
     pub fn with_fixed_transition_cost(&self, cycles_per_transition: u64) -> Self {
-        let total = self.transitions * cycles_per_transition;
-        let old_total = self.transition_cycles();
-        let nominal = if old_total > 0 {
-            (total as f64 * self.transition_cycles_nominal as f64 / old_total as f64).round()
-                as u64
-        } else {
-            total / 2
-        };
+        let from_first = self.transitions.div_ceil(2) * cycles_per_transition;
+        let from_second = self.transitions / 2 * cycles_per_transition;
+        let (transition_cycles_nominal, transition_cycles_low) =
+            match self.segments.first().map(|s| s.mode) {
+                Some(VoltageMode::Low) => (from_second, from_first),
+                _ => (from_first, from_second),
+            };
         Self {
-            transition_cycles_nominal: nominal,
-            transition_cycles_low: total - nominal,
+            transition_cycles_nominal,
+            transition_cycles_low,
             ..self.clone()
         }
     }
@@ -361,25 +345,21 @@ pub fn run_governed(spec: &GovernedRunSpec<'_>) -> Option<GovernedRun> {
             pipe.reset_stats();
         } else {
             transitions += 1;
-            let cost = match spec.cost {
-                TransitionCostModel::Free => 0,
-                TransitionCostModel::Fixed(cycles) => cycles,
-                TransitionCostModel::Modeled => {
-                    // Both L1s carry the scheme's per-set repair state, so
-                    // both are reconfigured on a transition — and so is a
-                    // repair-protected L2 (a perfect L2 keeps no repair
-                    // state and reconfigures for free).
-                    let cfg = spec.scheme.hierarchy_config(mode);
-                    let repair = spec.scheme.scheme().repair();
-                    pipe.drain_cycles()
-                        + repair.reconfiguration_cycles(&cfg.l1i.geometry)
-                        + repair.reconfiguration_cycles(&cfg.l1d.geometry)
-                        + spec
-                            .l2_scheme
-                            .repair()
-                            .reconfiguration_cycles(&cfg.l2_geometry)
-                }
-            };
+            // Drain the core of the mode being exited, then reconfigure the
+            // repair scheme's per-set state: both L1s carry it, and so does
+            // a repair-protected L2 (a perfect L2 keeps no repair state and
+            // reconfigures for free).
+            let cfg = spec.scheme.hierarchy_config(mode);
+            let cost = pipe.drain_cycles()
+                + 2 * spec
+                    .scheme
+                    .scheme()
+                    .repair()
+                    .reconfiguration_cycles(&cfg.l1.geometry)
+                + spec
+                    .l2_scheme
+                    .repair()
+                    .reconfiguration_cycles(&cfg.l2_geometry);
             match mode {
                 VoltageMode::High => transition_cycles_nominal += cost,
                 VoltageMode::Low => transition_cycles_low += cost,
@@ -417,7 +397,6 @@ mod tests {
         policy: &'a GovernorPolicy,
         maps: Option<&'a (FaultMap, FaultMap)>,
         phases: Option<&'a PhaseSchedule>,
-        cost: TransitionCostModel,
     ) -> GovernedRunSpec<'a> {
         GovernedRunSpec {
             workload: vccmin_workloads::Benchmark::Gzip.into(),
@@ -430,7 +409,6 @@ mod tests {
             trace_seed: 42,
             instructions: 8_000,
             phases,
-            cost,
         }
     }
 
@@ -438,7 +416,7 @@ mod tests {
     fn pinned_nominal_run_is_one_segment_with_no_overhead() {
         let policy = GovernorPolicy::pinned(VoltageMode::High);
         assert!(!policy.uses_low_voltage());
-        let run = run_governed(&spec(&policy, None, None, TransitionCostModel::Modeled)).unwrap();
+        let run = run_governed(&spec(&policy, None, None)).unwrap();
         assert_eq!(run.segments.len(), 1);
         assert_eq!(run.transitions, 0);
         assert_eq!(run.transition_cycles(), 0);
@@ -458,13 +436,9 @@ mod tests {
         };
         assert!(policy.uses_low_voltage());
         let pair = maps(0.001, 7);
-        let run = run_governed(&spec(
-            &policy,
-            Some(&pair),
-            None,
-            TransitionCostModel::Fixed(123),
-        ))
-        .unwrap();
+        let run = run_governed(&spec(&policy, Some(&pair), None))
+            .unwrap()
+            .with_fixed_transition_cost(123);
         assert_eq!(run.segments.len(), 4);
         assert_eq!(run.transitions, 3);
         assert_eq!(run.transition_cycles(), 3 * 123);
@@ -491,13 +465,7 @@ mod tests {
             low: 4_000,
         };
         let pair = maps(0.001, 9);
-        let run = run_governed(&spec(
-            &policy,
-            Some(&pair),
-            None,
-            TransitionCostModel::Modeled,
-        ))
-        .unwrap();
+        let run = run_governed(&spec(&policy, Some(&pair), None)).unwrap();
         assert_eq!(run.transitions, 1);
         // Exiting nominal mode: front end (10) + ROB (32) + L2 (20) + memory at
         // high voltage (255) + block-disabling reconfiguration of both L1s
@@ -517,7 +485,7 @@ mod tests {
         let run = run_governed(&GovernedRunSpec {
             l2_scheme: DisablingScheme::BlockDisabling,
             l2_map: Some(&l2_map),
-            ..spec(&policy, Some(&pair), None, TransitionCostModel::Modeled)
+            ..spec(&policy, Some(&pair), None)
         })
         .unwrap();
         assert_eq!(run.transitions, 1);
@@ -528,7 +496,7 @@ mod tests {
         let no_l2_map = GovernedRunSpec {
             l2_scheme: DisablingScheme::BlockDisabling,
             l2_map: None,
-            ..spec(&policy, Some(&pair), None, TransitionCostModel::Modeled)
+            ..spec(&policy, Some(&pair), None)
         };
         assert!(run_governed(&no_l2_map).is_none());
     }
@@ -538,13 +506,7 @@ mod tests {
         let policy = GovernorPolicy::Reactive { quantum: 1_000 };
         let phases = PhaseSchedule::alternating(2_000, 2_000);
         let pair = maps(0.001, 11);
-        let run = run_governed(&spec(
-            &policy,
-            Some(&pair),
-            Some(&phases),
-            TransitionCostModel::Free,
-        ))
-        .unwrap();
+        let run = run_governed(&spec(&policy, Some(&pair), Some(&phases))).unwrap();
         // 8k instructions in 1k quanta over a 2k/2k phase wave: HHLLHHLL.
         let modes: Vec<VoltageMode> = run.segments.iter().map(|s| s.mode).collect();
         assert_eq!(run.transitions, 3);
@@ -573,7 +535,7 @@ mod tests {
         let policy = GovernorPolicy::Static(vec![(VoltageMode::High, 4_000)]);
         let run = run_governed(&GovernedRunSpec {
             instructions: 8_000,
-            ..spec(&policy, None, None, TransitionCostModel::Free)
+            ..spec(&policy, None, None)
         })
         .unwrap();
         assert_eq!(run.segments.len(), 2);
@@ -601,7 +563,7 @@ mod tests {
         let pair = maps(0.25, 1);
         let spec = GovernedRunSpec {
             scheme: SchemeConfig::WordDisabling,
-            ..spec(&policy, Some(&pair), None, TransitionCostModel::Free)
+            ..spec(&policy, Some(&pair), None)
         };
         assert!(run_governed(&spec).is_none());
         // A fault-dependent scheme without maps cannot enter low voltage at all.
@@ -616,19 +578,33 @@ mod tests {
             low: 1_000,
         };
         let pair = maps(0.001, 3);
-        let run = run_governed(&spec(
-            &policy,
-            Some(&pair),
-            None,
-            TransitionCostModel::Fixed(100),
-        ))
-        .unwrap();
+        let run = run_governed(&spec(&policy, Some(&pair), None))
+            .unwrap()
+            .with_fixed_transition_cost(100);
         let cheap = run.with_fixed_transition_cost(10);
         let pricey = run.with_fixed_transition_cost(10_000);
         assert_eq!(cheap.segments, run.segments);
         assert_eq!(cheap.transition_cycles(), run.transitions * 10);
         assert_eq!(pricey.transition_cycles(), run.transitions * 10_000);
         assert!(pricey.total_cycles() > cheap.total_cycles());
+        // Eight alternating segments from nominal: four exits from nominal,
+        // three from low voltage.
+        assert_eq!(run.transitions, 7);
+        assert_eq!(
+            (cheap.transition_cycles_nominal, cheap.transition_cycles_low),
+            (40, 30)
+        );
+        // A schedule starting below Vcc-min exits low voltage first.
+        let low_first =
+            GovernorPolicy::Static(vec![(VoltageMode::Low, 2_000), (VoltageMode::High, 2_000)]);
+        let run = run_governed(&spec(&low_first, Some(&pair), None))
+            .unwrap()
+            .with_fixed_transition_cost(10);
+        assert_eq!(run.transitions, 3);
+        assert_eq!(
+            (run.transition_cycles_nominal, run.transition_cycles_low),
+            (10, 20)
+        );
     }
 
     #[test]
@@ -638,13 +614,7 @@ mod tests {
             (VoltageMode::Low, 0), // clamped to 1 instruction
         ]);
         let pair = maps(0.001, 5);
-        let run = run_governed(&spec(
-            &policy,
-            Some(&pair),
-            None,
-            TransitionCostModel::Free,
-        ))
-        .unwrap();
+        let run = run_governed(&spec(&policy, Some(&pair), None)).unwrap();
         assert_eq!(run.instructions(), 8_000);
         assert!(run
             .segments

@@ -90,7 +90,6 @@ pub use config::{L2Protection, SchemeConfig, ALL_LOW_VOLTAGE_SCHEMES};
 pub use fleet::{FleetParams, FleetStudy};
 pub use governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernedSegment, GovernorMetrics, GovernorPolicy,
-    TransitionCostModel,
 };
 pub use overhead::{OverheadRow, OverheadTable};
 pub use simulation::{

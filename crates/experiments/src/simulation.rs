@@ -35,7 +35,6 @@ use vccmin_workloads::{Benchmark, PhaseSchedule};
 use crate::config::{L2Protection, SchemeConfig};
 use crate::governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernorMetrics, GovernorPolicy,
-    TransitionCostModel,
 };
 use crate::map_jobs;
 use crate::report::FigureTable;
@@ -1114,7 +1113,6 @@ impl GovernorStudy {
             trace_seed: params.trace_seed(workload),
             instructions: params.instructions,
             phases: Some(phases),
-            cost: TransitionCostModel::Modeled,
         })
     }
 

@@ -300,16 +300,16 @@ impl FaultMap {
     }
 
     /// Whether a word-disabled cache built from this array is usable at low voltage:
-    /// every subblock of `subblock_words` words must contain at most
-    /// `subblock_words / 2` faulty words. (Tag cells don't count: word-disabling
+    /// every subblock of `subblock_len` words must contain at most
+    /// `subblock_len / 2` faulty words. (Tag cells don't count: word-disabling
     /// stores them in robust 10T cells.)
     #[must_use]
-    pub fn word_disable_usable(&self, subblock_words: u8) -> bool {
-        let budget = u32::from(subblock_words / 2);
+    pub fn word_disable_usable(&self, subblock_len: u8) -> bool {
+        let budget = u32::from(subblock_len / 2);
         self.blocks.iter().all(|b| {
             (0..b.words())
-                .step_by(subblock_words as usize)
-                .all(|start| b.faulty_words_in_range(start, subblock_words) <= budget)
+                .step_by(subblock_len as usize)
+                .all(|start| b.faulty_words_in_range(start, subblock_len) <= budget)
         })
     }
 

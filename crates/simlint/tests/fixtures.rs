@@ -89,12 +89,12 @@ fn every_good_fixture_scans_clean() {
 
 #[test]
 fn bad_fixture_spans_are_exact() {
-    let by_name: std::collections::BTreeMap<String, String> = fixture_sources("bad")
+    let sources: std::collections::BTreeMap<String, String> = fixture_sources("bad")
         .into_iter()
         .map(|(rel, src)| (rel.rsplit('/').next().unwrap().to_string(), src))
         .collect();
 
-    let diags = |file: &str, rel: &str| scan_source(rel, &by_name[file]);
+    let diags = |file: &str, rel: &str| scan_source(rel, &sources[file]);
 
     let d1 = diags("d1_unordered_container.rs", "crates/sim/src/d1_unordered_container.rs");
     assert!(lines_of(&d1, Rule::UnorderedContainer).contains(&2), "use-site flagged: {d1:?}");

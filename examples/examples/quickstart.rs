@@ -48,7 +48,7 @@ fn main() {
     let instructions = 100_000;
     let run = |config: HierarchyConfig, with_maps: bool| {
         let hierarchy = if with_maps {
-            CacheHierarchy::with_fault_maps(config, Some(&map_i), Some(&map_d))
+            CacheHierarchy::with_all_fault_maps(config, Some(&map_i), Some(&map_d), None)
                 .expect("fault maps match the geometry")
         } else {
             CacheHierarchy::new(config)

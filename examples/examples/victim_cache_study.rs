@@ -40,8 +40,8 @@ fn main() {
         "map", "usable", "no victim $", "victim $ (10T)", "victim $ (6T)"
     );
     let run = |config: HierarchyConfig, mi: &FaultMap, md: &FaultMap| -> f64 {
-        let hierarchy =
-            CacheHierarchy::with_fault_maps(config, Some(mi), Some(md)).expect("maps fit");
+        let hierarchy = CacheHierarchy::with_all_fault_maps(config, Some(mi), Some(md), None)
+            .expect("maps fit");
         let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
         let mut trace = TraceGenerator::new(&benchmark.profile(), 42);
         pipeline.run(&mut trace, Some(instructions)).ipc()

@@ -5,7 +5,7 @@
 use vccmin_core::analysis::word_disable::WordDisableParams;
 use vccmin_core::analysis::{block_faults, capacity::CapacityDistribution, word_disable};
 use vccmin_core::cache::repair;
-use vccmin_core::cache::{DisablingScheme, L1Config, VoltageMode};
+use vccmin_core::cache::{CacheHierarchy, DisablingScheme, HierarchyConfig, VoltageMode};
 use vccmin_core::{CacheGeometry, FaultMap};
 
 #[test]
@@ -59,15 +59,9 @@ fn low_voltage_organizations_expose_the_analytical_capacities() {
     let pfail = 0.001;
     let map = FaultMap::generate(&geom, pfail, 99);
 
-    let block = L1Config::ispass2010(DisablingScheme::BlockDisabling)
-        .effective_organization(VoltageMode::Low, Some(&map))
-        .unwrap();
-    let word = L1Config::ispass2010(DisablingScheme::WordDisabling)
-        .effective_organization(VoltageMode::Low, Some(&map))
-        .unwrap();
-
-    let block_capacity = block.capacity_fraction(&geom);
-    let word_capacity = word.capacity_fraction(&geom);
+    let capacity = |scheme: DisablingScheme| scheme.repair().effective_capacity(&map).unwrap();
+    let block_capacity = capacity(DisablingScheme::BlockDisabling);
+    let word_capacity = capacity(DisablingScheme::WordDisabling);
     assert_eq!(word_capacity, 0.5);
     assert!(
         (block_capacity - block_faults::mean_capacity(&array, pfail)).abs() < 0.1,
@@ -126,9 +120,8 @@ fn analytical_capacity_ordering_matches_the_scheme_story() {
 fn fault_free_fault_maps_change_nothing_at_high_voltage() {
     let geom = CacheGeometry::ispass2010_l1();
     let map = FaultMap::generate(&geom, 0.001, 5);
-    let cfg = L1Config::ispass2010(DisablingScheme::BlockDisabling);
-    let high = cfg.effective_organization(VoltageMode::High, Some(&map)).unwrap();
-    assert!(high.disabled.is_none());
-    assert_eq!(high.capacity_fraction(&geom), 1.0);
-    assert_eq!(high.hit_latency, 3);
+    let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::High);
+    let high = CacheHierarchy::with_all_fault_maps(cfg, Some(&map), Some(&map), None).unwrap();
+    assert_eq!(high.l1d_usable_blocks(), geom.blocks());
+    assert_eq!(high.l1_hit_latency(), 3);
 }

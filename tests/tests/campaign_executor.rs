@@ -30,8 +30,7 @@ use vccmin_core::experiments::simulation::{
     GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
 };
 use vccmin_core::experiments::{
-    run_governed, GovernedRunSpec, GovernorPolicy, L2Protection, SchemeConfig, TransitionCostModel,
-    Workload,
+    run_governed, GovernedRunSpec, GovernorPolicy, L2Protection, SchemeConfig, Workload,
 };
 
 // ---------------------------------------------------------------------------
@@ -144,7 +143,6 @@ fn reference_governor(
                 trace_seed: params.trace_seed(workload),
                 instructions: params.instructions,
                 phases: Some(&phases),
-                cost: TransitionCostModel::Modeled,
             })
         };
         let outputs: Vec<_> = if policy.uses_low_voltage() {

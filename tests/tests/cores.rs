@@ -28,9 +28,7 @@ use vccmin_core::experiments::simulation::{
     CoreMatrixStudy, FaultMapPool, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
     SimulationParams,
 };
-use vccmin_core::experiments::{
-    run_governed, GovernedRunSpec, GovernorPolicy, SchemeConfig, TransitionCostModel,
-};
+use vccmin_core::experiments::{run_governed, GovernedRunSpec, GovernorPolicy, SchemeConfig};
 use vccmin_core::Benchmark;
 
 const CORE_MATRIX: &str = include_str!("../golden/core_matrix.csv");
@@ -175,7 +173,6 @@ fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
                 trace_seed: params.trace_seed(b.workload),
                 instructions: params.instructions,
                 phases: None,
-                cost: TransitionCostModel::Free,
             })
             .expect("block-disabling repairs every smoke-scale fault map");
             assert_eq!(governed.segments.len(), 1, "a pinned schedule is one segment");
@@ -209,7 +206,6 @@ fn interval_governor_switches_modes_on_the_in_order_core() {
         trace_seed: params.trace_seed(workload),
         instructions: params.instructions,
         phases: None,
-        cost: TransitionCostModel::Modeled,
     })
     .expect("block-disabling repairs every smoke-scale fault map");
     assert_eq!(run.segments.len(), 2);

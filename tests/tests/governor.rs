@@ -1,8 +1,8 @@
 //! Properties of the voltage-mode governor, pinned at workspace level:
 //!
-//! 1. a zero-transition-cost governor pinned to one mode is *bit-identical* to
-//!    the corresponding single-mode campaign — the governor path is a strict
-//!    generalization of the paper's studies;
+//! 1. a governor pinned to one mode (no transition, so no transition cost) is
+//!    *bit-identical* to the corresponding single-mode campaign — the governor
+//!    path is a strict generalization of the paper's studies;
 //! 2. at equal low-voltage residency, more transitions never increase energy
 //!    efficiency (overhead cycles and cold caches only ever add energy);
 //! 3. EDP is monotone in the per-transition cost;
@@ -16,7 +16,7 @@ use vccmin_core::cache::VoltageMode;
 use vccmin_core::experiments::simulation::{FaultMapPool, GovernorStudy};
 use vccmin_core::experiments::{
     run_governed, Workload, GovernedRun, GovernedRunSpec, GovernorPolicy, HighVoltageStudy, LowVoltageStudy,
-    SchemeConfig, SimulationParams, TransitionCostModel,
+    SchemeConfig, SimulationParams,
 };
 use vccmin_core::cache::DisablingScheme;
 use vccmin_core::cpu::CoreModel;
@@ -47,9 +47,9 @@ fn pinned_run(
         trace_seed: params.trace_seed(workload),
         instructions: params.instructions,
         phases: None,
-        cost: TransitionCostModel::Free,
     })
     .expect("block-disabling repairs every smoke-scale fault map")
+    .with_fixed_transition_cost(0)
 }
 
 #[test]
@@ -127,9 +127,9 @@ fn closed_form_overhead_model_cross_validates_the_simulation() {
             trace_seed: params.trace_seed(benchmark.into()),
             instructions: params.instructions,
             phases: None,
-            cost: TransitionCostModel::Fixed(cost),
         })
-        .unwrap();
+        .unwrap()
+        .with_fixed_transition_cost(cost);
         assert_eq!(governed.transitions, 3);
 
         let predicted = model::expected_cycles(
@@ -185,9 +185,9 @@ proptest! {
                 trace_seed: params.trace_seed(benchmark.into()),
                 instructions: params.instructions,
                 phases: None,
-                cost: TransitionCostModel::Fixed(cost),
             })
             .unwrap()
+            .with_fixed_transition_cost(cost)
         };
         let coarse = run_with_quantum(1_500); // 4 segments, 3 transitions
         let fine = run_with_quantum(750); // 8 segments, 7 transitions
@@ -230,9 +230,9 @@ proptest! {
             trace_seed: params.trace_seed(benchmark.into()),
             instructions: params.instructions,
             phases: None,
-            cost: TransitionCostModel::Free,
         })
-        .unwrap();
+        .unwrap()
+        .with_fixed_transition_cost(0);
         prop_assert!(run.transitions > 0);
         let (lo, hi) = if cost_a <= cost_b { (cost_a, cost_b) } else { (cost_b, cost_a) };
         let scaling = GovernorStudy::scaling_model();

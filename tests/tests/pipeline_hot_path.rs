@@ -90,7 +90,7 @@ impl RefPipeline {
         let cfg = self.config;
         let l1i_hit_latency = {
             let hcfg = self.hierarchy.config();
-            hcfg.l1i.hit_latency(hcfg.voltage)
+            hcfg.l1.hit_latency(hcfg.voltage)
         };
         let fetch_limit = max_instructions.unwrap_or(u64::MAX);
 

@@ -303,7 +303,7 @@ proptest! {
         let geom = CacheGeometry::ispass2010_l1();
         let map = FaultMap::generate(&geom, pfail, seed);
         let cfg = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
-        let h = CacheHierarchy::with_fault_maps(cfg, Some(&map), Some(&map)).unwrap();
+        let h = CacheHierarchy::with_all_fault_maps(cfg, Some(&map), Some(&map), None).unwrap();
         prop_assert_eq!(h.l1d_usable_blocks(), map.fault_free_blocks());
     }
 

@@ -23,8 +23,7 @@ use vccmin_core::experiments::simulation::{
     FaultMapPool, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
 };
 use vccmin_core::experiments::{
-    run_governed, GovernedRunSpec, GovernorPolicy, GovernorStudy, SchemeConfig,
-    TransitionCostModel, Workload,
+    run_governed, GovernedRunSpec, GovernorPolicy, GovernorStudy, SchemeConfig, Workload,
 };
 use vccmin_core::cpu::CoreModel;
 use vccmin_core::riscv::{Cpu, RvKernel, RvTraceSource};
@@ -116,7 +115,6 @@ fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
             trace_seed: params.trace_seed(workload),
             instructions: params.instructions,
             phases: None,
-            cost: TransitionCostModel::Free,
         })
         .expect("block-disabling repairs every smoke-scale fault map");
         assert_eq!(governed.segments.len(), 1);
@@ -147,7 +145,6 @@ fn interval_governor_executes_a_riscv_kernel_across_mode_switches() {
         trace_seed: params.trace_seed(workload),
         instructions: params.instructions,
         phases: None,
-        cost: TransitionCostModel::Modeled,
     })
     .expect("block-disabling repairs every smoke-scale fault map");
     assert_eq!(run.segments.len(), 4);
