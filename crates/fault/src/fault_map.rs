@@ -10,7 +10,7 @@
 //! identical to cell-level sampling for every question the disabling schemes ask.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{gen_bool_threshold, Rng, SeedableRng};
 
 use crate::geometry::CacheGeometry;
 use crate::variation::DieVariation;
@@ -394,8 +394,8 @@ impl BlockThresholds {
             )
         };
         Self {
-            word: threshold(p_word),
-            tag: threshold(p_tag),
+            word: gen_bool_threshold(p_word),
+            tag: gen_bool_threshold(p_tag),
         }
     }
 }
@@ -415,23 +415,6 @@ fn tile_bands(die: &DieVariation, thresholds: impl Fn(f64) -> BlockThresholds) -
         .iter()
         .map(|&(fast, slow)| Band::widened(thresholds(fast), thresholds(slow)))
         .collect()
-}
-
-/// `2^53`, the number of distinct uniforms [`Rng::next_f64`] draws.
-const UNIFORMS: f64 = (1u64 << 53) as f64;
-
-/// The integer threshold `t = ceil(p * 2^53)` that decides a Bernoulli(`p`)
-/// draw in [`sample_blocks`]. `p <= 1` keeps `t <= 2^53`, an exact integer.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]` (NaN included), as `gen_bool` does.
-fn threshold(p: f64) -> u64 {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "fault probability {p} not in [0, 1]"
-    );
-    (p * UNIFORMS).ceil() as u64
 }
 
 /// How far a [`Band`] reaches past a threshold `t` it was built from: 4
@@ -526,16 +509,12 @@ fn draw_block(rng: &mut SmallRng, words: u8, band: &Band) -> (u64, bool, bool) {
 /// faults nest across voltages) structural rather than merely test-enforced.
 ///
 /// Each draw is decided by integer comparisons against its block's
-/// [`threshold`], and the decision is exactly `gen_bool`'s on the same draw.
-/// `gen_bool(p)` takes `x = next_u64() >> 11`, an integer below `2^53`, and
-/// tests `x * 2^-53 < p`. Multiplying by a power of two is exact in `f64`
-/// (no `p` in `[0, 1]` overflows or loses bits), so that test is the real
-/// inequality `x < p * 2^53`, and for an integer `x` it holds exactly when
-/// `x < ceil(p * 2^53)`. A draw decided by the band agrees with its
-/// block's threshold because the threshold lies inside the band (see
-/// [`FaultMap::generate_at_voltage`]; debug builds assert it for every
-/// block). A block with a draw inside its band replays its draws from a
-/// copy of the generator against its own thresholds. So a map is
+/// [`gen_bool_threshold`]s, and the decision is exactly `gen_bool`'s on the
+/// same draw (the argument is in that function's doc). A draw decided by the
+/// band agrees with its block's threshold because the threshold lies inside
+/// the band (see [`FaultMap::generate_at_voltage`]; debug builds assert it
+/// for every block). A block with a draw inside its band replays its draws
+/// from a copy of the generator against its own thresholds. So a map is
 /// bit-identical to one that samples every word with `gen_bool(p_word)` and
 /// every tag with `gen_bool(p_tag)`.
 fn sample_blocks(

@@ -1,7 +1,31 @@
 //! Synthetic trace generation from a benchmark profile.
+//!
+//! [`TraceGenerator`]'s `next` draws each instruction in one inlined pass. It
+//! copies the generator's [`SmallRng`] state into a local, so that the state
+//! stays in registers for the whole instruction, and writes it back once.
+//! Every Bernoulli decision compares a draw's top 53 bits with an integer
+//! threshold from [`gen_bool_threshold`], computed once per generator (per
+//! phase for the locality probabilities).
+//!
+//! The streams are the ones the float decisions of `gen_bool` and `gen::<f64>`
+//! gave, bit for bit, because each decision is unchanged on every draw:
+//!
+//! - A threshold decision is `gen_bool`'s on the same draw; the argument is in
+//!   [`gen_bool_threshold`]'s doc.
+//! - The op class is still the first cumulative mix sum `acc` with `r < acc`,
+//!   for the uniform `r` of the draw's top 53 bits. The sums are built in
+//!   `f64` in the same order, and each test is the threshold test against
+//!   `ceil(acc * 2^53)`. A sum just above 1, which validation allows, is taken
+//!   as 1: no `r` reaches either.
+//! - A static branch was random when its PC hash byte `b` had
+//!   `b as f64 / 255.0 < branch_randomness`. The division is monotone in `b`,
+//!   so the random bytes are a prefix `0..cutoff` of `0..=255`, and the cutoff
+//!   is counted once.
+//! - Everything else keeps its arithmetic: the draws' order, the `ln` of the
+//!   hot and irregular addresses, and the `%` of every `gen_range`.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{gen_bool_threshold, Rng, SeedableRng};
 
 use vccmin_cpu::{BranchInfo, BranchKind, OpClass, Reg, TraceInstruction};
 
@@ -34,6 +58,7 @@ const FP_DEST_REGS: std::ops::Range<u8> = 33..60;
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: BenchmarkProfile,
+    thresholds: Thresholds,
     rng: SmallRng,
     pc: u64,
     stream_ptr: u64,
@@ -52,6 +77,84 @@ const MEMORY_PHASE_HOT_SCALE: f64 = 0.25;
 /// raised at least to this value (large-array sweeps dominate).
 const MEMORY_PHASE_STREAMING_FLOOR: f64 = 0.75;
 
+/// Every decision threshold of one generator: a draw `x = next_u64() >> 11`
+/// decides `true` when `x < t`, exactly as `gen_bool(p)` would for the `t`
+/// that [`gen_bool_threshold`] gives for `p`.
+#[derive(Debug, Clone)]
+struct Thresholds {
+    /// The cumulative mix sums, in the order load, store, branch, integer
+    /// multiply, FP ALU, FP multiply; the rest are integer ALU ops.
+    op: [u64; 6],
+    /// A source register names a recently written value.
+    dependence: u64,
+    /// Locality in compute-bound phases: the profile verbatim.
+    compute: Locality,
+    /// Locality in memory-bound phases.
+    memory: Locality,
+    /// A static branch whose PC hash byte is below this is random.
+    random_branch_bytes: u64,
+    /// A random branch is taken (probability 0.5).
+    random_taken: u64,
+    /// A biased branch is taken (0.9).
+    biased_taken: u64,
+    /// A branch target is a loop back-edge (0.75).
+    back_edge: u64,
+    /// Any other target lands in hot code (0.85).
+    hot_call: u64,
+}
+
+/// The thresholds of a data access going to the hot region, and of a non-hot
+/// access streaming.
+#[derive(Debug, Clone, Copy)]
+struct Locality {
+    hot: u64,
+    streaming: u64,
+}
+
+impl Thresholds {
+    fn new(p: &BenchmarkProfile) -> Self {
+        let mut acc = 0.0;
+        let op = [
+            p.load_fraction,
+            p.store_fraction,
+            p.branch_fraction,
+            p.int_mul_fraction,
+            p.fp_alu_fraction,
+            p.fp_mul_fraction,
+        ]
+        .map(|fraction| {
+            acc += fraction;
+            gen_bool_threshold(f64::min(acc, 1.0))
+        });
+        let locality = |hot, streaming| Locality {
+            hot: gen_bool_threshold(hot),
+            streaming: gen_bool_threshold(streaming),
+        };
+        Self {
+            op,
+            dependence: gen_bool_threshold(p.dependence_density),
+            compute: locality(p.hot_access_probability, p.streaming_probability),
+            memory: locality(
+                p.hot_access_probability * MEMORY_PHASE_HOT_SCALE,
+                p.streaming_probability.max(MEMORY_PHASE_STREAMING_FLOOR),
+            ),
+            random_branch_bytes: (0..=255u64)
+                .filter(|&b| (b as f64 / 255.0) < p.branch_randomness)
+                .count() as u64,
+            random_taken: gen_bool_threshold(0.5),
+            biased_taken: gen_bool_threshold(0.9),
+            back_edge: gen_bool_threshold(0.75),
+            hot_call: gen_bool_threshold(0.85),
+        }
+    }
+}
+
+/// One Bernoulli draw against a [`Thresholds`] entry.
+#[inline(always)]
+fn bernoulli(rng: &mut SmallRng, threshold: u64) -> bool {
+    rng.next_u64() >> 11 < threshold
+}
+
 impl TraceGenerator {
     /// Creates a generator for `profile` seeded with `seed`.
     ///
@@ -66,6 +169,7 @@ impl TraceGenerator {
         }
         Self {
             profile: profile.clone(),
+            thresholds: Thresholds::new(profile),
             rng: SmallRng::seed_from_u64(seed),
             pc: CODE_BASE,
             stream_ptr: DATA_BASE,
@@ -126,64 +230,49 @@ impl TraceGenerator {
         self.instructions_generated
     }
 
-    fn pick_op(&mut self) -> OpClass {
-        let p = &self.profile;
-        let r: f64 = self.rng.gen();
-        let mut acc = p.load_fraction;
-        if r < acc {
-            return OpClass::Load;
-        }
-        acc += p.store_fraction;
-        if r < acc {
-            return OpClass::Store;
-        }
-        acc += p.branch_fraction;
-        if r < acc {
-            return OpClass::Branch;
-        }
-        acc += p.int_mul_fraction;
-        if r < acc {
-            return OpClass::IntMul;
-        }
-        acc += p.fp_alu_fraction;
-        if r < acc {
-            return OpClass::FpAlu;
-        }
-        acc += p.fp_mul_fraction;
-        if r < acc {
-            return OpClass::FpMul;
-        }
-        OpClass::IntAlu
-    }
-
-    /// The hot-region and streaming probabilities in effect for the next
-    /// access, after phase modulation.
-    fn locality_probabilities(&self) -> (f64, f64) {
-        let p = &self.profile;
-        match self.current_phase() {
-            WorkloadPhase::ComputeBound => (p.hot_access_probability, p.streaming_probability),
-            WorkloadPhase::MemoryBound => (
-                p.hot_access_probability * MEMORY_PHASE_HOT_SCALE,
-                p.streaming_probability.max(MEMORY_PHASE_STREAMING_FLOOR),
-            ),
+    /// A chain of comparisons, not a branch-free count of the thresholds
+    /// the draw reaches: a mispredicted class then resolves one comparison
+    /// after its draw, not after six serial ones and a table load.
+    #[inline(always)]
+    fn pick_op(&self, rng: &mut SmallRng) -> OpClass {
+        let x = rng.next_u64() >> 11;
+        let t = &self.thresholds.op;
+        if x < t[0] {
+            OpClass::Load
+        } else if x < t[1] {
+            OpClass::Store
+        } else if x < t[2] {
+            OpClass::Branch
+        } else if x < t[3] {
+            OpClass::IntMul
+        } else if x < t[4] {
+            OpClass::FpAlu
+        } else if x < t[5] {
+            OpClass::FpMul
+        } else {
+            OpClass::IntAlu
         }
     }
 
-    fn data_address(&mut self) -> u64 {
-        let (hot_probability, streaming_probability) = self.locality_probabilities();
+    #[inline(always)]
+    fn data_address(&mut self, rng: &mut SmallRng) -> u64 {
+        let locality = match self.current_phase() {
+            WorkloadPhase::ComputeBound => self.thresholds.compute,
+            WorkloadPhase::MemoryBound => self.thresholds.memory,
+        };
         let p = &self.profile;
-        if self.rng.gen_bool(hot_probability) {
+        if bernoulli(rng, locality.hot) {
             // Hot region: reuse is strongly skewed towards the start of the region
             // (stack frames, hot globals, recently allocated objects), modeled with a
             // truncated exponential over the region. The head of the region is reused
             // at very short distances and stays cache resident; the tail provides the
             // capacity sensitivity that the disabling schemes expose.
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             let depth = (-u.ln() / 3.0).min(1.0);
             let hot_words = p.hot_data_bytes / 8;
             let word = ((depth * hot_words as f64) as u64).min(hot_words - 1);
             HOT_BASE + word * 8
-        } else if self.rng.gen_bool(streaming_probability) {
+        } else if bernoulli(rng, locality.streaming) {
             // Streaming: march through the working set one block at a time.
             self.stream_ptr += 64;
             if self.stream_ptr >= DATA_BASE + p.data_working_set_bytes {
@@ -195,7 +284,7 @@ impl TraceGenerator {
             // a strong recency/frequency bias, not uniformly). A truncated exponential
             // keeps most irregular accesses within a cacheable fraction of the set
             // while its tail still sweeps the whole footprint.
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             let depth = (-u.ln() / 2.0).min(1.0);
             let ws_words = p.data_working_set_bytes / 8;
             let word = ((depth * ws_words as f64) as u64).min(ws_words - 1);
@@ -225,11 +314,16 @@ impl TraceGenerator {
         }
     }
 
-    fn pick_src(&mut self, fp: bool) -> Option<Reg> {
-        if self.rng.gen_bool(self.profile.dependence_density) {
+    #[inline(always)]
+    fn pick_src(&self, rng: &mut SmallRng, fp: bool) -> Option<Reg> {
+        if bernoulli(rng, self.thresholds.dependence) {
             // Depend on a recently produced value.
-            let idx = self.rng.gen_range(0..4);
-            Some(if fp { self.recent_fp[idx] } else { self.recent_int[idx] })
+            let idx = rng.gen_range(0..4);
+            Some(if fp {
+                self.recent_fp[idx]
+            } else {
+                self.recent_int[idx]
+            })
         } else {
             // Registers 30/62 are never allocated as destinations, so naming them
             // creates no dependence.
@@ -237,30 +331,35 @@ impl TraceGenerator {
         }
     }
 
-    fn branch_info(&mut self, pc: u64) -> (BranchInfo, u64) {
+    #[inline(always)]
+    fn branch_info(&self, rng: &mut SmallRng, pc: u64) -> (BranchInfo, u64) {
+        let t = &self.thresholds;
         // A static branch (identified by its PC) is either strongly biased or
         // essentially random, per the profile's randomness fraction.
         let hash = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-        let is_random = (hash & 0xff) as f64 / 255.0 < self.profile.branch_randomness;
-        let taken = if is_random {
-            self.rng.gen_bool(0.5)
-        } else {
-            // Strongly biased: taken ~90% of the time (loop back-edges).
-            self.rng.gen_bool(0.9)
-        };
+        let is_random = hash & 0xff < t.random_branch_bytes;
+        // A biased branch is taken ~90% of the time (loop back-edges).
+        let taken = bernoulli(
+            rng,
+            if is_random {
+                t.random_taken
+            } else {
+                t.biased_taken
+            },
+        );
         let code_end = CODE_BASE + self.profile.code_bytes;
-        let target = if self.rng.gen_bool(0.75) {
+        let target = if bernoulli(rng, t.back_edge) {
             // Loop back-edge: jump backwards by a bounded distance.
-            let back = self.rng.gen_range(16..2048).min(pc - CODE_BASE + 4);
+            let back = rng.gen_range(16..2048).min(pc - CODE_BASE + 4);
             pc - back + 4
-        } else if self.rng.gen_bool(0.85) {
+        } else if bernoulli(rng, t.hot_call) {
             // Call into hot code: most dynamic control transfers land in a small set
             // of hot functions (the 90/10 rule), here the first 8 KB of the region.
             let hot_code = self.profile.code_bytes.min(8 * 1024);
-            CODE_BASE + self.rng.gen_range(0..hot_code / 4) * 4
+            CODE_BASE + rng.gen_range(0..hot_code / 4) * 4
         } else {
             // Cold cross-function jump anywhere in the footprint.
-            CODE_BASE + self.rng.gen_range(0..self.profile.code_bytes / 4) * 4
+            CODE_BASE + rng.gen_range(0..self.profile.code_bytes / 4) * 4
         };
         let target = target.clamp(CODE_BASE, code_end - 4);
         let next_pc = if taken { target } else { pc + 4 };
@@ -279,13 +378,16 @@ impl Iterator for TraceGenerator {
     type Item = TraceInstruction;
 
     fn next(&mut self) -> Option<Self::Item> {
+        // The helpers take this local copy of the generator state, so it can
+        // stay in registers for the whole instruction.
+        let mut rng = self.rng.clone();
         let pc = self.pc;
         let code_end = CODE_BASE + self.profile.code_bytes;
-        let op = self.pick_op();
+        let op = self.pick_op(&mut rng);
         let instr = match op {
             OpClass::Load => {
-                let addr = self.data_address();
-                let addr_src = self.pick_src(false);
+                let addr = self.data_address(&mut rng);
+                let addr_src = self.pick_src(&mut rng, false);
                 let dest = self.alloc_dest(false);
                 self.pc = pc + 4;
                 TraceInstruction {
@@ -298,8 +400,8 @@ impl Iterator for TraceGenerator {
                 }
             }
             OpClass::Store => {
-                let addr = self.data_address();
-                let value_src = self.pick_src(false);
+                let addr = self.data_address(&mut rng);
+                let value_src = self.pick_src(&mut rng, false);
                 self.pc = pc + 4;
                 TraceInstruction {
                     pc,
@@ -311,8 +413,8 @@ impl Iterator for TraceGenerator {
                 }
             }
             OpClass::Branch => {
-                let src = self.pick_src(false);
-                let (info, next_pc) = self.branch_info(pc);
+                let src = self.pick_src(&mut rng, false);
+                let (info, next_pc) = self.branch_info(&mut rng, pc);
                 self.pc = next_pc;
                 TraceInstruction {
                     pc,
@@ -324,8 +426,8 @@ impl Iterator for TraceGenerator {
                 }
             }
             OpClass::IntAlu | OpClass::IntMul => {
-                let a = self.pick_src(false);
-                let b = self.pick_src(false);
+                let a = self.pick_src(&mut rng, false);
+                let b = self.pick_src(&mut rng, false);
                 let dest = self.alloc_dest(false);
                 self.pc = pc + 4;
                 TraceInstruction {
@@ -338,8 +440,8 @@ impl Iterator for TraceGenerator {
                 }
             }
             OpClass::FpAlu | OpClass::FpMul => {
-                let a = self.pick_src(true);
-                let b = self.pick_src(true);
+                let a = self.pick_src(&mut rng, true);
+                let b = self.pick_src(&mut rng, true);
                 let dest = self.alloc_dest(true);
                 self.pc = pc + 4;
                 TraceInstruction {
@@ -352,6 +454,7 @@ impl Iterator for TraceGenerator {
                 }
             }
         };
+        self.rng = rng;
         // Wrap the program counter at the end of the code region (the outermost loop).
         if self.pc >= code_end {
             self.pc = CODE_BASE;
@@ -368,7 +471,9 @@ mod tests {
     use std::collections::HashSet;
 
     fn generate(bench: Benchmark, n: usize, seed: u64) -> Vec<TraceInstruction> {
-        TraceGenerator::new(&bench.profile(), seed).take(n).collect()
+        TraceGenerator::new(&bench.profile(), seed)
+            .take(n)
+            .collect()
     }
 
     #[test]
@@ -388,8 +493,14 @@ mod tests {
         let loads = trace.iter().filter(|i| i.op == OpClass::Load).count() as f64 / n as f64;
         let stores = trace.iter().filter(|i| i.op == OpClass::Store).count() as f64 / n as f64;
         let branches = trace.iter().filter(|i| i.op == OpClass::Branch).count() as f64 / n as f64;
-        assert!((loads - profile.load_fraction).abs() < 0.01, "loads {loads}");
-        assert!((stores - profile.store_fraction).abs() < 0.01, "stores {stores}");
+        assert!(
+            (loads - profile.load_fraction).abs() < 0.01,
+            "loads {loads}"
+        );
+        assert!(
+            (stores - profile.store_fraction).abs() < 0.01,
+            "stores {stores}"
+        );
         assert!(
             (branches - profile.branch_fraction).abs() < 0.01,
             "branches {branches}"
@@ -468,7 +579,11 @@ mod tests {
         let trace = generate(Benchmark::Vpr, 20_000, 9);
         for pair in trace.windows(2) {
             if let Some(branch) = &pair[0].branch {
-                let expected = if branch.taken { branch.target } else { pair[0].pc + 4 };
+                let expected = if branch.taken {
+                    branch.target
+                } else {
+                    pair[0].pc + 4
+                };
                 // The next PC may have wrapped at the end of the code region.
                 let profile = Benchmark::Vpr.profile();
                 let wrapped = if expected >= CODE_BASE + profile.code_bytes {
@@ -508,7 +623,10 @@ mod tests {
         )
         .take(20_000)
         .collect();
-        assert_eq!(plain, phased, "compute phases must apply the profile verbatim");
+        assert_eq!(
+            plain, phased,
+            "compute phases must apply the profile verbatim"
+        );
     }
 
     #[test]

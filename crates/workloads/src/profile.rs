@@ -91,7 +91,14 @@ impl BenchmarkProfile {
                 self.name
             ));
         }
-        if self.hot_data_bytes == 0 || self.data_working_set_bytes < self.hot_data_bytes {
+        // Addresses are drawn as 8-byte words, so each region needs one.
+        if self.hot_data_bytes < 8 {
+            return Err(format!(
+                "hot region of {} bytes is smaller than one 8-byte word",
+                self.hot_data_bytes
+            ));
+        }
+        if self.data_working_set_bytes < self.hot_data_bytes {
             return Err("data working set must contain the hot region".into());
         }
         if self.code_bytes < 256 {
@@ -157,6 +164,26 @@ mod tests {
         let mut p = sample();
         p.hot_data_bytes = 0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn hot_region_smaller_than_one_word_is_rejected() {
+        for bytes in 1..8 {
+            let mut p = sample();
+            p.hot_data_bytes = bytes;
+            let err = p.validate().unwrap_err();
+            assert!(
+                err.contains("smaller than one 8-byte word"),
+                "{bytes}: {err}"
+            );
+            // A working set of the same size is then smaller than a word too.
+            p.data_working_set_bytes = bytes;
+            assert!(p.validate().is_err());
+        }
+        let mut p = sample();
+        p.hot_data_bytes = 8;
+        p.data_working_set_bytes = 8;
+        assert!(p.validate().is_ok());
     }
 
     #[test]
