@@ -650,6 +650,17 @@ impl CacheHierarchy {
     pub fn l2_hit_latency(&self) -> u32 {
         self.l2_hit_latency
     }
+
+    /// The longest latency one access can take, in cycles: the L1 hit
+    /// latency every access pays first, then the longer of a victim-cache hit
+    /// and a miss through the L2 (with its scheme's overhead) to memory. No
+    /// [`AccessResult::latency`] exceeds it, and a cold miss takes exactly
+    /// this long in every configuration of the paper.
+    #[must_use]
+    pub fn worst_access_latency(&self) -> u32 {
+        let beyond_l1 = self.l2_hit_latency + self.config.memory_latency;
+        self.l1d.hit_latency + beyond_l1.max(self.l1d.victim_latency)
+    }
 }
 
 /// Test only: the resolver against a frozen port of the code it replaced.
@@ -1048,5 +1059,62 @@ mod tests {
         assert_eq!(first.level, HitLevel::Memory);
         let second = h.access_data(0x40, false);
         assert_eq!(second.level, HitLevel::Victim);
+    }
+
+    #[test]
+    fn worst_access_latency_bounds_every_access_and_a_cold_miss_meets_it() {
+        // A pfail low enough that every scheme repairs every array.
+        let l1_geom = CacheGeometry::ispass2010_l1();
+        let mi = FaultMap::generate(&l1_geom, 0.0001, 1);
+        let md = FaultMap::generate(&l1_geom, 0.0001, 2);
+        let m2 = FaultMap::generate(&CacheGeometry::ispass2010_l2(), 0.0001, 3);
+        for scheme in DisablingScheme::ALL {
+            for l2_scheme in DisablingScheme::ALL {
+                for voltage in [VoltageMode::High, VoltageMode::Low] {
+                    for victim in [None, Some(VictimCacheConfig::ispass2010_10t())] {
+                        let mut cfg =
+                            HierarchyConfig::ispass2010(scheme, voltage).with_l2_scheme(l2_scheme);
+                        cfg.l1.victim = victim;
+                        let label =
+                            format!("{scheme:?} L1, {l2_scheme:?} L2, {voltage:?}, {victim:?}");
+                        let mut h = CacheHierarchy::with_all_fault_maps(
+                            cfg,
+                            Some(&mi),
+                            Some(&md),
+                            Some(&m2),
+                        )
+                        .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                        let worst = h.worst_access_latency();
+                        assert_eq!(
+                            worst,
+                            h.l1_hit_latency() + h.l2_hit_latency() + cfg.memory_latency,
+                            "{label}"
+                        );
+                        let cold = h.access_data(0x40_0000, false);
+                        assert_eq!(
+                            (cold.level, cold.latency),
+                            (HitLevel::Memory, worst),
+                            "{label}"
+                        );
+                        for i in 0..4_000u64 {
+                            // One L1 set: a cold sweep to memory, blocks that fit
+                            // the set, and blocks that conflict out to the victim
+                            // cache and the L2.
+                            let addr = match i % 3 {
+                                0 => i * 4096,
+                                1 => (i % 7) * 4096,
+                                _ => (i % 40) * 4096,
+                            };
+                            let r = if i % 2 == 0 {
+                                h.access_data(addr, i % 4 == 0)
+                            } else {
+                                h.access_instr(addr)
+                            };
+                            assert!(r.latency <= worst, "{label}: {r:?} over {worst}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -388,21 +388,6 @@ impl SetAssocCache {
         hit != 0
     }
 
-    /// Invalidates the block containing `addr` if present, returning whether it was
-    /// present and dirty.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.decompose(addr);
-        let base = set * self.assoc;
-        let meta = self.meta[set];
-        let hit = match_mask(&self.tags[base..base + self.assoc], tag) & meta.valid & meta.usable;
-        if hit == 0 {
-            return None;
-        }
-        let bit = hit & hit.wrapping_neg();
-        self.meta[set].valid &= !bit;
-        Some(meta.dirty & bit != 0)
-    }
-
     /// Number of valid blocks currently resident.
     #[must_use]
     pub fn resident_blocks(&self) -> u64 {
@@ -535,15 +520,6 @@ mod tests {
         let out = c.access(addr(0, 3), false);
         assert_eq!(out.evicted, Some(a));
         assert!(out.evicted_dirty, "the write-back made the block dirty");
-    }
-
-    #[test]
-    fn invalidate_removes_block() {
-        let mut c = small_cache();
-        c.access(0x1000, true);
-        assert_eq!(c.invalidate(0x1000), Some(true));
-        assert!(!c.probe(0x1000));
-        assert_eq!(c.invalidate(0x1000), None);
     }
 
     #[test]

@@ -67,13 +67,11 @@ impl InOrderCore {
     /// Worst-case cycles to drain the core before a voltage-mode transition:
     /// the shallow in-order bound — flush the front end, let the one in-flight
     /// instruction complete, including one access that missed all the way to
-    /// memory. There is no reorder buffer to retire, so this is far below the
-    /// out-of-order bound.
+    /// memory ([`CacheHierarchy::worst_access_latency`]). There is no reorder
+    /// buffer to retire, so this is far below the out-of-order bound.
     #[must_use]
     pub fn drain_cycles(&self) -> u64 {
-        let worst_memory_access = u64::from(
-            self.hierarchy.l2_hit_latency() + self.hierarchy.config().memory_latency,
-        );
+        let worst_memory_access = u64::from(self.hierarchy.worst_access_latency());
         u64::from(self.config.front_end_depth) + 1 + worst_memory_access
     }
 
@@ -376,8 +374,9 @@ mod tests {
     #[test]
     fn drain_cycles_use_the_shallow_in_order_bound() {
         let core = scalar_core();
-        // front_end_depth (10) + in-flight instruction (1) + L2 (20) + memory (255).
-        assert_eq!(core.drain_cycles(), 10 + 1 + 20 + 255);
+        // front_end_depth (10) + in-flight instruction (1) + L1 (3) + L2 (20) +
+        // memory (255).
+        assert_eq!(core.drain_cycles(), 10 + 1 + 3 + 20 + 255);
         let low = InOrderCore::new(
             CpuConfig::ispass2010(),
             CacheHierarchy::new(HierarchyConfig::ispass2010(

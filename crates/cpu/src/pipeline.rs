@@ -481,7 +481,8 @@ impl Pipeline {
     /// Worst-case cycles to drain the machine before a voltage-mode transition:
     /// stop fetching, let every in-flight instruction (up to a full ROB,
     /// retiring `commit_width` per cycle) complete — including one outstanding
-    /// access that missed all the way to memory — and discard the front-end
+    /// access that missed all the way to memory
+    /// ([`CacheHierarchy::worst_access_latency`]) — and discard the front-end
     /// stages. This is the pipeline-side component of a governor's transition
     /// cost; the cache-side component is
     /// [`RepairScheme::reconfiguration_cycles`](vccmin_cache::RepairScheme::reconfiguration_cycles).
@@ -489,12 +490,10 @@ impl Pipeline {
     pub fn drain_cycles(&self) -> u64 {
         let cfg = &self.config;
         let rob_drain = (cfg.rob_entries as u64).div_ceil(u64::from(cfg.commit_width.max(1)));
-        // The L2 hit latency includes any repair-scheme overhead, so a
-        // repair-protected L2 stretches the drain bound like it stretches the
+        // The worst access includes every repair-scheme overhead, so a
+        // repaired cache stretches the drain bound like it stretches the
         // in-flight accesses it covers.
-        let worst_memory_access = u64::from(
-            self.hierarchy.l2_hit_latency() + self.hierarchy.config().memory_latency,
-        );
+        let worst_memory_access = u64::from(self.hierarchy.worst_access_latency());
         u64::from(cfg.front_end_depth) + rob_drain + worst_memory_access
     }
 
@@ -1016,8 +1015,9 @@ mod tests {
     #[test]
     fn drain_cycles_cover_rob_front_end_and_one_memory_round_trip() {
         let p = baseline_pipeline();
-        // front_end_depth (10) + rob/commit (128/4 = 32) + L2 (20) + memory (255).
-        assert_eq!(p.drain_cycles(), 10 + 32 + 20 + 255);
+        // front_end_depth (10) + rob/commit (128/4 = 32) + L1 (3) + L2 (20) +
+        // memory (255).
+        assert_eq!(p.drain_cycles(), 10 + 32 + 3 + 20 + 255);
         // At low voltage memory is closer in cycles, so the drain bound shrinks.
         let low = Pipeline::new(
             CpuConfig::ispass2010(),

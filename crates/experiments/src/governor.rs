@@ -467,10 +467,13 @@ mod tests {
         let pair = maps(0.001, 9);
         let run = run_governed(&spec(&policy, Some(&pair), None)).unwrap();
         assert_eq!(run.transitions, 1);
-        // Exiting nominal mode: front end (10) + ROB (32) + L2 (20) + memory at
-        // high voltage (255) + block-disabling reconfiguration of both L1s
-        // (64 sets each).
-        assert_eq!(run.transition_cycles_nominal, 10 + 32 + 20 + 255 + 2 * 64);
+        // Exiting nominal mode: front end (10) + ROB (32) + L1 (3) + L2 (20) +
+        // memory at high voltage (255) + block-disabling reconfiguration of
+        // both L1s (64 sets each).
+        assert_eq!(
+            run.transition_cycles_nominal,
+            10 + 32 + 3 + 20 + 255 + 2 * 64
+        );
         assert_eq!(run.transition_cycles_low, 0);
     }
 
@@ -491,7 +494,10 @@ mod tests {
         assert_eq!(run.transitions, 1);
         // The perfect-L2 cost of `modeled_cost_combines_drain_and_reconfiguration`
         // plus one reconfiguration step per L2 set (4096 sets, block-disabling).
-        assert_eq!(run.transition_cycles_nominal, 10 + 32 + 20 + 255 + 2 * 64 + 4096);
+        assert_eq!(
+            run.transition_cycles_nominal,
+            10 + 32 + 3 + 20 + 255 + 2 * 64 + 4096
+        );
         // A fault-dependent L2 scheme without a map cannot enter low voltage.
         let no_l2_map = GovernedRunSpec {
             l2_scheme: DisablingScheme::BlockDisabling,

@@ -9,7 +9,7 @@ pub enum Rule {
     /// D1: no `HashMap`/`HashSet` in non-test code (iteration order is
     /// nondeterministic; use `BTreeMap`/`BTreeSet` or sort explicitly).
     UnorderedContainer,
-    /// D2: no ambient entropy or wall-clock reads outside the bench crate
+    /// D2: no ambient entropy or wall-clock reads outside `benches/`
     /// (`thread_rng`, `from_entropy`, `SystemTime::now`, `Instant::now`).
     AmbientEntropy,
     /// D3: no floating-point `reduce`/`fold`/`sum`/`product` directly on a

@@ -10,7 +10,7 @@
 //! | Rule | Name | Invariant |
 //! |------|------|-----------|
 //! | D1 | `unordered-container` | no `HashMap`/`HashSet` in non-test code |
-//! | D2 | `ambient-entropy` | no `thread_rng`/`from_entropy`/`SystemTime::now`/`Instant::now` outside bench |
+//! | D2 | `ambient-entropy` | no `thread_rng`/`from_entropy`/`SystemTime::now`/`Instant::now` outside `benches/` |
 //! | D3 | `unordered-reduction` | no FP `reduce`/`fold`/`sum` directly on a rayon iterator |
 //! | D4 | `lossy-counter-cast` | no narrowing `as` casts in `cache`/`cpu`/`experiments` accounting paths |
 //! | D5 | `panic-path` | no `unwrap()`/`expect()`/`panic!` in library crates outside tests and `bin/` |
@@ -150,7 +150,7 @@ mod tests {
     fn d2_everywhere_but_bench() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(rules_of(&lint("crates/x/src/lib.rs", src)), [Rule::AmbientEntropy]);
-        assert!(lint("crates/bench/benches/b.rs", src).is_empty());
+        assert!(lint("crates/cache/benches/hierarchy.rs", src).is_empty());
         // Instant as a type (no ::now) is fine.
         assert!(lint("crates/x/src/lib.rs", "fn g(t: Instant) {}\n").is_empty());
         assert_eq!(

@@ -93,7 +93,7 @@ fn unordered_container(ctx: &RuleContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// D2: ambient entropy / wall-clock reads outside the bench harness.
+/// D2: ambient entropy / wall-clock reads outside `benches/`.
 fn ambient_entropy(ctx: &RuleContext<'_>, out: &mut Vec<Diagnostic>) {
     if ctx.class == FileClass::Bench {
         return;

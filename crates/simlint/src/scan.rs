@@ -5,8 +5,8 @@ use crate::diag::Rule;
 use crate::tokens::{Tok, TokKind};
 
 /// What kind of source file a path denotes. Rules apply per class: test code
-/// may panic and use unordered containers, the bench harness may read the
-/// wall clock, library code gets the full rule set.
+/// may panic and use unordered containers, benches may read the wall clock,
+/// library code gets the full rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// A library source file (`crates/*/src/**`, excluding `bin/`).
@@ -15,7 +15,7 @@ pub enum FileClass {
     Bin,
     /// Test code (any path with a `tests` component).
     Test,
-    /// The criterion bench harness (`benches/**` or the `crates/bench` crate).
+    /// A bench target (any path with a `benches` component).
     Bench,
     /// Example code (any path with an `examples` component).
     Example,
@@ -27,7 +27,7 @@ pub fn classify(path: &str) -> FileClass {
     let components: Vec<&str> = path.split('/').collect();
     let has = |name: &str| components.contains(&name);
     let file_name = components.last().copied().unwrap_or_default();
-    if has("benches") || path.contains("crates/bench/") {
+    if has("benches") {
         FileClass::Bench
     } else if has("tests") {
         FileClass::Test
@@ -275,8 +275,7 @@ mod tests {
         assert_eq!(classify("crates/simlint/src/main.rs"), FileClass::Bin);
         assert_eq!(classify("tests/tests/golden_figures.rs"), FileClass::Test);
         assert_eq!(classify("tests/src/lib.rs"), FileClass::Test);
-        assert_eq!(classify("crates/bench/src/lib.rs"), FileClass::Bench);
-        assert_eq!(classify("crates/bench/benches/hierarchy.rs"), FileClass::Bench);
+        assert_eq!(classify("crates/cache/benches/hierarchy.rs"), FileClass::Bench);
         assert_eq!(classify("examples/examples/quickstart.rs"), FileClass::Example);
         assert_eq!(classify("examples/src/lib.rs"), FileClass::Example);
     }

@@ -213,10 +213,13 @@ fn interval_governor_switches_modes_on_the_in_order_core() {
     assert_eq!(run.instructions(), 8_000);
     // The one modeled transition (exiting nominal mode) drains the in-order
     // core's shallow window: front end (10) + one in-flight instruction (1) +
-    // L2 (20) + memory at high voltage (255), plus block-disabling
+    // L1 (3) + L2 (20) + memory at high voltage (255), plus block-disabling
     // reconfiguration of both 64-set L1s — cheaper than the out-of-order
     // core's ROB drain, which the governor unit tests pin at
-    // 10 + 32 + 20 + 255 + 2 * 64.
-    assert_eq!(run.transition_cycles_nominal, 10 + 1 + 20 + 255 + 2 * 64);
+    // 10 + 32 + 3 + 20 + 255 + 2 * 64.
+    assert_eq!(
+        run.transition_cycles_nominal,
+        10 + 1 + 3 + 20 + 255 + 2 * 64
+    );
     assert_eq!(run.transition_cycles_low, 0);
 }

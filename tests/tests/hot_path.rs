@@ -196,20 +196,6 @@ impl RefCache {
         false
     }
 
-    fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let set = self.geometry.set_of(addr);
-        let tag = self.geometry.tag_of(addr);
-        for w in 0..self.geometry.associativity() {
-            let i = self.idx(set, w);
-            let way = &mut self.ways[i];
-            if way.usable && way.valid && way.tag == tag {
-                way.valid = false;
-                return Some(way.dirty);
-            }
-        }
-        None
-    }
-
     fn probe(&self, addr: u64) -> bool {
         let set = self.geometry.set_of(addr);
         let tag = self.geometry.tag_of(addr);
@@ -425,7 +411,6 @@ fn soa_cache_matches_the_scalar_reference_for_every_scheme_organization() {
                     }
                     6 => match i % 3 {
                         0 => assert_eq!(cache.mark_dirty(addr), reference.mark_dirty(addr)),
-                        1 => assert_eq!(cache.invalidate(addr), reference.invalidate(addr)),
                         _ => assert_eq!(cache.probe(addr), reference.probe(addr)),
                     },
                     _ => {
@@ -545,7 +530,6 @@ enum CacheOp {
     Access(u64, bool),
     Insert(u64, bool),
     MarkDirty(u64),
-    Invalidate(u64),
     Probe(u64),
 }
 
@@ -555,7 +539,6 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         0..=3 => CacheOp::Access(addr, flag),
         4 => CacheOp::Insert(addr, flag),
         5 => CacheOp::MarkDirty(addr),
-        6 => CacheOp::Invalidate(addr),
         _ => CacheOp::Probe(addr),
     })
 }
@@ -589,7 +572,6 @@ proptest! {
                 CacheOp::Access(a, w) => prop_assert_eq!(cache.access(a, w), reference.access(a, w)),
                 CacheOp::Insert(a, d) => prop_assert_eq!(cache.insert(a, d), reference.insert(a, d)),
                 CacheOp::MarkDirty(a) => prop_assert_eq!(cache.mark_dirty(a), reference.mark_dirty(a)),
-                CacheOp::Invalidate(a) => prop_assert_eq!(cache.invalidate(a), reference.invalidate(a)),
                 CacheOp::Probe(a) => prop_assert_eq!(cache.probe(a), reference.probe(a)),
             }
         }
