@@ -2,18 +2,23 @@
 //!
 //! # Hot-path layout
 //!
-//! The cache is stored structure-of-arrays: one dense `Vec<u64>` of tags and one
-//! of LRU timestamps (indexed `set * associativity + way`), plus one packed
+//! The cache is stored structure-of-arrays: one dense row of tags and one
+//! `Vec<u8>` of recency ranks (indexed `set * associativity + way`), plus one packed
 //! [`SetMeta`] record per set holding the `valid`, `dirty` and `usable` way
 //! bitsets (bit `w` describes way `w`). Packing the three bitsets into one
 //! 24-byte record means a lookup touches a single metadata cache line per set
 //! instead of three scattered ones.
 //!
+//! Tags are stored in 32 bits while every tag the cache has held fits, as
+//! the tag of every address below `2^(32 + offset + index bits)` does: an
+//! 8-way set's tags then fill half a host cache line, and the 2 MB L2's tag
+//! row takes 128 KB instead of 256 KB. The first fill of a wider tag widens
+//! the whole row to 64 bits, so the stored tags are always exact.
+//!
 //! The scans themselves are *branchless*: the hit scan compares every tag in
 //! the set with a fixed trip count and accumulates a match bitmask (no
-//! data-dependent early exit for the branch predictor to miss), and victim
-//! selection reduces the LRU row with a conditional-move minimum where
-//! non-live ways carry a key above any possible clock value. The only
+//! data-dependent early exit for the branch predictor to miss), and an
+//! eviction finds its victim by rank (see below) without a scan. The only
 //! unpredictable branch left on the hot path is the hit/miss decision itself.
 //!
 //! Address decomposition (set index, tag) is done with shift/mask constants
@@ -25,15 +30,25 @@
 //! [`SetAssocCache::with_disabled_ways`], so `access()` never consults the
 //! scheme or the mask again.
 //!
-//! # LRU clock width
+//! # Recency ranks
 //!
-//! The recency clock is a `u64` advanced on every access. A `u32` clock (the
-//! historical layout) wraps after 2^32 accesses, at which point every
-//! `lru < lru` comparison inverts and the MRU block becomes the eviction
-//! victim; a `u64` clock cannot wrap on any realistic campaign (2^64 accesses
-//! at one access per nanosecond is ~585 years). Invalid ways are never
-//! compared — victim selection keys them above every live way — so no
-//! sentinel LRU value exists to collide with a live clock.
+//! Each way holds a `u8` recency rank, 0 for the most recently used way of
+//! its set. A touch moves the way to rank 0 and moves every way ranked before
+//! it one rank back, so each set's ranks stay a permutation of
+//! `0..associativity`. A way becomes valid only through a fill, which touches
+//! it, and nothing invalidates a way again. So the valid ways always hold
+//! ranks `0..valid`: a fill into an invalid way moves every valid way one rank
+//! back and puts the new block in front. The least recently used block is
+//! therefore the way ranked `valid - 1`, the block a per-access timestamp
+//! would pick, since live timestamps are distinct and ordered as the ranks
+//! are. The order is exact, and with no access counter nothing can wrap.
+//!
+//! A rank is stored XORed with its way's index, so a new cache's zeroed rank
+//! array is the initial ranking (way `w` at rank `w`) and costs no memory
+//! until its sets are touched. For the 8-way caches of the paper a set's
+//! eight ranks are read as one `u64`, so a touch and a victim lookup are a
+//! few word operations each (SWAR). Debug builds check the permutation
+//! invariant after every access.
 
 use vccmin_fault::CacheGeometry;
 
@@ -70,8 +85,8 @@ struct SetMeta {
 /// The 8-way case (every ISPASS-2010 cache) goes through a compile-time-sized
 /// array so the compiler fully unrolls and vectorizes the compare.
 #[inline]
-fn match_mask(tags: &[u64], tag: u64) -> u64 {
-    if let Ok(row) = <&[u64; 8]>::try_from(tags) {
+fn match_mask<T: Copy + PartialEq>(tags: &[T], tag: T) -> u64 {
+    if let Ok(row) = <&[T; 8]>::try_from(tags) {
         let mut mask = 0u64;
         for (w, &t) in row.iter().enumerate() {
             mask |= u64::from(t == tag) << w;
@@ -85,38 +100,134 @@ fn match_mask(tags: &[u64], tag: u64) -> u64 {
     mask
 }
 
-/// Index of the way with the smallest key, where a way's key is its LRU stamp
-/// plus bit 64 if the way is not in `live` — so non-live ways never win while
-/// live LRU order is preserved exactly. Strict `<` keeps the lowest index on
-/// ties, matching an ascending scan. Branchless (conditional-move minimum);
-/// the 8-way case unrolls through a compile-time-sized array.
+/// The tag of each way, indexed `set * assoc + way`: 32 bits wide until a
+/// tag that does not fit is stored (see the module docs).
+#[derive(Debug, Clone)]
+enum Tags {
+    /// Every stored tag fits in 32 bits.
+    Narrow(Vec<u32>),
+    /// Some stored tag did not fit in 32 bits.
+    Wide(Vec<u64>),
+}
+
+impl Tags {
+    /// Bitmask of the ways in `row` whose tag equals `tag`. No narrow tag
+    /// equals a tag wider than 32 bits. The wide paths stay out of line, so
+    /// the narrow one is all the access path inlines.
+    #[inline]
+    fn matches(&self, row: std::ops::Range<usize>, tag: u64) -> u64 {
+        match (self, u32::try_from(tag)) {
+            (Self::Narrow(tags), Ok(tag)) => match_mask(&tags[row], tag),
+            _ => self.matches_wide(row, tag),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn matches_wide(&self, row: std::ops::Range<usize>, tag: u64) -> u64 {
+        match self {
+            Self::Narrow(_) => 0,
+            Self::Wide(tags) => match_mask(&tags[row], tag),
+        }
+    }
+
+    /// The tag stored at `index`.
+    #[inline]
+    fn get(&self, index: usize) -> u64 {
+        match self {
+            Self::Narrow(tags) => u64::from(tags[index]),
+            Self::Wide(tags) => tags[index],
+        }
+    }
+
+    /// Stores `tag` at `index`, widening every tag first if it does not fit
+    /// in 32 bits.
+    #[inline]
+    fn set(&mut self, index: usize, tag: u64) {
+        match (&mut *self, u32::try_from(tag)) {
+            (Self::Narrow(tags), Ok(tag)) => tags[index] = tag,
+            _ => self.set_wide(index, tag),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn set_wide(&mut self, index: usize, tag: u64) {
+        if let Self::Narrow(tags) = self {
+            *self = Self::Wide(tags.iter().map(|&t| u64::from(t)).collect());
+        }
+        if let Self::Wide(tags) = self {
+            tags[index] = tag;
+        }
+    }
+}
+
+/// Each byte of a `u64` set to `byte`.
+const fn broadcast(byte: u8) -> u64 {
+    u64::from_le_bytes([byte; 8])
+}
+
+/// The high bit of each byte of a `u64`.
+const HIGH_BITS: u64 = broadcast(0x80);
+
+/// Byte `w` holds `w`: the XOR that turns a stored 8-way row into its ranks
+/// and back (see the module docs).
+const WAY_BYTES: u64 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
+
+/// The ranks of a set whose stored row is `stored`, way by way.
+fn decoded(stored: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    stored.iter().zip(0u8..).map(|(&byte, way)| byte ^ way)
+}
+
+/// The eight ranks of an 8-way set as one word, byte `w` for way `w`.
+#[inline(always)]
+fn packed(stored: &[u8]) -> Option<u64> {
+    <[u8; 8]>::try_from(stored)
+        .ok()
+        .map(|bytes| u64::from_le_bytes(bytes) ^ WAY_BYTES)
+}
+
+/// Makes `way` the most recently used way of the set whose stored ranks are
+/// `stored`: it moves to rank 0 and every way ranked before it moves one
+/// rank back. The 8-way case updates all eight ranks in one word: each rank
+/// `q` is below 8, so the byte-wise difference `0x7f + r - q` never borrows,
+/// and its high bit is set exactly where `q < r`.
 #[inline]
-fn min_live_lru(lru_row: &[u64], live: u64) -> usize {
-    #[inline(always)]
-    fn key(live: u64, stamp: u64, w: usize) -> (u128, usize) {
-        let not_live = ((live >> w) & 1) ^ 1;
-        ((u128::from(not_live) << 64) | u128::from(stamp), w)
+fn touch(stored: &mut [u8], way: usize) {
+    if let Some(word) = packed(stored) {
+        let r = (word >> (way * 8)) & 0xff;
+        let before = ((broadcast(0x7f) + r * broadcast(1) - word) & HIGH_BITS) >> 7;
+        let word = (word + before) & !(0xff << (way * 8));
+        stored.copy_from_slice(&(word ^ WAY_BYTES).to_le_bytes());
+        return;
     }
-    // Prefer the left operand on equal keys: the tree then yields the
-    // *leftmost* minimum, identical to an ascending strict-`<` scan.
-    #[inline(always)]
-    fn min2(a: (u128, usize), b: (u128, usize)) -> (u128, usize) {
-        if b.0 < a.0 { b } else { a }
+    let r = decoded(stored).nth(way).unwrap_or(0);
+    for (byte, w) in stored.iter_mut().zip(0u8..) {
+        let rank = *byte ^ w;
+        let rank = match rank.cmp(&r) {
+            std::cmp::Ordering::Less => rank + 1,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => rank,
+        };
+        *byte = rank ^ w;
     }
-    if let Ok(row) = <&[u64; 8]>::try_from(lru_row) {
-        // Pairwise tree: three dependent levels instead of a serial
-        // eight-deep conditional-move chain.
-        let m01 = min2(key(live, row[0], 0), key(live, row[1], 1));
-        let m23 = min2(key(live, row[2], 2), key(live, row[3], 3));
-        let m45 = min2(key(live, row[4], 4), key(live, row[5], 5));
-        let m67 = min2(key(live, row[6], 6), key(live, row[7], 7));
-        return min2(min2(m01, m23), min2(m45, m67)).1;
+}
+
+/// The way holding rank `rank` in a set whose ranks are a permutation. The
+/// 8-way case XORs the rank into every byte and takes the lowest zero byte:
+/// the zero-byte test can flag a byte only at or above a true zero, and the
+/// permutation has exactly one.
+#[inline]
+fn way_ranked(stored: &[u8], rank: u32) -> usize {
+    if let Some(word) = packed(stored) {
+        // A rank below 8 fills each byte without carrying into the next.
+        let x = word ^ (u64::from(rank) * broadcast(1));
+        let zero = x.wrapping_sub(broadcast(1)) & !x & HIGH_BITS;
+        return zero.trailing_zeros() as usize / 8;
     }
-    let mut best = (u128::MAX, 0usize);
-    for (w, &stamp) in lru_row.iter().enumerate() {
-        best = min2(best, key(live, stamp, w));
-    }
-    best.1
+    decoded(stored)
+        .position(|r| u32::from(r) == rank)
+        .unwrap_or(0)
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -138,13 +249,13 @@ pub struct SetAssocCache {
     set_mask: u64,
     /// Tag of each way, indexed `set * assoc + way`. Only meaningful where the
     /// set's `valid` bit is set.
-    tags: Vec<u64>,
-    /// LRU timestamp of each way (larger = more recent). Only meaningful where
-    /// the set's `valid` bit is set; never compared otherwise.
-    lru: Vec<u64>,
+    tags: Tags,
+    /// Recency rank of each way, 0 for the most recent, XORed with the way's
+    /// index (see the module docs): each set's ranks are a permutation of
+    /// `0..assoc`, and the valid ways hold `0..valid`.
+    ranks: Vec<u8>,
     /// Packed per-set `valid`/`dirty`/`usable` bitsets.
     meta: Vec<SetMeta>,
-    lru_clock: u64,
     stats: CacheStats,
 }
 
@@ -173,8 +284,8 @@ impl SetAssocCache {
             offset_bits: geometry.offset_bits(),
             tag_shift: geometry.offset_bits() + geometry.index_bits(),
             set_mask: geometry.sets() - 1,
-            tags: vec![0; sets * assoc],
-            lru: vec![0; sets * assoc],
+            tags: Tags::Narrow(vec![0; sets * assoc]),
+            ranks: vec![0; sets * assoc],
             meta: vec![
                 SetMeta {
                     valid: 0,
@@ -183,7 +294,6 @@ impl SetAssocCache {
                 };
                 sets
             ],
-            lru_clock: 0,
             stats: CacheStats::default(),
             geometry,
         }
@@ -235,15 +345,6 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// Advances the LRU clock to at least `clock` without touching any block.
-    ///
-    /// Test hook for long-horizon regression tests (e.g. positioning the clock
-    /// just below `u32::MAX` to show where a 32-bit clock would invert its LRU
-    /// order); the clock only moves forward, so recency stays monotonic.
-    pub fn fast_forward_lru_clock(&mut self, clock: u64) {
-        self.lru_clock = self.lru_clock.max(clock);
-    }
-
     /// Set index and tag of `addr`, from the cached shift/mask constants.
     #[inline]
     fn decompose(&self, addr: u64) -> (usize, u64) {
@@ -274,7 +375,7 @@ impl SetAssocCache {
         let (set, tag) = self.decompose(addr);
         let base = set * self.assoc;
         let meta = self.meta[set];
-        match_mask(&self.tags[base..base + self.assoc], tag) & meta.valid & meta.usable != 0
+        self.tags.matches(base..base + self.assoc, tag) & meta.valid & meta.usable != 0
     }
 
     /// Performs a lookup for `addr`, allocating the block on a miss.
@@ -286,8 +387,6 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
         let (set, tag) = self.decompose(addr);
         self.stats.accesses += 1;
-        self.lru_clock = self.lru_clock.wrapping_add(1);
-        let clock = self.lru_clock;
         let base = set * self.assoc;
         let meta = self.meta[set];
 
@@ -295,14 +394,15 @@ impl SetAssocCache {
         // tags are unique within a set (a block is allocated at most once), so
         // the lowest matching bit is the hit way.
         let live = meta.valid & meta.usable;
-        let hit = match_mask(&self.tags[base..base + self.assoc], tag) & live;
+        let hit = self.tags.matches(base..base + self.assoc, tag) & live;
         if hit != 0 {
-            let w = hit.trailing_zeros() as usize;
-            self.lru[base + w] = clock;
+            touch(&mut self.ranks[base..base + self.assoc], hit.trailing_zeros() as usize);
             // Fold the store's dirty bit in without a branch: the mask is
             // all-ones for a write, zero otherwise.
             self.meta[set].dirty |= hit & u64::from(write).wrapping_neg();
             self.stats.hits += 1;
+            #[cfg(debug_assertions)]
+            self.debug_check_set(set);
             return AccessOutcome {
                 hit: true,
                 evicted: None,
@@ -313,13 +413,13 @@ impl SetAssocCache {
         self.stats.misses += 1;
 
         // Fill: prefer the lowest-index invalid usable way, otherwise evict the
-        // LRU valid usable way (lowest index on ties, matching an ascending
-        // strict-less scan). A set with no usable way bypasses the fill.
+        // least recently used valid way, the one ranked last among the valid
+        // ones. A set with no usable way bypasses the fill.
         let free = meta.usable & !meta.valid;
         let victim = if free != 0 {
             free.trailing_zeros() as usize
         } else if live != 0 {
-            min_live_lru(&self.lru[base..base + self.assoc], live)
+            way_ranked(&self.ranks[base..base + self.assoc], live.count_ones() - 1)
         } else {
             self.stats.unallocated_fills += 1;
             return AccessOutcome {
@@ -333,7 +433,7 @@ impl SetAssocCache {
         let bit = 1u64 << victim;
         let was_valid = meta.valid & bit != 0;
         let evicted = if was_valid {
-            Some(self.geometry.block_address(self.tags[base + victim], set as u64))
+            Some(self.geometry.block_address(self.tags.get(base + victim), set as u64))
         } else {
             None
         };
@@ -345,11 +445,13 @@ impl SetAssocCache {
         } else {
             slot.dirty &= !bit;
         }
-        self.tags[base + victim] = tag;
-        self.lru[base + victim] = clock;
+        self.tags.set(base + victim, tag);
+        touch(&mut self.ranks[base..base + self.assoc], victim);
         if was_valid {
             self.stats.evictions += 1;
         }
+        #[cfg(debug_assertions)]
+        self.debug_check_set(set);
         AccessOutcome {
             hit: false,
             evicted,
@@ -381,7 +483,7 @@ impl SetAssocCache {
         let (set, tag) = self.decompose(addr);
         let base = set * self.assoc;
         let meta = self.meta[set];
-        let hit = match_mask(&self.tags[base..base + self.assoc], tag) & meta.valid & meta.usable;
+        let hit = self.tags.matches(base..base + self.assoc, tag) & meta.valid & meta.usable;
         // Live tags are unique, so `hit` has at most one bit; keep only the
         // lowest anyway to mirror an ascending scan exactly.
         self.meta[set].dirty |= hit & hit.wrapping_neg();
@@ -395,6 +497,32 @@ impl SetAssocCache {
             .iter()
             .map(|m| u64::from(m.valid.count_ones()))
             .sum()
+    }
+
+    /// The recency ranks of `set`, way by way.
+    #[cfg(any(test, debug_assertions))]
+    fn set_ranks(&self, set: usize) -> impl Iterator<Item = u8> + '_ {
+        decoded(&self.ranks[set * self.assoc..(set + 1) * self.assoc])
+    }
+
+    /// The rank invariant of `set`, checked in debug builds after every
+    /// access: its ranks are a permutation of `0..assoc`, and its valid ways,
+    /// all usable, hold ranks `0..valid`.
+    #[cfg(debug_assertions)]
+    fn debug_check_set(&self, set: usize) {
+        let meta = self.meta[set];
+        let valid = meta.valid.count_ones();
+        let mut seen = 0u64;
+        for (way, rank) in self.set_ranks(set).enumerate() {
+            seen |= 1 << rank;
+            debug_assert_eq!(
+                meta.valid >> way & 1 == 1,
+                u32::from(rank) < valid,
+                "set {set}: way {way} has rank {rank}, but the valid ways must hold 0..{valid}"
+            );
+        }
+        debug_assert_eq!(seen.count_ones() as usize, self.assoc, "set {set}: repeated ranks");
+        debug_assert_eq!(meta.valid & !meta.usable, 0, "set {set}: a valid way is not usable");
     }
 }
 
@@ -564,46 +692,76 @@ mod tests {
     }
 
     #[test]
-    fn lru_survives_the_u32_clock_horizon() {
-        // Position the clock so the next two accesses straddle 2^32. A 32-bit
-        // clock would wrap here and invert the recency order; the u64 clock
-        // keeps it monotonic, so eviction still picks the true LRU block.
-        let mut c = small_cache();
-        c.fast_forward_lru_clock(u64::from(u32::MAX) - 2);
-        let a = addr(0, 1);
-        let b = addr(0, 2);
-        c.access(a, false); // lru(a) = 2^32 - 2
-        c.access(b, false); // lru(b) = 2^32 - 1
-        c.access(a, false); // lru(a) = 2^32 (would be 0 under a u32 clock)
-        let out = c.access(addr(0, 3), false);
-        assert_eq!(out.evicted, Some(b), "b is the true LRU block across the horizon");
-        assert!(c.access(a, false).hit);
+    fn ranks_stay_a_permutation_with_the_valid_ways_in_front() {
+        // The 8-way SWAR path and the generic path (2 and 16 ways), each with
+        // some ways disabled, under a random stream of accesses and inserts.
+        for assoc in [2u64, 8, 16] {
+            let geom = CacheGeometry::new(16 * assoc * 64, 64, assoc, 24).unwrap();
+            let mask = WayDisableMask::from_fn(&geom, |set, way| (set * 7 + way * 3) % 5 == 0);
+            let mut c = SetAssocCache::with_disabled_ways(geom, &mask);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let a = (x % (64 * geom.blocks())) * 8;
+                if i % 5 == 0 {
+                    c.insert(a, x & 1 == 1);
+                } else {
+                    c.access(a, x & 2 == 2);
+                }
+            }
+            for set in 0..c.meta.len() {
+                let ranks: Vec<u8> = c.set_ranks(set).collect();
+                let mut sorted = ranks.clone();
+                sorted.sort_unstable();
+                assert!(sorted.iter().copied().eq(0..assoc as u8), "{assoc} ways, set {set}: {ranks:?}");
+                let meta = c.meta[set];
+                assert_eq!(meta.valid & !meta.usable, 0);
+                let valid = meta.valid.count_ones();
+                for (way, &rank) in ranks.iter().enumerate() {
+                    assert_eq!(meta.valid >> way & 1 == 1, u32::from(rank) < valid, "set {set}: {ranks:?}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn fast_forward_never_moves_the_clock_backwards() {
-        let mut c = small_cache();
-        c.access(0x1000, false);
-        c.fast_forward_lru_clock(0);
-        // The clock stayed at 1, so recency ordering is unchanged.
-        assert!(c.access(0x1000, false).hit);
-    }
-
-    #[test]
-    fn eviction_picks_a_live_way_even_at_the_clock_ceiling() {
-        // A lone live way whose LRU stamp is u64::MAX (the largest possible
-        // clock value) must still be the victim over the set's disabled ways:
-        // the victim scan keys non-live ways strictly above every clock value.
+    fn a_set_with_one_usable_way_evicts_it() {
+        // Set 0 keeps only way 1: each new block of the set evicts the last.
         let geom = CacheGeometry::new(512, 64, 2, 24).unwrap();
         let mask = WayDisableMask::from_fn(&geom, |set, way| !(set == 0 && way == 1));
         let mut c = SetAssocCache::with_disabled_ways(geom, &mask);
-        c.fast_forward_lru_clock(u64::MAX - 1);
         let a = addr(0, 1);
         let b = addr(0, 2);
-        assert!(!c.access(a, false).hit); // fills way 1, lru = u64::MAX
+        assert!(!c.access(a, true).hit);
         let out = c.access(b, false);
-        assert_eq!(out.evicted, Some(a), "the only live way is the victim");
+        assert_eq!(out.evicted, Some(a), "the only usable way is the victim");
+        assert!(out.evicted_dirty);
         assert!(!out.bypassed);
+        assert!(c.access(b, false).hit);
+        assert_eq!(c.access(a, false).evicted, Some(b));
+        assert_eq!(c.resident_blocks(), 1);
+    }
+
+    #[test]
+    fn a_tag_wider_than_32_bits_widens_the_row_and_keeps_every_block() {
+        // 4 sets of 2 ways: the tag is the address above bit 8, so `narrow`
+        // has a 32-bit tag and `wide` a 33-bit one, in the same set.
+        let mut c = small_cache();
+        let narrow = addr(1, u64::from(u32::MAX));
+        let wide = addr(1, 1 << 32);
+        assert!(!c.probe(wide));
+        assert!(!c.access(narrow, true).hit);
+        assert!(matches!(c.tags, Tags::Narrow(_)));
+        assert!(!c.access(wide, false).hit);
+        assert!(matches!(c.tags, Tags::Wide(_)));
+        assert!(c.access(narrow, false).hit, "the narrow block survives the widening");
+        assert!(c.access(wide, false).hit);
+        let out = c.access(addr(1, 7), false);
+        assert_eq!(out.evicted, Some(narrow), "the LRU block, with its full address");
+        assert!(out.evicted_dirty);
+        assert!(c.mark_dirty(wide));
     }
 
     #[test]

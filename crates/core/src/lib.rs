@@ -38,7 +38,7 @@
 //! let map_d = FaultMap::generate(&cache_geom, 0.001, 2);
 //! let config = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low);
 //! let hierarchy = CacheHierarchy::with_all_fault_maps(config, Some(&map_i), Some(&map_d), None).unwrap();
-//! let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
+//! let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy).unwrap();
 //! let mut trace = TraceGenerator::new(&Benchmark::Gzip.profile(), 42);
 //! let result = pipeline.run(&mut trace, Some(20_000));
 //! assert!(result.ipc() > 0.0);

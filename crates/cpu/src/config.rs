@@ -1,6 +1,39 @@
 //! Processor configuration (Table II of the paper).
 
+use std::fmt;
+
 use crate::instruction::OpClass;
+
+/// Why a [`CpuConfig`] cannot run a trace: a core built from it could stall
+/// forever on some instruction. [`CpuConfig::validate`] reports the first
+/// problem, and both cores refuse such a configuration when they are built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpuConfigError {
+    /// A pipeline width (fetch, decode, issue or commit) is zero.
+    ZeroWidth(&'static str),
+    /// A buffer (reorder buffer, an issue queue or the load/store queue) has
+    /// no entries.
+    NoEntries(&'static str),
+    /// No functional unit executes this operation class.
+    NoUnit(OpClass),
+    /// The gshare history length is outside `1..=24` bits.
+    HistoryBits(u32),
+}
+
+impl fmt::Display for CpuConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::ZeroWidth(stage) => write!(f, "the {stage} width is zero"),
+            Self::NoEntries(buffer) => write!(f, "the {buffer} has no entries"),
+            Self::NoUnit(op) => write!(f, "no functional unit executes {op:?} ops"),
+            Self::HistoryBits(bits) => {
+                write!(f, "gshare history must be 1 to 24 bits, got {bits}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CpuConfigError {}
 
 /// Structural parameters of the out-of-order core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +122,42 @@ impl CpuConfig {
             OpClass::Load | OpClass::Store => self.mem_ports,
         }
     }
+
+    /// Checks that a core built from this configuration can run any trace:
+    /// every width is non-zero, every buffer has an entry, every operation
+    /// class has a functional unit and the gshare history length is one the
+    /// predictor supports.
+    ///
+    /// # Errors
+    ///
+    /// The first of these that fails, as a [`CpuConfigError`].
+    pub fn validate(&self) -> Result<(), CpuConfigError> {
+        let widths = [
+            ("fetch", self.fetch_width),
+            ("decode", self.decode_width),
+            ("issue", self.issue_width),
+            ("commit", self.commit_width),
+        ];
+        if let Some((stage, _)) = widths.into_iter().find(|&(_, width)| width == 0) {
+            return Err(CpuConfigError::ZeroWidth(stage));
+        }
+        let buffers = [
+            ("reorder buffer", self.rob_entries),
+            ("integer issue queue", self.int_iq_entries),
+            ("floating-point issue queue", self.fp_iq_entries),
+            ("load/store queue", self.lsq_entries),
+        ];
+        if let Some((buffer, _)) = buffers.into_iter().find(|&(_, entries)| entries == 0) {
+            return Err(CpuConfigError::NoEntries(buffer));
+        }
+        if let Some(op) = OpClass::ALL.into_iter().find(|&op| self.units_for(op) == 0) {
+            return Err(CpuConfigError::NoUnit(op));
+        }
+        if !(1..=24).contains(&self.gshare_history_bits) {
+            return Err(CpuConfigError::HistoryBits(self.gshare_history_bits));
+        }
+        Ok(())
+    }
 }
 
 impl Default for CpuConfig {
@@ -125,6 +194,27 @@ mod tests {
         assert_eq!(c.units_for(OpClass::IntAlu), 4);
         assert_eq!(c.units_for(OpClass::FpMul), 1);
         assert_eq!(c.units_for(OpClass::Load), c.mem_ports);
+    }
+
+    #[test]
+    fn validate_accepts_the_paper_and_names_the_first_problem() {
+        let paper = CpuConfig::ispass2010();
+        assert_eq!(paper.validate(), Ok(()));
+        let cases = [
+            (CpuConfig { issue_width: 0, ..paper }, CpuConfigError::ZeroWidth("issue")),
+            (CpuConfig { rob_entries: 0, ..paper }, CpuConfigError::NoEntries("reorder buffer")),
+            (CpuConfig { lsq_entries: 0, ..paper }, CpuConfigError::NoEntries("load/store queue")),
+            (CpuConfig { fp_muls: 0, ..paper }, CpuConfigError::NoUnit(OpClass::FpMul)),
+            (CpuConfig { mem_ports: 0, ..paper }, CpuConfigError::NoUnit(OpClass::Load)),
+            (CpuConfig { gshare_history_bits: 0, ..paper }, CpuConfigError::HistoryBits(0)),
+        ];
+        for (config, error) in cases {
+            assert_eq!(config.validate(), Err(error));
+        }
+        assert_eq!(
+            CpuConfigError::NoUnit(OpClass::FpMul).to_string(),
+            "no functional unit executes FpMul ops"
+        );
     }
 
     #[test]

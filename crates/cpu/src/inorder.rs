@@ -16,44 +16,93 @@
 //! ready cycles, the blocking data cache for memory ops, and the cycle after
 //! its predecessor issued (the one issue slot per cycle). Cache accesses still
 //! happen in program order, so the hierarchy state evolution is deterministic.
+//!
+//! # Chunked runs
+//!
+//! The core keeps its run's state (the instruction count and limit, each
+//! register's ready cycle, the fetch, cache and issue-slot availability) in
+//! a [`RunState`] between calls, so a run can take its trace in slices
+//! ([`Cpu::begin`], [`Cpu::feed`], [`Cpu::finish`]). Each slice loads the
+//! state into locals, steps its instructions in one loop and stores it back.
+//! Nothing is in flight between two instructions that the state does not
+//! hold, so a run that suspends after any instruction and resumes with the
+//! next gives the result of one uninterrupted run.
 
 use vccmin_cache::CacheHierarchy;
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
-use crate::config::CpuConfig;
+use crate::config::{CpuConfig, CpuConfigError};
 use crate::core::Cpu;
-use crate::instruction::{OpClass, NUM_REGS};
+use crate::instruction::{OpClass, TraceInstruction, NUM_REGS};
 use crate::pipeline::TraceSource;
 use crate::result::SimResult;
 
-/// Reports a trace op that no functional unit of the configuration executes:
-/// the core could never issue it.
-#[cold]
-#[inline(never)]
-fn no_unit_for(op: OpClass) -> ! {
-    // simlint::allow(panic-path, "a configuration that cannot execute its trace is a caller error, documented under # Panics")
-    panic!("in-order core: no functional unit executes {op:?} ops (CpuConfig::units_for is 0)")
+/// The state of a run between two instructions.
+#[derive(Debug, Clone)]
+struct RunState {
+    /// Instructions the run may commit.
+    limit: u64,
+    committed: u64,
+    loads: u64,
+    stores: u64,
+    /// Cycle each architectural register's newest value becomes available.
+    reg_ready: [u64; NUM_REGS],
+    /// Earliest cycle the next instruction may leave the front end.
+    next_fetch: u64,
+    current_fetch_block: Option<u64>,
+    /// Blocking data cache: earliest cycle the next memory op may access it.
+    mem_free: u64,
+    /// The one issue slot per cycle: earliest cycle the next instruction may
+    /// issue.
+    issue_free: u64,
+    last_complete: u64,
+}
+
+impl RunState {
+    /// A run at cycle 0 with nothing issued: the first instruction
+    /// traverses the full front-end depth.
+    fn new(config: &CpuConfig, max_instructions: Option<u64>) -> Self {
+        Self {
+            limit: max_instructions.unwrap_or(u64::MAX),
+            committed: 0,
+            loads: 0,
+            stores: 0,
+            reg_ready: [0; NUM_REGS],
+            next_fetch: u64::from(config.front_end_depth),
+            current_fetch_block: None,
+            mem_free: 0,
+            issue_free: 0,
+            last_complete: 0,
+        }
+    }
 }
 
 /// The in-order core: shared structural configuration, branch predictor and
-/// cache hierarchy.
+/// cache hierarchy, and the state of the current run.
 #[derive(Debug)]
 pub struct InOrderCore {
     config: CpuConfig,
     hierarchy: CacheHierarchy,
     predictor: FrontEndPredictor,
+    run: RunState,
 }
 
 impl InOrderCore {
     /// Creates an in-order core with the given configuration and hierarchy.
-    #[must_use]
-    pub fn new(config: CpuConfig, hierarchy: CacheHierarchy) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A configuration that [`CpuConfig::validate`] rejects, such as one
+    /// without a functional unit for some operation class.
+    pub fn new(config: CpuConfig, hierarchy: CacheHierarchy) -> Result<Self, CpuConfigError> {
+        config.validate()?;
         let predictor = FrontEndPredictor::new(config.gshare_history_bits, config.ras_entries);
-        Self {
+        Ok(Self {
+            run: RunState::new(&config, None),
             config,
             hierarchy,
             predictor,
-        }
+        })
     }
 
     /// Resets statistics counters while preserving cache contents and
@@ -76,46 +125,40 @@ impl InOrderCore {
     }
 
     /// Simulates the trace until it is exhausted or `max_instructions` have
-    /// been committed, and returns the aggregate result.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an op of a class that no functional unit of the
-    /// configuration executes ([`CpuConfig::units_for`] is 0), naming the
-    /// class: such an op could never issue.
+    /// been committed, and returns the aggregate result ([`Cpu::run`]).
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
         max_instructions: Option<u64>,
     ) -> SimResult {
+        Cpu::run(self, trace, max_instructions)
+    }
+
+    /// Starts a run of at most `max_instructions` instructions at cycle 0
+    /// ([`Cpu::begin`]).
+    pub fn begin(&mut self, max_instructions: Option<u64>) {
+        self.run = RunState::new(&self.config, max_instructions);
+    }
+
+    /// Issues the instructions of `chunk` in program order, up to the run's
+    /// limit ([`Cpu::feed`]).
+    pub fn feed(&mut self, chunk: &[TraceInstruction]) {
         let cfg = self.config;
         // Both L1s hit in the hierarchy's one L1 hit latency.
         let l1d_hit_latency = self.hierarchy.l1_hit_latency();
         let l1i_hit_latency = l1d_hit_latency;
-        let limit = max_instructions.unwrap_or(u64::MAX);
+        let run = &mut self.run;
+        let take = run.limit.saturating_sub(run.committed).min(chunk.len() as u64) as usize;
+        let reg_ready = &mut run.reg_ready;
+        let mut loads = run.loads;
+        let mut stores = run.stores;
+        let mut next_fetch = run.next_fetch;
+        let mut current_fetch_block = run.current_fetch_block;
+        let mut mem_free = run.mem_free;
+        let mut issue_free = run.issue_free;
+        let mut last_complete = run.last_complete;
 
-        let mut committed: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        // Cycle each architectural register's newest value becomes available.
-        let mut reg_ready = [0u64; NUM_REGS];
-        // Earliest cycle the next instruction may leave the front end; the
-        // first instruction traverses the full front-end depth.
-        let mut next_fetch: u64 = u64::from(cfg.front_end_depth);
-        let mut current_fetch_block: Option<u64> = None;
-        // Blocking data cache: earliest cycle the next memory op may access it.
-        let mut mem_free: u64 = 0;
-        // The one issue slot per cycle: earliest cycle the next instruction may
-        // issue.
-        let mut issue_free: u64 = 0;
-        let mut last_complete: u64 = 0;
-
-        while committed < limit {
-            let Some(instr) = trace.next_instruction() else {
-                break;
-            };
-
+        for instr in &chunk[..take] {
             // Instruction-cache access on a fetch-block change; extra latency
             // over an L1I hit stalls the front end.
             let block = instr.pc & !63;
@@ -127,17 +170,15 @@ impl InOrderCore {
 
             // Earliest issue cycle: front end, then stall-on-use on source
             // operands, then the blocking data cache for memory ops, then the
-            // issue slot. A scalar core issues into a fresh cycle, so any
-            // class with a functional unit has one free.
+            // issue slot. A scalar core issues into a fresh cycle, and a
+            // validated configuration has a unit for every class, so one is
+            // free.
             let mut issue = next_fetch.max(issue_free);
             for src in instr.srcs.iter().flatten() {
                 issue = issue.max(reg_ready[usize::from(*src)]);
             }
             if instr.is_mem() {
                 issue = issue.max(mem_free);
-            }
-            if cfg.units_for(instr.op) == 0 {
-                no_unit_for(instr.op);
             }
             issue_free = issue + 1;
 
@@ -195,14 +236,26 @@ impl InOrderCore {
             // Program order: no later instruction issues before this one.
             next_fetch = next_fetch.max(issue);
             last_complete = last_complete.max(complete);
-            committed += 1;
         }
 
+        run.committed += take as u64;
+        run.loads = loads;
+        run.stores = stores;
+        run.next_fetch = next_fetch;
+        run.current_fetch_block = current_fetch_block;
+        run.mem_free = mem_free;
+        run.issue_free = issue_free;
+        run.last_complete = last_complete;
+    }
+
+    /// Returns the run's result ([`Cpu::finish`]): an instruction is
+    /// complete once it has issued, so nothing is left to drain.
+    pub fn finish(&mut self) -> SimResult {
         SimResult {
-            instructions: committed,
-            cycles: last_complete.max(1),
-            loads,
-            stores,
+            instructions: self.run.committed,
+            cycles: self.run.last_complete.max(1),
+            loads: self.run.loads,
+            stores: self.run.stores,
             conditional_branches: self.predictor.conditional_branches,
             branch_mispredictions: self.predictor.mispredictions,
             hierarchy: self.hierarchy.stats(),
@@ -211,8 +264,16 @@ impl InOrderCore {
 }
 
 impl Cpu for InOrderCore {
-    fn run(&mut self, trace: &mut dyn TraceSource, max_instructions: Option<u64>) -> SimResult {
-        InOrderCore::run(self, trace, max_instructions)
+    fn begin(&mut self, max_instructions: Option<u64>) {
+        InOrderCore::begin(self, max_instructions);
+    }
+
+    fn feed(&mut self, chunk: &[TraceInstruction]) {
+        InOrderCore::feed(self, chunk);
+    }
+
+    fn finish(&mut self) -> SimResult {
+        InOrderCore::finish(self)
     }
 
     fn reset_stats(&mut self) {
@@ -236,7 +297,7 @@ mod tests {
     }
 
     fn scalar_core() -> InOrderCore {
-        InOrderCore::new(CpuConfig::ispass2010(), hierarchy())
+        InOrderCore::new(CpuConfig::ispass2010(), hierarchy()).unwrap()
     }
 
     fn run(trace: Vec<TraceInstruction>) -> SimResult {
@@ -273,14 +334,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no functional unit executes FpMul ops")]
-    fn an_op_without_a_functional_unit_panics_naming_its_class() {
+    fn a_config_without_a_functional_unit_is_rejected_naming_its_class() {
         let config = CpuConfig {
             fp_muls: 0,
             ..CpuConfig::ispass2010()
         };
-        let trace = vec![TraceInstruction::alu(0x1000, OpClass::FpMul)];
-        InOrderCore::new(config, hierarchy()).run(&mut trace.into_iter(), None);
+        let error = InOrderCore::new(config, hierarchy()).unwrap_err();
+        assert_eq!(error, CpuConfigError::NoUnit(OpClass::FpMul));
+        assert_eq!(error.to_string(), "no functional unit executes FpMul ops");
     }
 
     #[test]
@@ -334,7 +395,7 @@ mod tests {
                 .collect()
         };
         let inorder = run(make());
-        let mut ooo = Pipeline::new(CpuConfig::ispass2010(), hierarchy());
+        let mut ooo = Pipeline::new(CpuConfig::ispass2010(), hierarchy()).unwrap();
         let ooo_result = ooo.run(&mut make().into_iter(), None);
         assert!(inorder.hierarchy.l1d.miss_rate() > 0.9);
         assert!(
@@ -383,7 +444,8 @@ mod tests {
                 DisablingScheme::Baseline,
                 VoltageMode::Low,
             )),
-        );
+        )
+        .unwrap();
         assert!(low.drain_cycles() < core.drain_cycles());
     }
 

@@ -31,6 +31,17 @@ pub enum OpClass {
 }
 
 impl OpClass {
+    /// Every operation class.
+    pub const ALL: [Self; 7] = [
+        Self::IntAlu,
+        Self::IntMul,
+        Self::FpAlu,
+        Self::FpMul,
+        Self::Load,
+        Self::Store,
+        Self::Branch,
+    ];
+
     /// Whether the operation executes in the floating-point cluster.
     #[must_use]
     pub fn is_fp(self) -> bool {

@@ -37,9 +37,10 @@
 //!     .map(|i| TraceInstruction::alu(0x1000 + (i % 256) * 4, OpClass::IntAlu))
 //!     .collect();
 //! let hierarchy = CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage());
-//! let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
+//! let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy)?;
 //! let result = pipeline.run(&mut trace.into_iter(), None);
 //! assert!(result.ipc() > 1.0, "independent ALU ops should sustain multi-issue IPC");
+//! # Ok::<(), vccmin_cpu::CpuConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,8 +73,8 @@ pub mod pipeline;
 pub mod result;
 
 pub use branch::{BranchPredictor, GsharePredictor, ReturnAddressStack};
-pub use config::CpuConfig;
-pub use core::{CoreModel, Cpu};
+pub use config::{CpuConfig, CpuConfigError};
+pub use core::{feed_chunks, CoreModel, Cpu, CHUNK_INSTRUCTIONS};
 pub use inorder::InOrderCore;
 pub use instruction::{BranchInfo, BranchKind, OpClass, Reg, TraceInstruction};
 pub use pipeline::{Pipeline, TraceSource};

@@ -57,15 +57,33 @@
 //! it is due. Skipped cycles still count, and no cache access moves
 //! to another cycle or order, so [`SimResult`] is exactly that of a loop that
 //! steps one cycle at a time. An idle cycle with none of the three events
-//! ahead can never be followed by progress: that is a deadlock, and the loop
-//! reports it at once.
+//! ahead can never be followed by progress: that is a deadlock, which no
+//! configuration that [`CpuConfig::validate`] accepts can reach, and the loop
+//! reports it at once as a broken invariant.
+//!
+//! # Chunked runs
+//!
+//! The pipeline keeps every structure of its run (the reorder buffer, the
+//! fetch queue, and in a `RunState` the rename table, the queue occupancies,
+//! the front-end state and the clock) between calls, so a run can take its trace
+//! in slices ([`Cpu::begin`], [`Cpu::feed`], [`Cpu::finish`]). The trace is
+//! read in one place only: the fetch stage, the last stage of a cycle. When a
+//! slice runs dry there, the run suspends mid-fetch and records how much of
+//! that cycle's fetch bandwidth it has used and whether an earlier stage of
+//! the cycle changed state. The next slice resumes the same cycle's fetch
+//! where it stopped, and [`Cpu::finish`] resumes it with the trace at its end.
+//! No other stage reads the trace and no decision looks ahead of the
+//! instruction being fetched, so every cycle does exactly what it would have
+//! done with the whole trace at hand. Each call loads the run's scalars into
+//! locals for its one loop and stores them back when it returns.
 
 use std::collections::VecDeque;
 
-use vccmin_cache::CacheHierarchy;
+use vccmin_cache::{AccessResult, CacheHierarchy};
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
-use crate::config::CpuConfig;
+use crate::config::{CpuConfig, CpuConfigError};
+use crate::core::Cpu;
 use crate::instruction::{OpClass, Reg, TraceInstruction, NUM_REGS};
 use crate::result::SimResult;
 
@@ -199,6 +217,16 @@ impl ReorderBuffer {
             wheel: Box::new([NIL; WHEEL_BUCKETS]),
             occupied: [0; WHEEL_BUCKETS / 64],
         }
+    }
+
+    /// Empties the buffer and restarts its sequence numbers at 0.
+    fn clear(&mut self) {
+        self.head = 0;
+        self.head_slot = 0;
+        self.len = 0;
+        self.ready.fill(0);
+        self.wheel.fill(NIL);
+        self.occupied = [0; WHEEL_BUCKETS / 64];
     }
 
     fn is_empty(&self) -> bool {
@@ -446,23 +474,116 @@ struct FetchedInstr {
     ready_at: u64,
 }
 
-/// The pipeline model: configuration, branch predictor and cache hierarchy.
+/// Where a run that ran out of trace stopped: in the fetch stage of its
+/// current cycle.
+#[derive(Debug, Clone, Copy)]
+struct Suspended {
+    /// Instructions the cycle has fetched so far.
+    fetched_this_cycle: u32,
+    /// Whether commit, completion, issue or dispatch changed state in the
+    /// cycle.
+    progressed: bool,
+}
+
+/// The scalar state of a run between two slices of its trace, and its
+/// rename table: with the pipeline's buffers, everything the loop of
+/// [`Pipeline::feed`] carries from one cycle to the next.
+#[derive(Debug, Clone)]
+struct RunState {
+    /// Instructions the run may fetch.
+    fetch_limit: u64,
+    cycle: u64,
+    committed: u64,
+    fetched: u64,
+    loads: u64,
+    stores: u64,
+    next_seq: u64,
+    /// An instruction taken from the trace whose fetch block has not arrived.
+    pending_fetch: Option<TraceInstruction>,
+    /// The trace has ended or the fetch limit is reached.
+    trace_done: bool,
+    /// Rename table: architectural register -> seq of the in-flight producer.
+    reg_producer: [Option<u64>; NUM_REGS],
+    int_iq: usize,
+    fp_iq: usize,
+    lsq: usize,
+    fetch_stall_until: u64,
+    waiting_branch: Option<u64>,
+    current_fetch_block: Option<u64>,
+    suspended: Option<Suspended>,
+    /// The run has drained: nothing is in flight and nothing more is fetched.
+    done: bool,
+}
+
+impl RunState {
+    /// A run at cycle 0 with an empty machine.
+    fn new(max_instructions: Option<u64>) -> Self {
+        Self {
+            fetch_limit: max_instructions.unwrap_or(u64::MAX),
+            cycle: 0,
+            committed: 0,
+            fetched: 0,
+            loads: 0,
+            stores: 0,
+            next_seq: 0,
+            pending_fetch: None,
+            trace_done: false,
+            reg_producer: [None; NUM_REGS],
+            int_iq: 0,
+            fp_iq: 0,
+            lsq: 0,
+            fetch_stall_until: 0,
+            waiting_branch: None,
+            current_fetch_block: None,
+            suspended: None,
+            done: false,
+        }
+    }
+}
+
+/// The pipeline model: configuration, branch predictor, cache hierarchy and
+/// the state of the current run.
 #[derive(Debug)]
 pub struct Pipeline {
     config: CpuConfig,
     hierarchy: CacheHierarchy,
     predictor: FrontEndPredictor,
+    rob: ReorderBuffer,
+    fetch_queue: VecDeque<FetchedInstr>,
+    /// Stores retiring in one cycle update the data cache as a single batch
+    /// (in commit order); both buffers are reused across cycles. The store
+    /// results are latency-irrelevant (retirement is off the critical path)
+    /// but the accesses themselves mutate the cache state, so they must
+    /// happen at commit, in program order.
+    store_batch: Vec<(u64, bool)>,
+    store_results: Vec<AccessResult>,
+    run: RunState,
 }
 
 impl Pipeline {
     /// Creates a pipeline with the given core configuration and cache hierarchy.
-    #[must_use]
-    pub fn new(config: CpuConfig, hierarchy: CacheHierarchy) -> Self {
-        let predictor = FrontEndPredictor::new(config.gshare_history_bits, config.ras_entries);
+    ///
+    /// # Errors
+    ///
+    /// A configuration that [`CpuConfig::validate`] rejects: one under which
+    /// some trace could never drain, such as `lsq_entries: 0` or no
+    /// functional unit for an operation class.
+    pub fn new(config: CpuConfig, hierarchy: CacheHierarchy) -> Result<Self, CpuConfigError> {
+        config.validate()?;
+        Ok(Self::assemble(config, hierarchy))
+    }
+
+    /// Builds a pipeline without validating its configuration.
+    fn assemble(config: CpuConfig, hierarchy: CacheHierarchy) -> Self {
         Self {
+            predictor: FrontEndPredictor::new(config.gshare_history_bits, config.ras_entries),
+            rob: ReorderBuffer::new(config.rob_entries),
+            fetch_queue: VecDeque::new(),
+            store_batch: Vec::with_capacity(config.commit_width as usize),
+            store_results: Vec::with_capacity(config.commit_width as usize),
+            run: RunState::new(None),
             config,
             hierarchy,
-            predictor,
         }
     }
 
@@ -498,194 +619,240 @@ impl Pipeline {
     }
 
     /// Simulates the trace until it is exhausted or `max_instructions` have been
-    /// committed, and returns the aggregate result.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a deadlock: a configuration under which the trace can never
-    /// drain, such as `lsq_entries: 0` with a memory operation in the trace, or
-    /// no functional unit for an operation class the trace uses. The panic
-    /// fires on the first idle cycle with no completion, dispatch-readiness or
-    /// fetch-stall event ahead, and names the state of the reorder-buffer head.
+    /// committed, and returns the aggregate result ([`Cpu::run`]).
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
         max_instructions: Option<u64>,
     ) -> SimResult {
+        Cpu::run(self, trace, max_instructions)
+    }
+
+    /// Starts a run that fetches at most `max_instructions` instructions, at
+    /// cycle 0 with an empty machine ([`Cpu::begin`]).
+    pub fn begin(&mut self, max_instructions: Option<u64>) {
+        self.rob.clear();
+        self.fetch_queue.clear();
+        self.run = RunState::new(max_instructions);
+    }
+
+    /// Simulates the run until it needs an instruction past `chunk`, the
+    /// next slice of its trace, or until it drains ([`Cpu::feed`]).
+    pub fn feed(&mut self, chunk: &[TraceInstruction]) {
+        self.advance(chunk, false);
+    }
+
+    /// Ends the run's trace, simulates until the machine drains and returns
+    /// the run's result ([`Cpu::finish`]).
+    pub fn finish(&mut self) -> SimResult {
+        self.advance(&[], true);
+        let run = &self.run;
+        SimResult {
+            instructions: run.committed,
+            cycles: run.cycle.max(1),
+            loads: run.loads,
+            stores: run.stores,
+            conditional_branches: self.predictor.conditional_branches,
+            branch_mispredictions: self.predictor.mispredictions,
+            hierarchy: self.hierarchy.stats(),
+        }
+    }
+
+    /// The cycle loop: runs cycles until fetch needs an instruction past
+    /// `chunk` (unless `last`, when the trace ends there) or the machine
+    /// drains.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a deadlock, an idle cycle with no completion,
+    /// dispatch-readiness or fetch-stall event ahead, naming the state of the
+    /// reorder-buffer head. A configuration that [`CpuConfig::validate`]
+    /// accepts cannot deadlock, so this guards an invariant.
+    fn advance(&mut self, chunk: &[TraceInstruction], last: bool) {
+        if self.run.done {
+            return;
+        }
         let cfg = self.config;
         let l1i_hit_latency = self.hierarchy.l1_hit_latency();
-        let fetch_limit = max_instructions.unwrap_or(u64::MAX);
-
-        let mut cycle: u64 = 0;
-        let mut committed: u64 = 0;
-        let mut fetched: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        let mut rob = ReorderBuffer::new(cfg.rob_entries);
-        let mut fetch_queue: VecDeque<FetchedInstr> = VecDeque::new();
-        let mut pending_fetch: Option<TraceInstruction> = None;
-        let mut trace_done = false;
-
-        // Rename table: architectural register -> seq of the in-flight producer.
-        let mut reg_producer: [Option<u64>; NUM_REGS] = [None; NUM_REGS];
-
-        let mut int_iq = 0usize;
-        let mut fp_iq = 0usize;
-        let mut lsq = 0usize;
-
-        let mut next_seq: u64 = 0;
-
-        // Front-end state.
-        let mut fetch_stall_until: u64 = 0;
-        let mut waiting_branch: Option<u64> = None;
-        let mut current_fetch_block: Option<u64> = None;
         // The fetch queue models every front-end stage between fetch and dispatch, so
         // it must hold front_end_depth cycles' worth of fetch bandwidth (plus slack)
         // or it would artificially throttle the pipeline.
         let fetch_buffer_capacity = (cfg.fetch_width * (cfg.front_end_depth + 4)) as usize;
+        let hierarchy = &mut self.hierarchy;
+        let predictor = &mut self.predictor;
+        let rob = &mut self.rob;
+        let fetch_queue = &mut self.fetch_queue;
+        let store_batch = &mut self.store_batch;
+        let store_results = &mut self.store_results;
+        let run = &mut self.run;
+        let reg_producer = &mut run.reg_producer;
+        let fetch_limit = run.fetch_limit;
+        let mut cycle = run.cycle;
+        let mut committed = run.committed;
+        let mut fetched = run.fetched;
+        let mut loads = run.loads;
+        let mut stores = run.stores;
+        let mut next_seq = run.next_seq;
+        let mut pending_fetch = run.pending_fetch.take();
+        let mut trace_done = run.trace_done;
+        let mut int_iq = run.int_iq;
+        let mut fp_iq = run.fp_iq;
+        let mut lsq = run.lsq;
+        let mut fetch_stall_until = run.fetch_stall_until;
+        let mut waiting_branch = run.waiting_branch;
+        let mut current_fetch_block = run.current_fetch_block;
+        let mut resume = run.suspended.take();
+        let mut next = 0;
 
-        // Stores retiring in one cycle update the data cache as a single batch
-        // (in commit order); both buffers are reused across cycles. The store
-        // results are latency-irrelevant (retirement is off the critical path)
-        // but the accesses themselves mutate the cache state, so they must
-        // happen here, in program order.
-        let mut store_batch: Vec<(u64, bool)> = Vec::with_capacity(cfg.commit_width as usize);
-        let mut store_results = Vec::with_capacity(cfg.commit_width as usize);
-
-        loop {
-            // ------------------------------------------------------------------
-            // 1. Commit: retire completed instructions in order.
-            // ------------------------------------------------------------------
-            let mut commits = 0;
-            store_batch.clear();
-            while commits < cfg.commit_width {
-                let Some((seq, head)) = rob.retire() else { break };
-                if head.op.is_mem() {
-                    lsq -= 1;
-                    if head.op == OpClass::Store {
-                        // Stores update the data cache at retirement; the access
-                        // latency is off the critical path of the pipeline.
-                        if let Some(addr) = head.mem_addr {
-                            store_batch.push((addr, true));
+        let suspended = 'cycles: loop {
+            let Suspended {
+                mut fetched_this_cycle,
+                progressed,
+            } = match resume.take() {
+                Some(suspended) => suspended,
+                None => {
+                    // ----------------------------------------------------------
+                    // 1. Commit: retire completed instructions in order.
+                    // ----------------------------------------------------------
+                    let mut commits = 0;
+                    store_batch.clear();
+                    while commits < cfg.commit_width {
+                        let Some((seq, head)) = rob.retire() else { break };
+                        if head.op.is_mem() {
+                            lsq -= 1;
+                            if head.op == OpClass::Store {
+                                // Stores update the data cache at retirement; the access
+                                // latency is off the critical path of the pipeline.
+                                if let Some(addr) = head.mem_addr {
+                                    store_batch.push((addr, true));
+                                }
+                                stores += 1;
+                            } else {
+                                loads += 1;
+                            }
                         }
-                        stores += 1;
-                    } else {
-                        loads += 1;
+                        // Clear the rename table if this instruction is still the newest
+                        // producer of its destination register.
+                        if let Some(dest) = head.dest {
+                            let producer = &mut reg_producer[dest as usize];
+                            if *producer == Some(seq) {
+                                *producer = None;
+                            }
+                        }
+                        committed += 1;
+                        commits += 1;
+                    }
+                    if !store_batch.is_empty() {
+                        store_results.clear();
+                        hierarchy.access_data_batch(store_batch, store_results);
+                    }
+
+                    // ----------------------------------------------------------
+                    // 2. Completion: finish the issued instructions due this cycle.
+                    // ----------------------------------------------------------
+                    let (completed, branch_resolved) = rob.complete_due(cycle, waiting_branch);
+                    if branch_resolved {
+                        // The mispredicted branch resolved: the front end may restart
+                        // next cycle.
+                        waiting_branch = None;
+                        fetch_stall_until = fetch_stall_until.max(cycle + 1);
+                    }
+
+                    // ----------------------------------------------------------
+                    // 3. Issue: select ready instructions, oldest first.
+                    // ----------------------------------------------------------
+                    let mut issued_this_cycle = 0u32;
+                    let mut int_alu_used = 0u32;
+                    let mut int_mul_used = 0u32;
+                    let mut fp_alu_used = 0u32;
+                    let mut fp_mul_used = 0u32;
+                    let mut mem_ports_used = 0u32;
+                    let mut age = 0;
+                    while issued_this_cycle < cfg.issue_width {
+                        let Some((slot, slot_age)) = rob.next_ready(age) else { break };
+                        age = slot_age + 1;
+                        let entry = rob.entries[slot];
+                        // Functional-unit availability.
+                        let (used, limit): (&mut u32, u32) = match entry.op {
+                            OpClass::IntAlu | OpClass::Branch => (&mut int_alu_used, cfg.int_alus),
+                            OpClass::IntMul => (&mut int_mul_used, cfg.int_muls),
+                            OpClass::FpAlu => (&mut fp_alu_used, cfg.fp_alus),
+                            OpClass::FpMul => (&mut fp_mul_used, cfg.fp_muls),
+                            OpClass::Load | OpClass::Store => (&mut mem_ports_used, cfg.mem_ports),
+                        };
+                        if *used >= limit {
+                            continue;
+                        }
+                        *used += 1;
+                        issued_this_cycle += 1;
+
+                        // Execution latency.
+                        let latency = match entry.op {
+                            OpClass::Load => {
+                                // simlint::allow(panic-path, "dispatch stores an address for every memory op before it reaches issue")
+                                let addr = entry.mem_addr.expect("loads carry an address");
+                                let access = hierarchy.access_data(addr, false);
+                                access.latency
+                            }
+                            other => cfg.exec_latency(other),
+                        };
+                        rob.issue(slot, cycle + u64::from(latency.max(1)));
+                        // Leaving the issue queue frees its entry.
+                        if entry.op.is_fp() {
+                            fp_iq -= 1;
+                        } else {
+                            int_iq -= 1;
+                        }
+                    }
+
+                    // ----------------------------------------------------------
+                    // 4. Dispatch: move fetched instructions into the ROB / issue queues.
+                    // ----------------------------------------------------------
+                    let mut dispatched = 0;
+                    while dispatched < cfg.decode_width {
+                        let Some(front) = fetch_queue.front() else { break };
+                        if front.ready_at > cycle || rob.is_full() {
+                            break;
+                        }
+                        let needs_fp = front.instr.op.is_fp();
+                        if needs_fp && fp_iq >= cfg.fp_iq_entries {
+                            break;
+                        }
+                        if !needs_fp && int_iq >= cfg.int_iq_entries {
+                            break;
+                        }
+                        if front.instr.is_mem() && lsq >= cfg.lsq_entries {
+                            break;
+                        }
+                        let Some(fetched_instr) = fetch_queue.pop_front() else { break };
+                        let instr = fetched_instr.instr;
+                        debug_assert_eq!(fetched_instr.seq, rob.head + rob.len as u64);
+                        let producers =
+                            instr.srcs.map(|src| src.and_then(|reg| reg_producer[reg as usize]));
+                        if let Some(dest) = instr.dest {
+                            reg_producer[dest as usize] = Some(fetched_instr.seq);
+                        }
+                        if needs_fp {
+                            fp_iq += 1;
+                        } else {
+                            int_iq += 1;
+                        }
+                        if instr.is_mem() {
+                            lsq += 1;
+                        }
+                        rob.push(RobEntry::new(&instr), producers);
+                        dispatched += 1;
+                    }
+
+                    Suspended {
+                        fetched_this_cycle: 0,
+                        progressed: commits > 0
+                            || completed > 0
+                            || issued_this_cycle > 0
+                            || dispatched > 0,
                     }
                 }
-                // Clear the rename table if this instruction is still the newest
-                // producer of its destination register.
-                if let Some(dest) = head.dest {
-                    let producer = &mut reg_producer[dest as usize];
-                    if *producer == Some(seq) {
-                        *producer = None;
-                    }
-                }
-                committed += 1;
-                commits += 1;
-            }
-            if !store_batch.is_empty() {
-                store_results.clear();
-                self.hierarchy.access_data_batch(&store_batch, &mut store_results);
-            }
-
-            // ------------------------------------------------------------------
-            // 2. Completion: finish the issued instructions due this cycle.
-            // ------------------------------------------------------------------
-            let (completed, branch_resolved) = rob.complete_due(cycle, waiting_branch);
-            if branch_resolved {
-                // The mispredicted branch resolved: the front end may restart
-                // next cycle.
-                waiting_branch = None;
-                fetch_stall_until = fetch_stall_until.max(cycle + 1);
-            }
-
-            // ------------------------------------------------------------------
-            // 3. Issue: select ready instructions, oldest first.
-            // ------------------------------------------------------------------
-            let mut issued_this_cycle = 0u32;
-            let mut int_alu_used = 0u32;
-            let mut int_mul_used = 0u32;
-            let mut fp_alu_used = 0u32;
-            let mut fp_mul_used = 0u32;
-            let mut mem_ports_used = 0u32;
-            let mut age = 0;
-            while issued_this_cycle < cfg.issue_width {
-                let Some((slot, slot_age)) = rob.next_ready(age) else { break };
-                age = slot_age + 1;
-                let entry = rob.entries[slot];
-                // Functional-unit availability.
-                let (used, limit): (&mut u32, u32) = match entry.op {
-                    OpClass::IntAlu | OpClass::Branch => (&mut int_alu_used, cfg.int_alus),
-                    OpClass::IntMul => (&mut int_mul_used, cfg.int_muls),
-                    OpClass::FpAlu => (&mut fp_alu_used, cfg.fp_alus),
-                    OpClass::FpMul => (&mut fp_mul_used, cfg.fp_muls),
-                    OpClass::Load | OpClass::Store => (&mut mem_ports_used, cfg.mem_ports),
-                };
-                if *used >= limit {
-                    continue;
-                }
-                *used += 1;
-                issued_this_cycle += 1;
-
-                // Execution latency.
-                let latency = match entry.op {
-                    OpClass::Load => {
-                        // simlint::allow(panic-path, "dispatch stores an address for every memory op before it reaches issue")
-                        let addr = entry.mem_addr.expect("loads carry an address");
-                        let access = self.hierarchy.access_data(addr, false);
-                        access.latency
-                    }
-                    other => cfg.exec_latency(other),
-                };
-                rob.issue(slot, cycle + u64::from(latency.max(1)));
-                // Leaving the issue queue frees its entry.
-                if entry.op.is_fp() {
-                    fp_iq -= 1;
-                } else {
-                    int_iq -= 1;
-                }
-            }
-
-            // ------------------------------------------------------------------
-            // 4. Dispatch: move fetched instructions into the ROB / issue queues.
-            // ------------------------------------------------------------------
-            let mut dispatched = 0;
-            while dispatched < cfg.decode_width {
-                let Some(front) = fetch_queue.front() else { break };
-                if front.ready_at > cycle || rob.is_full() {
-                    break;
-                }
-                let needs_fp = front.instr.op.is_fp();
-                if needs_fp && fp_iq >= cfg.fp_iq_entries {
-                    break;
-                }
-                if !needs_fp && int_iq >= cfg.int_iq_entries {
-                    break;
-                }
-                if front.instr.is_mem() && lsq >= cfg.lsq_entries {
-                    break;
-                }
-                let Some(fetched_instr) = fetch_queue.pop_front() else { break };
-                let instr = fetched_instr.instr;
-                debug_assert_eq!(fetched_instr.seq, rob.head + rob.len as u64);
-                let producers =
-                    instr.srcs.map(|src| src.and_then(|reg| reg_producer[reg as usize]));
-                if let Some(dest) = instr.dest {
-                    reg_producer[dest as usize] = Some(fetched_instr.seq);
-                }
-                if needs_fp {
-                    fp_iq += 1;
-                } else {
-                    int_iq += 1;
-                }
-                if instr.is_mem() {
-                    lsq += 1;
-                }
-                rob.push(RobEntry::new(&instr), producers);
-                dispatched += 1;
-            }
+            };
 
             // ------------------------------------------------------------------
             // 5. Fetch: pull new instructions from the trace.
@@ -694,7 +861,6 @@ impl Pipeline {
             // the trace, so it changes state even when it stalls.
             let mut fetch_changed = false;
             if waiting_branch.is_none() && cycle >= fetch_stall_until && !trace_done {
-                let mut fetched_this_cycle = 0;
                 while fetched_this_cycle < cfg.fetch_width
                     && fetch_queue.len() < fetch_buffer_capacity
                     && fetched < fetch_limit
@@ -702,18 +868,27 @@ impl Pipeline {
                     fetch_changed = true;
                     let instr = match pending_fetch.take() {
                         Some(i) => i,
-                        None => match trace.next_instruction() {
-                            Some(i) => i,
-                            None => {
+                        None => match chunk.get(next) {
+                            Some(&i) => {
+                                next += 1;
+                                i
+                            }
+                            None if last => {
                                 trace_done = true;
                                 break;
+                            }
+                            None => {
+                                break 'cycles Some(Suspended {
+                                    fetched_this_cycle,
+                                    progressed,
+                                })
                             }
                         },
                     };
                     // Instruction-cache access on a fetch-block change.
                     let block = instr.pc & !63;
                     if current_fetch_block != Some(block) {
-                        let access = self.hierarchy.access_instr(instr.pc);
+                        let access = hierarchy.access_instr(instr.pc);
                         current_fetch_block = Some(block);
                         let extra = access.latency.saturating_sub(l1i_hit_latency);
                         if extra > 0 {
@@ -733,7 +908,7 @@ impl Pipeline {
                     let mut mispredicted = false;
                     let mut taken = false;
                     if let Some(branch) = &instr.branch {
-                        let correct = self.predictor.predict_and_update(instr.pc, branch);
+                        let correct = predictor.predict_and_update(instr.pc, branch);
                         mispredicted = !correct;
                         taken = branch.taken;
                         if taken {
@@ -768,14 +943,9 @@ impl Pipeline {
             // Termination, then the next cycle that can change anything.
             // ------------------------------------------------------------------
             if trace_done && rob.is_empty() && fetch_queue.is_empty() && pending_fetch.is_none() {
-                break;
+                break 'cycles None;
             }
-            let progressed = commits > 0
-                || completed > 0
-                || issued_this_cycle > 0
-                || dispatched > 0
-                || fetch_changed;
-            if progressed {
+            if progressed || fetch_changed {
                 cycle += 1;
                 continue;
             }
@@ -788,8 +958,8 @@ impl Pipeline {
                 (waiting_branch.is_none() && !trace_done && fetch_stall_until > cycle)
                     .then_some(fetch_stall_until);
             let events = [next_completion, next_dispatch, fetch_resume];
-            let Some(next) = events.into_iter().flatten().min() else {
-                // simlint::allow(panic-path, "a configuration that cannot drain its trace is a caller error, documented under # Panics")
+            let Some(next_event) = events.into_iter().flatten().min() else {
+                // simlint::allow(panic-path, "a validated configuration cannot deadlock; this guards that invariant, documented under # Panics")
                 panic!(
                     "pipeline deadlock at cycle {cycle}: no stage can make progress and no \
                      event is pending (ROB head: {}, ROB {}/{}, int IQ {int_iq}/{}, \
@@ -803,18 +973,25 @@ impl Pipeline {
                     fetch_queue.front().map(|f| f.instr),
                 );
             };
-            cycle = next;
-        }
+            cycle = next_event;
+        };
 
-        SimResult {
-            instructions: committed,
-            cycles: cycle.max(1),
-            loads,
-            stores,
-            conditional_branches: self.predictor.conditional_branches,
-            branch_mispredictions: self.predictor.mispredictions,
-            hierarchy: self.hierarchy.stats(),
-        }
+        run.cycle = cycle;
+        run.committed = committed;
+        run.fetched = fetched;
+        run.loads = loads;
+        run.stores = stores;
+        run.next_seq = next_seq;
+        run.pending_fetch = pending_fetch;
+        run.trace_done = trace_done;
+        run.int_iq = int_iq;
+        run.fp_iq = fp_iq;
+        run.lsq = lsq;
+        run.fetch_stall_until = fetch_stall_until;
+        run.waiting_branch = waiting_branch;
+        run.current_fetch_block = current_fetch_block;
+        run.done = suspended.is_none();
+        run.suspended = suspended;
     }
 }
 
@@ -829,6 +1006,7 @@ mod tests {
             CpuConfig::ispass2010(),
             CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage()),
         )
+        .unwrap()
     }
 
     fn run(trace: Vec<TraceInstruction>) -> SimResult {
@@ -1025,7 +1203,8 @@ mod tests {
                 DisablingScheme::Baseline,
                 VoltageMode::Low,
             )),
-        );
+        )
+        .unwrap();
         assert!(low.drain_cycles() < p.drain_cycles());
     }
 
@@ -1048,7 +1227,8 @@ mod tests {
                 DisablingScheme::WordDisabling,
                 VoltageMode::High,
             )),
-        );
+        )
+        .unwrap();
         let word = word_pipeline.run(&mut make_trace().into_iter(), None);
         assert!(
             word.ipc() < baseline.ipc(),
@@ -1058,9 +1238,11 @@ mod tests {
         );
     }
 
-    /// Runs a trace that must deadlock and returns the panic message.
+    /// Runs a trace that must deadlock and returns the panic message. The
+    /// configuration skips validation, which would reject it: the loop's
+    /// deadlock guard is what is under test.
     fn deadlock_message(config: CpuConfig, trace: Vec<TraceInstruction>) -> String {
-        let mut pipeline = Pipeline::new(
+        let mut pipeline = Pipeline::assemble(
             config,
             CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage()),
         );
@@ -1085,6 +1267,8 @@ mod tests {
             ("no reorder buffer", CpuConfig { rob_entries: 0, ..paper }, fp),
         ];
         for (label, config, instr) in cases {
+            let hierarchy = CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage());
+            assert!(Pipeline::new(config, hierarchy).is_err(), "{label}: validation rejects it");
             let message = deadlock_message(config, vec![instr]);
             let cycle: u64 = message
                 .strip_prefix("pipeline deadlock at cycle ")

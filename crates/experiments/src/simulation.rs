@@ -20,15 +20,24 @@
 //! executor plans each cell (a workload with a configuration, or with a
 //! governor policy) before anything runs: word-disabling, whose halved cache
 //! performs the same on every usable map, takes only its first repairable
-//! pair. Every job is then one independent simulation, and the crate's job
-//! map runs the jobs on the rayon pool, or on the calling thread with
-//! `serial`; both give bit-identical results.
+//! pair. Every job is then an independent group of simulations, and the
+//! crate's job map runs the jobs on the rayon pool, or on the calling thread
+//! with `serial`; both give bit-identical results.
+//!
+//! The cells of one workload replay one instruction stream, so a scheme
+//! campaign runs [`JOBS_PER_TRACE_PASS`] consecutive planned simulations of a
+//! workload as one job: it builds both cores, generates the stream once in
+//! slices of [`CHUNK_INSTRUCTIONS`](vccmin_cpu::CHUNK_INSTRUCTIONS) and feeds
+//! each slice to both. Each core sees exactly its own stream, so the results
+//! are those of separate runs. A job returns its results by value, in job
+//! order. The governor's runs change mode between segments of their own
+//! stream, so each governed run is a job of its own.
 
 use std::sync::OnceLock;
 
 use vccmin_analysis::voltage::VoltageScalingModel;
 use vccmin_cache::{CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, VoltageMode};
-use vccmin_cpu::{CoreModel, SimResult};
+use vccmin_cpu::{feed_chunks, CoreModel, SimResult};
 use vccmin_fault::SeedSequence;
 use vccmin_workloads::{Benchmark, PhaseSchedule};
 
@@ -255,14 +264,38 @@ impl BenchmarkResult {
     }
 }
 
-/// Runs one workload on one hierarchy with the campaign's CPU backend and
-/// returns the result. Core construction goes through [`CoreModel::build`] —
-/// the same factory path the governor uses — so campaigns and governed runs
-/// build cores identically.
-fn simulate(params: &SimulationParams, workload: Workload, hierarchy: CacheHierarchy) -> SimResult {
-    let mut cpu = params.core.build(hierarchy);
+/// How many planned simulations of one workload a scheme campaign runs as
+/// one job, over one pass of the workload's instruction stream. Two keeps
+/// one more hierarchy live per worker; larger groups save more trace passes
+/// but raise peak memory further.
+pub const JOBS_PER_TRACE_PASS: usize = 2;
+
+/// Runs one workload on each built core in lock step, with the campaign's
+/// instruction budget: the workload's stream is generated once, and each
+/// slice of it is fed to every core in turn. Returns each core's result in
+/// order; a missing core (a hierarchy that could not be built) gives `None`.
+/// Cores come from [`CoreModel::build`], the same factory path the governor
+/// uses, so campaigns and governed runs build cores identically.
+fn simulate_together<const K: usize>(
+    params: &SimulationParams,
+    workload: Workload,
+    hierarchies: [Option<CacheHierarchy>; K],
+) -> [Option<SimResult>; K] {
+    let limit = Some(params.instructions);
+    let mut cores = hierarchies.map(|hierarchy| hierarchy.map(|h| params.core.build(h)));
+    if cores.iter().all(Option::is_none) {
+        return cores.map(|_| None);
+    }
+    for core in cores.iter_mut().flatten() {
+        core.begin(limit);
+    }
     let mut trace = workload.source(params.trace_seed(workload));
-    cpu.run(&mut trace, Some(params.instructions))
+    feed_chunks(&mut trace, limit, |chunk| {
+        for core in cores.iter_mut().flatten() {
+            core.feed(chunk);
+        }
+    });
+    cores.map(|core| core.map(|mut core| core.finish()))
 }
 
 /// Generates a campaign's fault-map pairs (instruction cache, data cache).
@@ -425,26 +458,50 @@ fn tally<T>(outputs: impl Iterator<Item = Option<T>>) -> (Vec<T>, usize) {
     (runs, failures)
 }
 
-/// Runs planned cells, each named by its `cell` key, as one job map: one job
-/// per planned pair, each an independent simulation by `run`. [`map_jobs`]
-/// runs them on the calling thread when `serial` and on the rayon pool
-/// otherwise, and returns them in job order, so the result is bit-identical
-/// either way. Returns every cell with its runs and its whole-cache failures
-/// (the planned skips plus every `None` output), in cell order.
-fn run_planned<C, T>(
-    cells: Vec<(C, CellPlan)>,
+/// One planned simulation: its cell (a workload and a key) and its fault-map
+/// pair, if any.
+type Planned<'a, C> = (&'a (Workload, C), Option<usize>);
+
+/// Runs planned cells, each named by its workload and a `cell` key, as one
+/// job map. The planned simulations, one per planned pair in cell order, form
+/// jobs of up to `K` consecutive simulations of one workload; `run` runs one
+/// job and returns its outputs in order (slots past the job's length are
+/// ignored). [`map_jobs`] runs the jobs on the calling thread when `serial`
+/// and on the rayon pool otherwise, and returns them in job order, so the
+/// result is bit-identical either way. Returns every cell with its runs and
+/// its whole-cache failures (the planned skips plus every `None` output), in
+/// cell order.
+fn run_planned<C, T, const K: usize>(
+    cells: Vec<((Workload, C), CellPlan)>,
     serial: bool,
-    run: impl Fn(&C, Option<usize>) -> Option<T> + Sync,
-) -> Vec<(C, Vec<T>, usize)>
+    run: impl Fn(&[Planned<C>]) -> [Option<T>; K] + Sync,
+) -> Vec<((Workload, C), Vec<T>, usize)>
 where
     C: Sync,
     T: Send,
 {
-    let jobs: Vec<(&C, Option<usize>)> = cells
+    let planned: Vec<Planned<C>> = cells
         .iter()
         .flat_map(|(cell, plan)| plan.pairs.iter().map(move |&pair| (cell, pair)))
         .collect();
-    let mut outputs = map_jobs(jobs, serial, |(cell, pair)| run(cell, pair)).into_iter();
+    let mut jobs: Vec<&[Planned<C>]> = Vec::new();
+    let mut rest = planned.as_slice();
+    while let Some((&((workload, _), _), others)) = rest.split_first() {
+        let len = 1 + others
+            .iter()
+            .take(K - 1)
+            .take_while(|((other, _), _)| other == workload)
+            .count();
+        let (job, tail) = rest.split_at(len);
+        jobs.push(job);
+        rest = tail;
+    }
+    let lens: Vec<usize> = jobs.iter().map(|job| job.len()).collect();
+    let outputs = map_jobs(jobs, serial, &run);
+    let mut outputs = outputs
+        .into_iter()
+        .zip(lens)
+        .flat_map(|(output, len)| output.into_iter().take(len));
     cells
         .into_iter()
         .map(|(cell, plan)| {
@@ -478,17 +535,26 @@ fn run_campaign(
             ((workload, scheme), plan)
         })
         .collect();
-    let mut configs = run_planned(cells, serial, |&(workload, scheme), pair| {
-        let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
-        let hierarchy = match pair {
-            Some(i) => {
-                let (map_i, map_d) = &pairs[i];
-                CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_maps.get(i))
-                    .ok()?
+    let mut configs = run_planned(cells, serial, |job| {
+        let hierarchies: [Option<CacheHierarchy>; JOBS_PER_TRACE_PASS] = std::array::from_fn(|k| {
+            let &(&(_, scheme), pair) = job.get(k)?;
+            let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+            match pair {
+                Some(i) => {
+                    let (map_i, map_d) = &pairs[i];
+                    CacheHierarchy::with_all_fault_maps(
+                        cfg,
+                        Some(map_i),
+                        Some(map_d),
+                        l2_maps.get(i),
+                    )
+                    .ok()
+                }
+                None => Some(CacheHierarchy::new(cfg)),
             }
-            None => CacheHierarchy::new(cfg),
-        };
-        Some(simulate(params, workload, hierarchy))
+        });
+        // The cells of a job share one workload.
+        simulate_together(params, job[0].0 .0, hierarchies)
     })
     .into_iter()
     .map(|((_, scheme), runs, whole_cache_failures)| ConfigResult {
@@ -1150,15 +1216,17 @@ impl GovernorStudy {
                 ((workload, policy), plan)
             })
             .collect();
-        let mut results = run_planned(cells, serial, |&(workload, policy), pair| {
-            Self::run_job(
+        // One governed run per job: its segments switch modes on their own.
+        let mut results = run_planned(cells, serial, |job| {
+            let &(&(workload, policy), pair) = &job[0];
+            [Self::run_job(
                 params,
                 &phases,
                 workload,
                 policy,
                 pair.map(|i| &pairs[i]),
                 pair.and_then(|i| l2_maps.get(i)),
-            )
+            )]
         })
         .into_iter()
         .map(|((_, policy), runs, whole_cache_failures)| GovernorPolicyResult {

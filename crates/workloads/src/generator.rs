@@ -68,6 +68,14 @@ pub struct TraceGenerator {
     next_fp_dest: u8,
     instructions_generated: u64,
     phases: Option<PhaseSchedule>,
+    /// The phase of the next instruction.
+    phase: WorkloadPhase,
+    /// The schedule segment the next instruction belongs to.
+    segment: usize,
+    /// Instructions left in that segment, the next one included: a countdown
+    /// updated once per instruction, so no instruction divides by the
+    /// schedule's period. `u64::MAX` without a schedule.
+    phase_left: u64,
 }
 
 /// During a memory-bound phase the hot-region reuse probability is multiplied
@@ -179,6 +187,9 @@ impl TraceGenerator {
             next_fp_dest: FP_DEST_REGS.start,
             instructions_generated: 0,
             phases: None,
+            phase: WorkloadPhase::ComputeBound,
+            segment: 0,
+            phase_left: u64::MAX,
         }
     }
 
@@ -195,9 +206,13 @@ impl TraceGenerator {
     /// Panics if the profile does not validate.
     #[must_use]
     pub fn with_phases(profile: &BenchmarkProfile, seed: u64, phases: PhaseSchedule) -> Self {
-        let mut generator = Self::new(profile, seed);
-        generator.phases = Some(phases);
-        generator
+        let first = phases.segments()[0];
+        Self {
+            phases: Some(phases),
+            phase: first.phase,
+            phase_left: first.instructions,
+            ..Self::new(profile, seed)
+        }
     }
 
     /// The profile this generator imitates.
@@ -212,10 +227,7 @@ impl TraceGenerator {
     /// between execution quanta.
     #[must_use]
     pub fn current_phase(&self) -> WorkloadPhase {
-        match &self.phases {
-            Some(schedule) => schedule.phase_at(self.instructions_generated),
-            None => WorkloadPhase::ComputeBound,
-        }
+        self.phase
     }
 
     /// The phase schedule, if this generator is phase annotated.
@@ -228,6 +240,20 @@ impl TraceGenerator {
     #[must_use]
     pub fn instructions_generated(&self) -> u64 {
         self.instructions_generated
+    }
+
+    /// Moves the phase countdown to the next segment of the schedule, which
+    /// repeats after its last.
+    #[cold]
+    fn next_segment(&mut self) {
+        let Some(schedule) = &self.phases else {
+            self.phase_left = u64::MAX;
+            return;
+        };
+        let segments = schedule.segments();
+        self.segment = (self.segment + 1) % segments.len();
+        self.phase = segments[self.segment].phase;
+        self.phase_left = segments[self.segment].instructions;
     }
 
     /// A chain of comparisons, not a branch-free count of the thresholds
@@ -460,6 +486,10 @@ impl Iterator for TraceGenerator {
             self.pc = CODE_BASE;
         }
         self.instructions_generated += 1;
+        self.phase_left -= 1;
+        if self.phase_left == 0 {
+            self.next_segment();
+        }
         Some(instr)
     }
 }
@@ -642,6 +672,30 @@ mod tests {
         assert_eq!(g.current_phase(), WorkloadPhase::ComputeBound);
         assert!(g.phases().is_some());
         assert!(TraceGenerator::new(&profile, 3).phases().is_none());
+    }
+
+    #[test]
+    fn the_phase_countdown_agrees_with_the_schedule_at_every_index() {
+        use crate::phase::{PhaseSchedule, PhaseSegment, WorkloadPhase};
+        let segment = |phase, instructions| PhaseSegment {
+            phase,
+            instructions,
+        };
+        let schedule = PhaseSchedule::new(vec![
+            segment(WorkloadPhase::ComputeBound, 3),
+            segment(WorkloadPhase::MemoryBound, 1),
+            segment(WorkloadPhase::MemoryBound, 2),
+            segment(WorkloadPhase::ComputeBound, 5),
+        ]);
+        let mut g = TraceGenerator::with_phases(&Benchmark::Mcf.profile(), 9, schedule.clone());
+        for index in 0..100 {
+            assert_eq!(
+                g.current_phase(),
+                schedule.phase_at(index),
+                "instruction {index}"
+            );
+            g.next();
+        }
     }
 
     #[test]

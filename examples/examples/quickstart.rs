@@ -53,7 +53,8 @@ fn main() {
         } else {
             CacheHierarchy::new(config)
         };
-        let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
+        let mut pipeline =
+            Pipeline::new(CpuConfig::ispass2010(), hierarchy).expect("Table II is a valid core");
         let mut trace = TraceGenerator::new(&benchmark.profile(), 42);
         pipeline.run(&mut trace, Some(instructions))
     };

@@ -42,7 +42,8 @@ fn main() {
     let run = |config: HierarchyConfig, mi: &FaultMap, md: &FaultMap| -> f64 {
         let hierarchy = CacheHierarchy::with_all_fault_maps(config, Some(mi), Some(md), None)
             .expect("maps fit");
-        let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), hierarchy);
+        let mut pipeline =
+            Pipeline::new(CpuConfig::ispass2010(), hierarchy).expect("Table II is a valid core");
         let mut trace = TraceGenerator::new(&benchmark.profile(), 42);
         pipeline.run(&mut trace, Some(instructions)).ipc()
     };

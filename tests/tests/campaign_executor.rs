@@ -19,15 +19,20 @@
 //! The sweep covers the four ways a cell's pairs can turn out: the first pair
 //! usable, unusable pairs before a usable one, no usable pair, and an
 //! independent pair that fails. For the governor it covers a low-voltage cell
-//! with a whole-cache failure and an interval run that switches modes. The
-//! test counts each one and requires it to occur, so the sweep cannot quietly
-//! stop covering a case.
+//! with a whole-cache failure and an interval run that switches modes. A
+//! scheme campaign runs a workload's planned simulations in jobs of
+//! `JOBS_PER_TRACE_PASS` over one pass of its trace, so the sweep also covers
+//! a job whose first simulation has no hierarchy to run (its pair cannot be
+//! repaired) and a workload with an odd number of planned simulations, whose
+//! last job is short. The test counts each one and requires it to occur, so
+//! the sweep cannot quietly stop covering a case.
 
 use vccmin_core::cache::{CacheHierarchy, DisablingScheme, FaultMap, VoltageMode};
 use vccmin_core::cpu::{CoreModel, SimResult};
 use vccmin_core::experiments::simulation::{
     BenchmarkResult, ConfigResult, FaultMapPool, GovernorBenchmarkResult, GovernorPolicyResult,
     GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    JOBS_PER_TRACE_PASS,
 };
 use vccmin_core::experiments::{
     run_governed, GovernedRunSpec, GovernorPolicy, L2Protection, SchemeConfig, Workload,
@@ -121,6 +126,38 @@ fn reference_campaign(
         .collect()
 }
 
+/// The simulations a campaign over `schemes` plans for one workload, in
+/// order, each with whether its hierarchy can be built: one per pair of a
+/// map-dependent cell, up to and including the first buildable pair where the
+/// loop stops after it, and one fault-free run for any other cell.
+fn planned_simulations(
+    params: &SimulationParams,
+    pairs: &[(FaultMap, FaultMap)],
+    l2_maps: &[FaultMap],
+    schemes: &[SchemeConfig],
+    voltage: VoltageMode,
+) -> Vec<bool> {
+    let l2_maps = if params.l2.needs_fault_maps(schemes) { l2_maps } else { &[] };
+    let mut planned = Vec::new();
+    for &scheme in schemes {
+        if !map_dependent(params, scheme, voltage) {
+            planned.push(true);
+            continue;
+        }
+        let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+        let builds = pairs.iter().enumerate().map(|(i, (map_i, map_d))| {
+            CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_maps.get(i))
+                .is_ok()
+        });
+        if stops_after_first_pair(params, scheme) {
+            planned.extend(builds.filter(|&built| built).take(1));
+        } else {
+            planned.extend(builds);
+        }
+    }
+    planned
+}
+
 /// The port of the governor campaign's loop, on the maps of `pool`.
 fn reference_governor(
     params: &SimulationParams,
@@ -191,6 +228,12 @@ struct Outcomes {
     governor_low_cell_failed: usize,
     /// Governed runs of the interval policy that switched modes.
     interval_runs_switching: usize,
+    /// Jobs of a scheme campaign whose first simulation's hierarchy cannot
+    /// be built.
+    job_first_unbuilt: usize,
+    /// Workloads of a scheme campaign with an odd number of planned
+    /// simulations.
+    odd_planned_workloads: usize,
 }
 
 impl Outcomes {
@@ -210,6 +253,19 @@ impl Outcomes {
                 self.skipped_then_usable += 1;
             }
         }
+    }
+
+    /// Records how a campaign's planned simulations fall into jobs.
+    /// `planned` holds, for one workload, whether each planned simulation's
+    /// hierarchy can be built; every workload plans the same.
+    fn record_jobs(&mut self, params: &SimulationParams, planned: &[bool]) {
+        let workloads = params.workloads.len();
+        let first_unbuilt = planned
+            .chunks(JOBS_PER_TRACE_PASS)
+            .filter(|job| job.len() > 1 && !job[0])
+            .count();
+        self.job_first_unbuilt += workloads * first_unbuilt;
+        self.odd_planned_workloads += workloads * (planned.len() % 2);
     }
 
     fn record_governor(&mut self, results: &[GovernorBenchmarkResult]) {
@@ -274,6 +330,10 @@ fn check_against_reference(
     }
     outcomes.record(params, &low);
     outcomes.record(params, &matrix);
+    for schemes in [&LowVoltageStudy::SCHEMES[..], &SchemeMatrixStudy::matrix_schemes()] {
+        let planned = planned_simulations(params, pairs, l2_maps, schemes, VoltageMode::Low);
+        outcomes.record_jobs(params, &planned);
+    }
 }
 
 /// Runs the governor study of one parameter set through the executor, on the
@@ -350,6 +410,8 @@ fn sweep(core: CoreModel) {
     assert!(outcomes.independent_pair_failed > 0, "{outcomes:?}");
     assert!(outcomes.governor_low_cell_failed > 0, "{outcomes:?}");
     assert!(outcomes.interval_runs_switching > 0, "{outcomes:?}");
+    assert!(outcomes.job_first_unbuilt > 0, "{outcomes:?}");
+    assert!(outcomes.odd_planned_workloads > 0, "{outcomes:?}");
 }
 
 #[test]

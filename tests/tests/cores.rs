@@ -11,7 +11,13 @@
 //!    instruction count (the backends replay the same stream);
 //! 4. a governor pinned to one mode on the in-order backend replays the
 //!    in-order single-mode campaign bit for bit — the same strict
-//!    generalization the out-of-order backend pins in `governor.rs`.
+//!    generalization the out-of-order backend pins in `governor.rs`;
+//! 5. the in-order core fed its trace in slices of 1, 7 and 4096
+//!    instructions (`begin`, `feed`, `finish`) gives the result of its
+//!    whole-trace run, for every scheme, voltage and L2 protection, for
+//!    non-default configurations, across consecutive runs with
+//!    `reset_stats`, and on random inputs (`pipeline_hot_path.rs` holds the
+//!    out-of-order core to the same against its frozen reference).
 //!
 //! Regenerate the golden snapshot (only for an intentional change) with:
 //!
@@ -22,14 +28,16 @@
 
 use proptest::prelude::*;
 
-use vccmin_core::cache::{DisablingScheme, VoltageMode};
-use vccmin_core::cpu::CoreModel;
+use vccmin_core::cache::{
+    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode,
+};
+use vccmin_core::cpu::{CoreModel, CpuConfig, InOrderCore, SimResult, TraceInstruction};
 use vccmin_core::experiments::simulation::{
     CoreMatrixStudy, FaultMapPool, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
     SimulationParams,
 };
 use vccmin_core::experiments::{run_governed, GovernedRunSpec, GovernorPolicy, SchemeConfig};
-use vccmin_core::Benchmark;
+use vccmin_core::{Benchmark, TraceGenerator};
 
 const CORE_MATRIX: &str = include_str!("../golden/core_matrix.csv");
 
@@ -222,4 +230,199 @@ fn interval_governor_switches_modes_on_the_in_order_core() {
         10 + 1 + 3 + 20 + 255 + 2 * 64
     );
     assert_eq!(run.transition_cycles_low, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked in-order runs against the whole-trace run.
+// ---------------------------------------------------------------------------
+
+/// Slice sizes the chunked runs take their trace in: one instruction at a
+/// time, an odd size, and one larger than every trace here.
+const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
+
+/// A trace that switches benchmark every 1,500 instructions, so one run sees
+/// several instruction mixes and working sets.
+fn mixed_trace(seed: u64, len: usize) -> Vec<TraceInstruction> {
+    let benchmarks = [Benchmark::Gzip, Benchmark::Mcf, Benchmark::Swim, Benchmark::Crafty];
+    (0..len.div_ceil(1_500))
+        .flat_map(|k| {
+            let profile = benchmarks[(seed as usize + k) % benchmarks.len()].profile();
+            TraceGenerator::new(&profile, seed ^ k as u64).take(1_500)
+        })
+        .take(len)
+        .collect()
+}
+
+/// The hierarchy of `scheme` at `voltage` with fixed fault maps, or `None`
+/// if the scheme cannot repair them.
+fn mapped_hierarchy(
+    scheme: DisablingScheme,
+    voltage: VoltageMode,
+    faulty_l2: bool,
+) -> Option<CacheHierarchy> {
+    let l1 = CacheGeometry::ispass2010_l1();
+    let mut config = HierarchyConfig::ispass2010(scheme, voltage);
+    if faulty_l2 {
+        config = config.with_l2_scheme(scheme);
+    }
+    CacheHierarchy::with_all_fault_maps(
+        config,
+        Some(&FaultMap::generate(&l1, 0.001, 0xC0DE)),
+        Some(&FaultMap::generate(&l1, 0.001, 0xDA7A)),
+        Some(&FaultMap::generate(&CacheGeometry::ispass2010_l2(), 0.001, 0x12)),
+    )
+    .ok()
+}
+
+/// Feeds `trace` to `core` in slices of `size` instructions.
+fn run_chunked(
+    core: &mut InOrderCore,
+    trace: &[TraceInstruction],
+    cap: Option<u64>,
+    size: usize,
+) -> SimResult {
+    core.begin(cap);
+    for chunk in trace.chunks(size) {
+        core.feed(chunk);
+    }
+    core.finish()
+}
+
+/// The whole-trace run of `trace` (one `run` over the trace), and the
+/// results of the same core fed slices of each of [`CHUNK_SIZES`], each with
+/// its slice size.
+fn whole_and_chunked(
+    config: CpuConfig,
+    hierarchy: &CacheHierarchy,
+    trace: &[TraceInstruction],
+    cap: Option<u64>,
+) -> (SimResult, Vec<(usize, SimResult)>) {
+    let core = || InOrderCore::new(config, hierarchy.clone()).expect("a valid configuration");
+    let whole = core().run(&mut trace.iter().copied(), cap);
+    let chunked = CHUNK_SIZES
+        .iter()
+        .map(|&size| (size, run_chunked(&mut core(), trace, cap, size)))
+        .collect();
+    (whole, chunked)
+}
+
+/// Non-default in-order configurations: single units, no front-end depth,
+/// a short gshare history and a deep front end.
+fn in_order_configs() -> Vec<(&'static str, CpuConfig)> {
+    let paper = CpuConfig::ispass2010();
+    vec![
+        ("table-ii", paper),
+        (
+            "single-units",
+            CpuConfig { int_alus: 1, int_muls: 1, mem_ports: 1, ..paper },
+        ),
+        ("no-front-end", CpuConfig { front_end_depth: 0, ..paper }),
+        (
+            "short-history-deep-front-end",
+            CpuConfig { gshare_history_bits: 4, front_end_depth: 20, ..paper },
+        ),
+    ]
+}
+
+#[test]
+fn chunked_in_order_runs_match_the_whole_trace_run() {
+    let trace = mixed_trace(0x5EED, 6_000);
+    let mut compared = 0;
+    for &scheme in &DisablingScheme::ALL {
+        for voltage in [VoltageMode::High, VoltageMode::Low] {
+            for faulty_l2 in [false, true] {
+                let Some(hierarchy) = mapped_hierarchy(scheme, voltage, faulty_l2) else {
+                    continue;
+                };
+                for cap in [None, Some(4_321)] {
+                    let (whole, chunked) =
+                        whole_and_chunked(CpuConfig::ispass2010(), &hierarchy, &trace, cap);
+                    for (size, got) in chunked {
+                        assert_eq!(
+                            got, whole,
+                            "{scheme:?} at {voltage:?}, faulty L2 {faulty_l2}, cap {cap:?}, \
+                             chunks of {size}"
+                        );
+                    }
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared >= 32, "only {compared} hierarchies were repairable");
+}
+
+#[test]
+fn chunked_in_order_runs_match_for_non_default_configs() {
+    let hierarchy = mapped_hierarchy(DisablingScheme::BlockDisabling, VoltageMode::Low, true)
+        .expect("block disabling repairs the maps");
+    for seed in 0..3 {
+        let trace = mixed_trace(0xC0F1_6000 + seed, 4_000);
+        for (label, config) in in_order_configs() {
+            for cap in [None, Some(2_777)] {
+                let (whole, chunked) = whole_and_chunked(config, &hierarchy, &trace, cap);
+                for (size, got) in chunked {
+                    assert_eq!(got, whole, "{label}, seed {seed}, cap {cap:?}, chunks of {size}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn consecutive_chunked_in_order_runs_with_reset_stats_match() {
+    // The governor's pattern: one core runs consecutive segments, with
+    // statistics reset but cache and predictor state carried between them.
+    let hierarchy = mapped_hierarchy(DisablingScheme::WordDisabling, VoltageMode::Low, false)
+        .expect("word disabling repairs the maps");
+    for (label, config) in in_order_configs() {
+        let core = || InOrderCore::new(config, hierarchy.clone()).expect("a valid configuration");
+        let mut whole = core();
+        let mut chunked = CHUNK_SIZES.map(|size| (size, core()));
+        for (segment, seed) in [0xA11u64, 0xB22].into_iter().enumerate() {
+            let trace = mixed_trace(seed, 3_000);
+            let cap = (segment == 1).then_some(2_500);
+            let want = whole.run(&mut trace.iter().copied(), cap);
+            whole.reset_stats();
+            for (size, core) in &mut chunked {
+                let got = run_chunked(core, &trace, cap, *size);
+                assert_eq!(got, want, "{label}, segment {segment}, chunks of {size}");
+                core.reset_stats();
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random traces, schemes, voltages, L2 protection, configurations and
+    /// caps: chunked in-order runs equal the whole-trace run.
+    #[test]
+    fn chunked_in_order_runs_match_under_random_inputs(
+        seed in any::<u64>(),
+        len in 1usize..5_000,
+        hierarchy_pick in (0usize..5, any::<bool>(), any::<bool>()),
+        config_index in 0usize..4,
+        cap in 0u64..5_500,
+    ) {
+        let (scheme_index, low_voltage, faulty_l2) = hierarchy_pick;
+        let scheme = DisablingScheme::ALL[scheme_index];
+        let voltage = if low_voltage { VoltageMode::Low } else { VoltageMode::High };
+        let Some(hierarchy) = mapped_hierarchy(scheme, voltage, faulty_l2) else {
+            return Ok(());
+        };
+        let (label, config) = in_order_configs()[config_index];
+        let trace = mixed_trace(seed, len);
+        // Caps below, at and above the trace length; 0 means no cap.
+        let cap = (cap > 0).then_some(cap);
+        let (whole, chunked) = whole_and_chunked(config, &hierarchy, &trace, cap);
+        for (size, got) in chunked {
+            prop_assert_eq!(
+                got,
+                whole,
+                "{label} {scheme:?} {voltage:?} faulty L2 {faulty_l2} cap {cap:?} chunks of {size}"
+            );
+        }
+    }
 }

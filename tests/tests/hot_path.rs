@@ -2,13 +2,15 @@
 //! faithful port of the pre-refactor scalar implementation.
 //!
 //! The SoA rewrite of [`SetAssocCache`] (bitset valid/dirty/usable state,
-//! branchless bit-scan victim selection) and the batched hierarchy entry
-//! points are required to be *bit-identical* to the old array-of-structs
-//! code for every observable: outcome sequences, statistics, and residency.
-//! The only intentional behavior change is the LRU-clock width — the old
-//! `u32` clock wraps after 2^32 recency updates and inverts the LRU order,
-//! which the reference below reproduces on demand (`wrap32`) so the fix is
-//! demonstrable, not just asserted.
+//! per-set recency ranks instead of timestamps, 32-bit tags until a wider one
+//! is stored) and the batched hierarchy
+//! entry points are required to be *bit-identical* to the old
+//! array-of-structs code for every observable: outcome sequences,
+//! statistics, and residency. The reference keeps the old timestamp clock as
+//! the LRU oracle. Its historical `u32` width wrapped after 2^32 recency
+//! updates and inverted the LRU order, which the reference reproduces on
+//! demand (`wrap32`); the ranked cache has no clock, so nothing of it can
+//! wrap.
 
 use proptest::prelude::*;
 
@@ -340,7 +342,7 @@ fn lcg_stream(seed: u64, len: usize, span: u64) -> Vec<(u64, bool)> {
 }
 
 // ---------------------------------------------------------------------------
-// The wrap-hazard regression: old u32 clock inverts LRU, new u64 does not.
+// The wrap hazard of the old u32 clock, shown on the reference.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -373,19 +375,6 @@ fn u32_clock_wrap_inverts_lru_and_u64_clock_does_not() {
         Some(geom.block_address(geom.tag_of(b), geom.set_of(b))),
         "the u64 reference evicts the true LRU block"
     );
-
-    // The production SoA cache agrees with the widened reference.
-    let mut cache = SetAssocCache::new(geom);
-    cache.fast_forward_lru_clock(u64::from(u32::MAX) - 2);
-    cache.access(a, false);
-    cache.access(b, false);
-    cache.access(a, false);
-    assert_eq!(
-        cache.access(c, false).evicted,
-        Some(geom.block_address(geom.tag_of(b), geom.set_of(b))),
-        "SetAssocCache must evict the true LRU block across the 2^32 horizon"
-    );
-    assert!(cache.probe(a));
 }
 
 // ---------------------------------------------------------------------------
@@ -421,6 +410,38 @@ fn soa_cache_matches_the_scalar_reference_for_every_scheme_organization() {
                             "{scheme:?} at {voltage:?}: outcome diverged at op {i}"
                         );
                     }
+                }
+            }
+            assert_eq!(cache.stats(), &reference.stats, "{scheme:?} at {voltage:?}");
+            assert_eq!(cache.resident_blocks(), reference.resident_blocks());
+        }
+    }
+}
+
+#[test]
+fn soa_cache_matches_the_reference_when_tags_outgrow_32_bits() {
+    // The cache stores 32-bit tags until a wider one is filled. From op
+    // 5,000 on, every fourth address sets bit 56 (a tag far above 32 bits),
+    // so each organization widens mid-stream with narrow blocks resident.
+    for voltage in [VoltageMode::High, VoltageMode::Low] {
+        for (scheme, geom, mask) in organizations(voltage) {
+            let mut cache = SetAssocCache::with_disabled_ways(geom, &mask);
+            let mut reference = RefCache::with_disabled_ways(geom, &mask, false);
+            let span = geom.size_bytes() * 5;
+            for (i, &(addr, write)) in lcg_stream(scheme as u64 + 7, 12_000, span).iter().enumerate()
+            {
+                let addr = if i >= 5_000 && i % 4 == 0 { addr | 1 << 56 } else { addr };
+                match i % 5 {
+                    3 => assert_eq!(cache.insert(addr, write), reference.insert(addr, write)),
+                    4 => assert_eq!(cache.mark_dirty(addr), reference.mark_dirty(addr)),
+                    _ => assert_eq!(
+                        cache.access(addr, write),
+                        reference.access(addr, write),
+                        "{scheme:?} at {voltage:?}: outcome diverged at op {i}"
+                    ),
+                }
+                if i % 997 == 0 {
+                    assert_eq!(cache.probe(addr), reference.probe(addr));
                 }
             }
             assert_eq!(cache.stats(), &reference.stats, "{scheme:?} at {voltage:?}");
@@ -565,7 +586,7 @@ proptest! {
         });
         let mut cache = SetAssocCache::with_disabled_ways(geom, &mask);
         let mut reference = RefCache::with_disabled_ways(geom, &mask, false);
-        cache.fast_forward_lru_clock(start_clock);
+        // The ranked cache has no clock; the reference's starts anywhere.
         reference.fast_forward(start_clock);
         for op in ops {
             match op {

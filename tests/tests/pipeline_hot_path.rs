@@ -15,6 +15,12 @@
 //! with 6T victim caches on both L1s (a victim hit adds its own latency) and
 //! with a memory latency of several thousand cycles, so that in-flight misses
 //! stay on the completion wheel for many laps.
+//!
+//! Every comparison also feeds the rebuilt loop its trace in slices
+//! (`begin`, `feed`, `finish`) of 1, 7 and 4096 instructions, which suspend
+//! and resume the loop mid-fetch, and requires the same result as the
+//! reference. A last property test builds random valid configurations and
+//! checks that neither core deadlocks on random traces.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -28,8 +34,8 @@ use vccmin_core::cache::{
 use vccmin_core::cpu::branch::FrontEndPredictor;
 use vccmin_core::cpu::instruction::NUM_REGS;
 use vccmin_core::cpu::{
-    BranchInfo, BranchKind, BranchPredictor, CpuConfig, OpClass, Pipeline, SimResult,
-    TraceInstruction, TraceSource,
+    BranchInfo, BranchKind, BranchPredictor, Cpu, CpuConfig, InOrderCore, OpClass, Pipeline,
+    SimResult, TraceInstruction, TraceSource,
 };
 
 // ---------------------------------------------------------------------------
@@ -690,20 +696,42 @@ impl Maps {
     }
 }
 
-/// Runs `trace` on both loops over clones of one hierarchy and returns both
-/// results: first the rebuilt loop's, then the reference's.
+/// Slice sizes the chunked runs take their trace in: one instruction at a
+/// time, a size that splits fetch groups, and one larger than every trace
+/// here.
+const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
+
+/// Runs `trace` on `pipeline`, fed in slices of `size` instructions.
+fn run_chunked(
+    pipeline: &mut Pipeline,
+    trace: &[TraceInstruction],
+    cap: Option<u64>,
+    size: usize,
+) -> SimResult {
+    pipeline.begin(cap);
+    for chunk in trace.chunks(size) {
+        pipeline.feed(chunk);
+    }
+    pipeline.finish()
+}
+
+/// Runs `trace` on both loops over clones of one hierarchy. Returns the
+/// rebuilt loop's results, each with how it was fed (the whole trace through
+/// `run`, then slices of each of [`CHUNK_SIZES`]), and the reference's.
 fn both(
     config: CpuConfig,
     hierarchy: &CacheHierarchy,
     trace: &[TraceInstruction],
     cap: Option<u64>,
-) -> (SimResult, SimResult) {
-    let mut pipeline = Pipeline::new(config, hierarchy.clone());
+) -> (Vec<(String, SimResult)>, SimResult) {
+    let pipeline = || Pipeline::new(config, hierarchy.clone()).expect("a valid configuration");
+    let mut runs = vec![("whole".to_string(), pipeline().run(&mut trace.iter().copied(), cap))];
+    for size in CHUNK_SIZES {
+        let result = run_chunked(&mut pipeline(), trace, cap, size);
+        runs.push((format!("chunks of {size}"), result));
+    }
     let mut reference = RefPipeline::new(config, hierarchy.clone());
-    (
-        pipeline.run(&mut trace.iter().copied(), cap),
-        reference.run(&mut trace.iter().copied(), cap),
-    )
+    (runs, reference.run(&mut trace.iter().copied(), cap))
 }
 
 // ---------------------------------------------------------------------------
@@ -733,12 +761,14 @@ fn every_scheme_voltage_and_l2_matches_the_reference() {
                         (&trace, 1_234)
                     };
                     for cap in [None, Some(cap)] {
-                        let (got, want) = both(CpuConfig::ispass2010(), &hierarchy, trace, cap);
-                        assert_eq!(
-                            got, want,
-                            "{scheme:?} at {voltage:?}, faulty L2 {faulty_l2}, {variant:?}, \
-                             cap {cap:?}"
-                        );
+                        let (runs, want) = both(CpuConfig::ispass2010(), &hierarchy, trace, cap);
+                        for (how, got) in runs {
+                            assert_eq!(
+                                got, want,
+                                "{scheme:?} at {voltage:?}, faulty L2 {faulty_l2}, {variant:?}, \
+                                 cap {cap:?}, {how}"
+                            );
+                        }
                         compared += 1;
                     }
                 }
@@ -781,8 +811,10 @@ fn non_default_core_configs_match_the_reference() {
         let trace = random_trace(0xC0F1_6000 + seed, 1_500);
         for (label, config) in core_configs() {
             for cap in [None, Some(777)] {
-                let (got, want) = both(config, &hierarchy, &trace, cap);
-                assert_eq!(got, want, "{label}, trace seed {seed}, cap {cap:?}");
+                let (runs, want) = both(config, &hierarchy, &trace, cap);
+                for (how, got) in runs {
+                    assert_eq!(got, want, "{label}, trace seed {seed}, cap {cap:?}, {how}");
+                }
             }
         }
     }
@@ -797,16 +829,23 @@ fn consecutive_runs_with_reset_stats_match_the_reference() {
         .hierarchy(DisablingScheme::WordDisabling, VoltageMode::Low, false, Variant::Plain)
         .expect("word disabling repairs the maps");
     for (label, config) in core_configs() {
-        let mut pipeline = Pipeline::new(config, hierarchy.clone());
+        let pipeline = || Pipeline::new(config, hierarchy.clone()).expect("a valid configuration");
+        let mut whole = pipeline();
+        let mut chunked = CHUNK_SIZES.map(|size| (size, pipeline()));
         let mut reference = RefPipeline::new(config, hierarchy.clone());
         for (segment, seed) in [0xA11u64, 0xB22].into_iter().enumerate() {
             let trace = random_trace(seed, 1_200);
             let cap = (segment == 1).then_some(900);
-            let got = pipeline.run(&mut trace.iter().copied(), cap);
             let want = reference.run(&mut trace.iter().copied(), cap);
-            assert_eq!(got, want, "{label}, segment {segment}");
-            pipeline.reset_stats();
             reference.reset_stats();
+            let got = whole.run(&mut trace.iter().copied(), cap);
+            assert_eq!(got, want, "{label}, segment {segment}");
+            whole.reset_stats();
+            for (size, pipeline) in &mut chunked {
+                let got = run_chunked(pipeline, &trace, cap, *size);
+                assert_eq!(got, want, "{label}, segment {segment}, chunks of {size}");
+                pipeline.reset_stats();
+            }
         }
     }
 }
@@ -841,11 +880,61 @@ proptest! {
         let trace = random_trace(seed, len);
         // Caps below, at and above the trace length; 0 means no cap.
         let cap = (cap > 0).then_some(cap);
-        let (got, want) = both(config, &hierarchy, &trace, cap);
-        prop_assert_eq!(
-            got,
-            want,
-            "{label} {scheme:?} {voltage:?} faulty L2 {faulty_l2} {variant:?} cap {cap:?}"
-        );
+        let (runs, want) = both(config, &hierarchy, &trace, cap);
+        for (how, got) in runs {
+            prop_assert_eq!(
+                got,
+                want,
+                "{label} {scheme:?} {voltage:?} faulty L2 {faulty_l2} {variant:?} cap {cap:?} {how}"
+            );
+        }
+    }
+
+    /// Random configurations that `CpuConfig::validate` accepts, including
+    /// single-entry buffers, single units and zero front-end depth: both
+    /// cores drain random traces and commit every instruction up to the cap,
+    /// so the out-of-order loop's deadlock guard never fires.
+    #[test]
+    fn no_valid_config_deadlocks_on_random_traces(
+        seed in any::<u64>(),
+        len in 1usize..1_500,
+        widths in (1u32..7, 1u32..7, 1u32..8, 1u32..7, 0u32..14),
+        buffers in (1usize..160, 1usize..48, 1usize..24, 1usize..70),
+        units in (1u32..5, 1u32..5, 1u32..3, 1u32..3, 1u32..4),
+        cap in 0u64..1_600,
+    ) {
+        let (fetch_width, decode_width, issue_width, commit_width, front_end_depth) = widths;
+        let (rob_entries, int_iq_entries, fp_iq_entries, lsq_entries) = buffers;
+        let (int_alus, int_muls, fp_alus, fp_muls, mem_ports) = units;
+        let config = CpuConfig {
+            fetch_width,
+            decode_width,
+            issue_width,
+            commit_width,
+            rob_entries,
+            int_iq_entries,
+            fp_iq_entries,
+            lsq_entries,
+            int_alus,
+            int_muls,
+            fp_alus,
+            fp_muls,
+            mem_ports,
+            front_end_depth,
+            ..CpuConfig::ispass2010()
+        };
+        prop_assert_eq!(config.validate(), Ok(()));
+        let trace = random_trace(seed, len);
+        let cap = (cap > 0).then_some(cap);
+        let expected = cap.map_or(len as u64, |cap| cap.min(len as u64));
+        let hierarchy = CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage());
+        let cores: [Box<dyn Cpu>; 2] = [
+            Box::new(Pipeline::new(config, hierarchy.clone()).expect("validated")),
+            Box::new(InOrderCore::new(config, hierarchy).expect("validated")),
+        ];
+        for mut core in cores {
+            let result = core.run(&mut trace.iter().copied(), cap);
+            prop_assert_eq!(result.instructions, expected, "{:?}", config);
+        }
     }
 }

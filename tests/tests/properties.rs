@@ -324,7 +324,8 @@ proptest! {
         let mut pipeline = Pipeline::new(
             CpuConfig::ispass2010(),
             CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage()),
-        );
+        )
+        .unwrap();
         let result = pipeline.run(&mut trace.into_iter(), None);
         prop_assert_eq!(result.instructions, n);
         // IPC can never exceed the commit width, and a run always takes at least
