@@ -31,10 +31,7 @@
 //! * a closed-form time/energy/EDP model of a runtime voltage-mode governor
 //!   that alternates between nominal and below-Vcc-min execution —
 //!   [`governor`];
-//! * expected victim-cache entry survival at low voltage — [`victim`];
-//! * an exact, deterministic, mergeable quantile sketch for grid-valued
-//!   samples (the fleet yield campaign's Vcc-min distributions) —
-//!   [`quantile`].
+//! * expected victim-cache entry survival at low voltage — [`victim`].
 //!
 //! # Example
 //!
@@ -78,7 +75,6 @@ pub mod error;
 pub mod geometry;
 pub mod governor;
 pub mod incremental;
-pub mod quantile;
 pub mod victim;
 pub mod voltage;
 pub mod way_sacrifice;

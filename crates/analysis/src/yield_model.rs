@@ -17,8 +17,8 @@
 //!   capacity floor under block-disabling ([`block_disable_yield`]) or remains
 //!   repairable at all under word-disabling ([`word_disable_yield`]).
 //!
-//! The Monte-Carlo die populations of `vccmin-experiments`' `YieldStudy` are
-//! cross-validated against these closed forms in the i.i.d. limit.
+//! The Monte-Carlo yield curves of `vccmin-experiments`' fleet yield campaign
+//! are cross-validated against these closed forms in the i.i.d. limit.
 
 use crate::block_faults;
 use crate::capacity::CapacityDistribution;

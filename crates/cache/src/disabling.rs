@@ -5,8 +5,7 @@
 //! [`DisablingScheme`] is the *identifier* of a repair scheme — a small `Copy`
 //! enum that configurations can embed and serialize, and whose
 //! [`DisablingScheme::ALL`] is the one list of schemes. All scheme behavior
-//! (structure, latency, capacity) lives behind the
-//! [`RepairScheme`](crate::repair::RepairScheme) trait;
+//! (structure, latency, capacity) lives behind the [`RepairScheme`] trait;
 //! [`DisablingScheme::repair`] resolves an identifier to its `&'static`
 //! implementation.
 //!

@@ -19,8 +19,7 @@
 //! through this trait via the scheme [`registry`], which is
 //! [`DisablingScheme::ALL`](crate::disabling::DisablingScheme::ALL) resolved
 //! to implementations. Adding a scheme is therefore one trait impl plus one
-//! [`DisablingScheme`](crate::disabling::DisablingScheme) variant, listed in
-//! `ALL` and mapped to the impl by
+//! [`DisablingScheme`] variant, listed in `ALL` and mapped to the impl by
 //! [`DisablingScheme::repair`](crate::disabling::DisablingScheme::repair);
 //! the compiler then names every exhaustive match downstream that must learn
 //! the new variant.

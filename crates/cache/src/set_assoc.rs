@@ -4,7 +4,7 @@
 //!
 //! The cache is stored structure-of-arrays: one dense row of tags and one
 //! `Vec<u8>` of recency ranks (indexed `set * associativity + way`), plus one packed
-//! [`SetMeta`] record per set holding the `valid`, `dirty` and `usable` way
+//! `SetMeta` record per set holding the `valid`, `dirty` and `usable` way
 //! bitsets (bit `w` describes way `w`). Packing the three bitsets into one
 //! 24-byte record means a lookup touches a single metadata cache line per set
 //! instead of three scattered ones.

@@ -14,8 +14,9 @@ use crate::stats::CacheStats;
 
 /// A fully-associative victim cache with true-LRU replacement.
 ///
-/// The recency clock is a `u64` (like [`crate::SetAssocCache`]'s): a 32-bit
-/// clock wraps after 2^32 insert/touch operations and inverts the LRU order.
+/// The recency clock is a `u64`: a 32-bit clock wraps after 2^32
+/// insert/touch operations and inverts the LRU order. ([`crate::SetAssocCache`]
+/// has no clock: it keeps a `u8` recency rank per way.)
 /// Invalid entries carry no meaningful LRU value and are never compared —
 /// victim selection prefers them structurally (first invalid slot) before any
 /// recency comparison happens, so no sentinel value exists to collide with a

@@ -2,9 +2,8 @@
 //!
 //! Every consumer of a core — the scheme matrix, the voltage-mode governor, the
 //! RISC-V kernel campaigns — drives it through the [`Cpu`] trait, so a study can
-//! swap the out-of-order [`Pipeline`] for the in-order
-//! [`InOrderCore`](crate::inorder::InOrderCore) (or any future backend) without
-//! touching its own logic. [`CoreModel`] is the serializable/parsable selector
+//! swap the out-of-order [`Pipeline`] for the in-order [`InOrderCore`] (or any
+//! future backend) without touching its own logic. [`CoreModel`] is the serializable/parsable selector
 //! that campaigns thread through their parameters and the CLI exposes as
 //! `--core`; [`CoreModel::build`] is the single factory path through which both
 //! the simulation and governor executors construct cores.

@@ -21,7 +21,7 @@
 //!
 //! The core keeps its run's state (the instruction count and limit, each
 //! register's ready cycle, the fetch, cache and issue-slot availability) in
-//! a [`RunState`] between calls, so a run can take its trace in slices
+//! a `RunState` between calls, so a run can take its trace in slices
 //! ([`Cpu::begin`], [`Cpu::feed`], [`Cpu::finish`]). Each slice loads the
 //! state into locals, steps its instructions in one loop and stores it back.
 //! Nothing is in flight between two instructions that the state does not

@@ -31,7 +31,7 @@
 //!   as a scan of the whole reorder buffer would.
 //! - Issued instructions wait on a completion wheel (a hashed timing wheel,
 //!   Varghese and Lauck, SOSP 1987): one bucket per due cycle modulo
-//!   [`WHEEL_BUCKETS`], each a singly linked list threaded through the
+//!   `WHEEL_BUCKETS`, each a singly linked list threaded through the
 //!   reorder-buffer slots, with an occupancy bitset over the buckets. Each
 //!   executed cycle drains its own bucket. An entry due on a later lap of the
 //!   wheel stays in its bucket until its lap comes round, so every latency is

@@ -2,11 +2,10 @@
 //! restructured to run over millions of dies with flat memory and a
 //! checkpointable, resumable work queue.
 //!
-//! [`YieldStudy`](crate::yield_study::YieldStudy) runs on one thread and
-//! materializes a `DieResult` per die — the reference this executor is
-//! tested against, but `O(dies)` memory. This module keeps the exact same
-//! per-die probe semantics while reducing every die to a constant-size
-//! integer aggregate on the fly:
+//! [`YieldStudy`] runs on one thread and materializes a `DieResult` per die —
+//! the reference this executor is tested against, but `O(dies)` memory. This
+//! module keeps the exact same per-die probe semantics while reducing every
+//! die to a constant-size integer aggregate on the fly:
 //!
 //! * **Sharding** — the population is split into fixed runs of
 //!   [`FleetParams::shard_dies`] consecutive dies. Each shard draws its seed
@@ -44,23 +43,23 @@
 //!   on-disk payload *is* the in-memory aggregate, a resumed run's reports
 //!   are byte-identical to an uninterrupted run's.
 //!
-//! The per-scheme Vcc-min distribution is additionally exposed as an exact
-//! [`GridQuantileSketch`], and both report tables render through the same
-//! `pub(crate)` builders as `YieldStudy` — the two executors produce
-//! byte-identical CSV for the same [`YieldParams`], which the workspace
-//! integration tests pin.
+//! Both yield tables render here, from the aggregate alone:
+//! [`FleetStudy::yield_curve`] and [`FleetStudy::vccmin_summary`] read only
+//! the grid, the histogram, the dead counts and the die count, so equal
+//! aggregates print equal bytes. [`YieldStudy::min_voltage_histogram`] derives
+//! the same aggregate from the linear scan; that is how the tests compare the
+//! two executors.
 
 use std::io;
 use std::path::Path;
 
-use vccmin_analysis::quantile::GridQuantileSketch;
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{DieVariation, FaultMap};
 
 use crate::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
 use crate::map_jobs;
 use crate::report::FigureTable;
-use crate::yield_study::{vccmin_summary_table, yield_curve_table, YieldParams, YieldStudy};
+use crate::yield_study::{YieldParams, YieldStudy};
 
 /// Parameters of a fleet campaign: a yield campaign plus its shard size.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,9 +232,9 @@ impl FleetStudy {
         }
     }
 
-    /// The yield-vs-voltage curves, byte-identical to
-    /// [`YieldStudy::yield_curve`](crate::yield_study::YieldStudy::yield_curve)
-    /// for the same [`YieldParams`]: a die is operational at grid index `k`
+    /// The yield-vs-voltage curves: one row per grid voltage (highest first),
+    /// one column per repair scheme, each cell the fraction of dies
+    /// operational at that voltage. A die is operational at grid index `k`
     /// exactly when its minimum-voltage index is `>= k` (the true-prefix
     /// structure), so the operational counts are suffix sums of the histogram.
     #[must_use]
@@ -253,59 +252,76 @@ impl FleetStudy {
                 suffix
             })
             .collect();
-        yield_curve_table(&self.grid, &ok_counts, self.dies)
+        let mut table = FigureTable::new(
+            "Yield study: fraction of dies operational vs supply voltage",
+            "voltage",
+            YieldStudy::scheme_labels(),
+        );
+        for (k, &v) in self.grid.iter().enumerate() {
+            let values = ok_counts
+                .iter()
+                .map(|counts| self.share(counts[k]))
+                .collect();
+            table.push_row(format!("{v:.3}"), values);
+        }
+        table
     }
 
-    /// The per-scheme Vcc-min summary, byte-identical to
-    /// [`YieldStudy::vccmin_summary`](crate::yield_study::YieldStudy::vccmin_summary)
-    /// for the same [`YieldParams`] — both render the same integer histogram
-    /// through the same table builder.
+    /// The per-scheme Vcc-min distribution over the die population: mean,
+    /// best (lowest) and worst (highest) minimum operational voltage among
+    /// dies that run at all, plus the fraction of dead dies (not operational
+    /// even at the top of the grid). A scheme with zero live dies has *no*
+    /// Vcc-min — its mean/best/worst cells are empty ([`None`]), not a
+    /// too-good-to-be-true `0.0`, and they are excluded from the CSV `mean`
+    /// footer. Every statistic is computed from the histogram in ascending
+    /// grid-index order, so equal counts give equal bytes.
     #[must_use]
     pub fn vccmin_summary(&self) -> FigureTable {
-        vccmin_summary_table(&self.grid, &self.hist, &self.dead, self.dies)
-    }
-
-    /// The exact quantile sketch of scheme `scheme_index`'s Vcc-min
-    /// distribution over the live dies (dead dies have no Vcc-min and are
-    /// reported by [`FleetStudy::dead_fraction`] instead). Bins are the grid
-    /// voltages in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheme_index` is out of range.
-    #[must_use]
-    pub fn sketch(&self, scheme_index: usize) -> GridQuantileSketch {
-        assert!(
-            scheme_index < self.hist.len(),
-            "scheme index {scheme_index} out of range"
+        let mut table = FigureTable::new(
+            "Yield study: die Vcc-min distribution per repair scheme",
+            "scheme",
+            vec![
+                "mean Vcc-min".into(),
+                "best Vcc-min".into(),
+                "worst Vcc-min".into(),
+                "dead fraction".into(),
+            ],
         );
-        let bins: Vec<f64> = self.grid.iter().rev().copied().collect();
-        let mut sketch = GridQuantileSketch::new(bins);
-        let last = self.grid.len() - 1;
-        for (k, &count) in self.hist[scheme_index].iter().enumerate() {
-            if count > 0 {
-                sketch.record(last - k, count);
-            }
+        for (label, (counts, &dead_count)) in YieldStudy::scheme_labels()
+            .into_iter()
+            .zip(self.hist.iter().zip(&self.dead))
+        {
+            let alive: u64 = counts.iter().sum();
+            let stats = if alive == 0 {
+                [None, None, None]
+            } else {
+                let sum: f64 = self
+                    .grid
+                    .iter()
+                    .zip(counts)
+                    .map(|(&v, &c)| v * c as f64)
+                    .sum();
+                // The grid is highest-first, so the *best* (lowest) Vcc-min sits
+                // at the largest populated index and the worst at the smallest.
+                let best = counts.iter().rposition(|&c| c > 0).map(|k| self.grid[k]);
+                let worst = counts.iter().position(|&c| c > 0).map(|k| self.grid[k]);
+                [Some(sum / alive as f64), best, worst]
+            };
+            table.push_optional_row(
+                label,
+                vec![stats[0], stats[1], stats[2], Some(self.share(dead_count))],
+            );
         }
-        sketch
+        table
     }
 
-    /// Fraction of dies dead under scheme `scheme_index` (zero for an empty
-    /// population).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheme_index` is out of range.
-    #[must_use]
-    pub fn dead_fraction(&self, scheme_index: usize) -> f64 {
-        assert!(
-            scheme_index < self.dead.len(),
-            "scheme index {scheme_index} out of range"
-        );
+    /// `count` as a fraction of the population; zero, not NaN, for an empty
+    /// one.
+    fn share(&self, count: u64) -> f64 {
         if self.dies == 0 {
             0.0
         } else {
-            self.dead[scheme_index] as f64 / self.dies as f64
+            count as f64 / self.dies as f64
         }
     }
 }
@@ -453,14 +469,78 @@ mod tests {
     }
 
     #[test]
-    fn fleet_reports_are_byte_identical_to_the_study_reports() {
-        let params = tiny();
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
-        assert_eq!(fleet.yield_curve().to_csv(), study.yield_curve().to_csv());
-        assert_eq!(
-            fleet.vccmin_summary().to_csv(),
-            study.vccmin_summary().to_csv()
+    fn yield_curve_cells_are_the_scans_operational_shares() {
+        // The curve's suffix sums over the histogram give, cell by cell, the
+        // share of dies the linear scan flags operational.
+        for include_l2 in [false, true] {
+            let mut params = tiny();
+            params.yields.include_l2 = include_l2;
+            let curve = FleetStudy::run(&params).yield_curve();
+            let study = YieldStudy::run(&params.yields);
+            assert_eq!(curve.rows.len(), study.grid.len());
+            for (k, (_, values)) in curve.rows.iter().enumerate() {
+                assert_eq!(values.len(), YieldStudy::scheme_labels().len());
+                for (i, &value) in values.iter().enumerate() {
+                    let ok = study.dies.iter().filter(|d| d.operational[i][k]).count();
+                    let share = ok as f64 / study.dies.len() as f64;
+                    assert_eq!(value, Some(share), "include_l2={include_l2} scheme {i} row {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn yield_curve_and_summary_have_the_expected_shape() {
+        let fleet = FleetStudy::run(&tiny());
+        let curve = fleet.yield_curve();
+        assert_eq!(curve.rows.len(), fleet.grid.len());
+        assert_eq!(curve.series_labels.len(), 5);
+        for (_, values) in &curve.rows {
+            for v in values {
+                assert!((0.0..=1.0).contains(&v.unwrap()));
+            }
+        }
+        let summary = fleet.vccmin_summary();
+        assert_eq!(summary.rows.len(), 5);
+        for (_, values) in &summary.rows {
+            // best <= mean <= worst for live schemes.
+            let (mean, best, worst) =
+                (values[0].unwrap(), values[1].unwrap(), values[2].unwrap());
+            assert!(best <= mean + 1e-12);
+            assert!(mean <= worst + 1e-12);
+        }
+    }
+
+    #[test]
+    fn dead_scheme_reports_empty_cells_not_zero() {
+        // A grid entirely below every non-ideal scheme's floor: at 0.46 V
+        // (pfail ~ 6e-3) block-disabling cannot hold half capacity on any die,
+        // so it must report *no* Vcc-min — empty mean/best/worst cells and a
+        // dead fraction of 1 — instead of a "best Vcc-min 0.000" that reads
+        // better than any live scheme.
+        let mut params = tiny();
+        params.yields.v_high = 0.46;
+        params.yields.v_low = 0.44;
+        params.yields.steps = 2;
+        let summary = FleetStudy::run(&params).vccmin_summary();
+        let labels = YieldStudy::scheme_labels();
+        let block = labels.iter().position(|l| l == "block disabling").unwrap();
+        let (label, values) = &summary.rows[block];
+        assert_eq!(label, "block disabling");
+        assert_eq!(values[0], None, "a dead scheme has no mean Vcc-min");
+        assert_eq!(values[1], None, "a dead scheme has no best Vcc-min");
+        assert_eq!(values[2], None, "a dead scheme has no worst Vcc-min");
+        assert_eq!(values[3], Some(1.0));
+        // The baseline ignores faults and stays alive, so the mean footer is
+        // computed over live schemes only — and stays a real voltage, not a
+        // value dragged toward zero by the dead row.
+        let means = summary.series_means();
+        assert!(means[0].unwrap() >= params.yields.v_low);
+        // The CSV encodes the dead cells as empty fields.
+        let csv = summary.to_csv();
+        assert!(
+            csv.lines().any(|l| l.starts_with("block disabling,,,,")),
+            "dead scheme must render empty Vcc-min cells: {csv}"
         );
     }
 
@@ -494,35 +574,6 @@ mod tests {
         let (hist, dead) = study.min_voltage_histogram();
         assert_eq!(fleet.hist, hist);
         assert_eq!(fleet.dead, dead);
-    }
-
-    #[test]
-    fn sketch_reports_the_distribution_exactly() {
-        let params = tiny();
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
-        for (i, _) in YieldStudy::scheme_labels().iter().enumerate() {
-            let sketch = fleet.sketch(i);
-            let alive: u64 = fleet.hist[i].iter().sum();
-            assert_eq!(sketch.total(), alive);
-            // Sketch stats agree with the per-die materialized values.
-            let mut mins: Vec<f64> = study
-                .dies
-                .iter()
-                .filter_map(|d| d.min_voltage[i])
-                .collect();
-            mins.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(sketch.min(), mins.first().copied());
-            assert_eq!(sketch.max(), mins.last().copied());
-            if let Some(mean) = sketch.mean() {
-                let direct: f64 = mins.iter().sum::<f64>() / mins.len() as f64;
-                assert!((mean - direct).abs() < 1e-12);
-            }
-            if let Some(median) = sketch.quantile(0.5) {
-                let direct = mins[(mins.len() - 1) / 2];
-                assert_eq!(median, direct);
-            }
-        }
     }
 
     #[test]
@@ -579,17 +630,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheme index 5 out of range")]
-    fn dead_fraction_rejects_an_out_of_range_scheme() {
-        let _ = FleetStudy::run(&tiny()).dead_fraction(5);
-    }
+    fn a_stored_shard_with_the_wrong_bounds_is_recomputed() {
+        // A record that passes every check of the store (fingerprint, index,
+        // counts that add up to its die count) but covers one die fewer than
+        // its shard must be recomputed, not merged.
+        let params = tiny();
+        let dir = std::env::temp_dir().join(format!("vccmin-fleet-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let grid = params.yields.voltage_grid();
+        let mut short = compute_shard(&params, &grid, &registry(), 1, true);
+        short.die_count -= 1;
+        for (counts, dead) in short.hist.iter_mut().zip(&mut short.dead) {
+            match counts.iter_mut().find(|c| **c > 0) {
+                Some(c) => *c -= 1,
+                None => *dead -= 1,
+            }
+        }
+        let store = CheckpointStore::open(&dir, params.fingerprint()).unwrap();
+        store.save(&short).unwrap();
+        assert_eq!(
+            store.load(1, short.hist.len(), grid.len()).unwrap(),
+            Some(short)
+        );
 
-    #[test]
-    #[should_panic(expected = "scheme index 5 out of range")]
-    fn dead_fraction_rejects_an_out_of_range_scheme_on_an_empty_population() {
-        let mut params = tiny();
-        params.yields.dies = 0;
-        let _ = FleetStudy::run(&params).dead_fraction(5);
+        let resumed = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
+        assert_eq!(resumed, FleetStudy::run(&params));
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -598,11 +665,14 @@ mod tests {
         params.yields.dies = 0;
         let fleet = FleetStudy::run(&params);
         assert_eq!(fleet.dies, 0);
-        assert_eq!(fleet.dead_fraction(0), 0.0);
-        assert_eq!(fleet.sketch(0).total(), 0);
-        let summary = fleet.vccmin_summary();
-        for (_, values) in &summary.rows {
-            assert_eq!(values[0], None);
+        assert!(fleet.hist.iter().flatten().all(|&c| c == 0));
+        for (_, values) in &fleet.yield_curve().rows {
+            assert!(values.iter().all(|&v| v == Some(0.0)), "{values:?}");
+        }
+        for (_, values) in &fleet.vccmin_summary().rows {
+            // No dies means no Vcc-min statistics (empty cells, never NaN) and
+            // a well-defined dead fraction of zero.
+            assert_eq!(values[..3], [None, None, None]);
             assert_eq!(values[3], Some(0.0));
         }
     }

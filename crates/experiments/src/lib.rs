@@ -8,30 +8,31 @@
 //! * [`overhead`] — the transistor-count comparison of Table I;
 //! * [`config`] — the named cache configurations of Table III (baseline,
 //!   word-disabling, block-disabling, with and without victim caches, at high and
-//!   low voltage), plus the [`L2Protection`](config::L2Protection) axis that puts
-//!   the unified L2 below Vcc-min (perfect, matched to the L1 scheme, or fixed);
+//!   low voltage), plus the [`L2Protection`] axis that puts the unified L2 below
+//!   Vcc-min (perfect, matched to the L1 scheme, or fixed);
 //! * [`simulation`] — the simulation campaigns behind Figs. 8–12 (every SPEC-like
 //!   benchmark, every configuration, multiple random fault-map pairs, reported as
-//!   mean and minimum normalized performance) plus the
-//!   [`SchemeMatrixStudy`](simulation::SchemeMatrixStudy) that compares every
-//!   repair scheme in the registry — baseline, word-disabling, block-disabling,
-//!   bit-fix and way-sacrifice — the [`GovernorStudy`](simulation::GovernorStudy)
-//!   that executes benchmarks under runtime voltage-mode-switching policies, and
-//!   the [`CoreMatrixStudy`](simulation::CoreMatrixStudy) that re-runs the scheme
-//!   matrix on every CPU backend ([`CoreModel`](vccmin_cpu::CoreModel) axis) to
-//!   expose how much memory-level parallelism hides each scheme's latency;
+//!   mean and minimum normalized performance) plus the [`SchemeMatrixStudy`]
+//!   that compares every repair scheme in the registry — baseline,
+//!   word-disabling, block-disabling, bit-fix and way-sacrifice — the
+//!   [`GovernorStudy`] that executes benchmarks under runtime
+//!   voltage-mode-switching policies, and the [`CoreMatrixStudy`] that re-runs
+//!   the scheme matrix on every CPU backend ([`CoreModel`](vccmin_cpu::CoreModel)
+//!   axis) to expose how much memory-level parallelism hides each scheme's
+//!   latency;
 //! * [`governor`] — the runtime voltage-mode governor itself: mode-selection
 //!   policies (static schedule, fixed interval, phase-reactive), transition
 //!   costs (pipeline drain + repair-scheme reconfiguration) and the governed
 //!   segment executor with energy/EDP accounting;
 //! * [`yield_study`] — the die-population yield campaign: process-variation
 //!   dies sampled from the `vccmin-fault` variation model, each die's minimum
-//!   operational voltage computed per repair scheme, reported as Vcc-min
-//!   distributions and yield-vs-voltage curves;
+//!   operational voltage computed per repair scheme; its per-die linear scan is
+//!   the reference the fleet executor is tested against;
 //! * [`fleet`] — the fleet-scale streaming executor for the same campaign:
 //!   sharded work units, binary-searched per-die Vcc-min probing, constant
-//!   memory histogram aggregation and checkpoint/resume, byte-identical to
-//!   [`yield_study`] at any scale;
+//!   memory histogram aggregation and checkpoint/resume, equal to
+//!   [`yield_study`]'s scan at any scale. It renders the campaign's reports:
+//!   Vcc-min distributions and yield-vs-voltage curves;
 //! * [`checkpoint`] — the compact binary shard-result store (`VFS1` records,
 //!   atomic writes, checksum + parameter-fingerprint validation) behind the
 //!   fleet executor's resumability;

@@ -8,6 +8,9 @@
 //! is deliberately separate from the `rand` crate so that derived seeds remain
 //! stable across `rand` version upgrades.
 
+/// SplitMix64's state increment (the golden-ratio Weyl constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A deterministic sequence of 64-bit seeds derived from a master seed (SplitMix64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeedSequence {
@@ -24,11 +27,18 @@ impl SeedSequence {
     /// Returns the next seed in the sequence.
     pub fn next_seed(&mut self) -> u64 {
         // SplitMix64 step (public-domain constants from Vigna's reference code).
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances the sequence past `n` seeds in O(1): exactly as if
+    /// [`SeedSequence::next_seed`] had been called `n` times. The state is a
+    /// Weyl sequence, so `n` steps add `n` times the increment, modulo 2^64.
+    pub fn discard(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Returns a vector of `n` derived seeds.
@@ -91,6 +101,20 @@ mod tests {
         assert_ne!(fork_a, fork_b);
         // Forking consumes exactly one seed from the parent, so parents stay in sync.
         assert_eq!(master_a.next_seed(), master_b.next_seed());
+    }
+
+    #[test]
+    fn discard_equals_drawing_the_seeds() {
+        for n in [0u64, 1, 2, 7, 1000, 65_537] {
+            let mut fast = SeedSequence::new(42);
+            let mut slow = fast;
+            fast.discard(n);
+            for _ in 0..n {
+                let _ = slow.next_seed();
+            }
+            assert_eq!(fast, slow, "n={n}");
+            assert_eq!(fast.take_seeds(3), slow.take_seeds(3), "n={n}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", "fixtures", ".git"];
 /// The workspace directories `simlint check` scans by default.
 pub const DEFAULT_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
 
-/// Recursively collects every `.rs` file under `dir`, skipping [`SKIP_DIRS`].
+/// Recursively collects every `.rs` file under `dir`, skipping `SKIP_DIRS`.
 /// The result is sorted, so scan order (and therefore report order and JSON
 /// output) is itself deterministic.
 pub fn collect_rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {

@@ -1,10 +1,12 @@
 //! Workspace-level tests of the process-variation & yield subsystem:
 //!
-//! * the quick()-scale `YieldStudy` figures are pinned, byte for byte, to
-//!   `tests/golden/yield.csv` (yield-vs-voltage curves followed by the per
-//!   scheme Vcc-min summary, exactly what `vccmin-repro yield --csv` emits);
-//! * in the i.i.d. limit (zero systematic variance) the Monte-Carlo yield
-//!   cross-validates against the closed forms of
+//! * the quick()-scale yield figures, rendered from the fleet aggregate, are
+//!   pinned, byte for byte, to `tests/golden/yield.csv` (yield-vs-voltage
+//!   curves followed by the per scheme Vcc-min summary, exactly what
+//!   `vccmin-repro yield --csv` emits), and the per-die linear scan of
+//!   `YieldStudy` finds the same histogram there;
+//! * in the i.i.d. limit (zero systematic variance) the fleet's Monte-Carlo
+//!   yield curve cross-validates against the closed forms of
 //!   `vccmin_analysis::yield_model` (binomial capacity tail for
 //!   block-disabling, whole-cache-failure complement for word-disabling);
 //! * zero-systematic-variance voltage sampling is statistically — in fact
@@ -20,6 +22,7 @@
 
 use vccmin_core::analysis::word_disable::WordDisableParams;
 use vccmin_core::analysis::yield_model;
+use vccmin_core::experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
 use vccmin_core::{CacheGeometry, DieVariation, FaultMap, PfailVoltageModel, VariationModel};
 
@@ -27,17 +30,21 @@ const GOLDEN: &str = include_str!("../golden/yield.csv");
 
 #[test]
 fn quick_scale_yield_study_matches_its_snapshot() {
-    let study = YieldStudy::run(&YieldParams::quick());
+    let params = YieldParams::quick();
+    let fleet = FleetStudy::run(&FleetParams::new(params.clone()));
     let actual = format!(
         "{}{}",
-        study.yield_curve().to_csv(),
-        study.vccmin_summary().to_csv()
+        fleet.yield_curve().to_csv(),
+        fleet.vccmin_summary().to_csv()
     );
     assert_eq!(
         actual, GOLDEN,
         "yield study drifted from tests/golden/yield.csv; if the change is \
          intentional, regenerate the snapshot per the module docs"
     );
+    let (hist, dead) = YieldStudy::run(&params).min_voltage_histogram();
+    assert_eq!(fleet.hist, hist, "the linear scan disagrees at quick scale");
+    assert_eq!(fleet.dead, dead, "the linear scan disagrees at quick scale");
 }
 
 #[test]
@@ -54,21 +61,6 @@ fn golden_yield_snapshot_has_the_expected_shape() {
     }
 }
 
-/// Monte-Carlo yield of one scheme at one voltage over an i.i.d. population.
-fn monte_carlo_yield(study: &YieldStudy, scheme_label: &str, voltage: f64) -> f64 {
-    let labels = YieldStudy::scheme_labels();
-    let scheme = labels
-        .iter()
-        .position(|l| l == scheme_label)
-        .expect("scheme in registry");
-    let grid_index = study
-        .grid
-        .iter()
-        .position(|&v| (v - voltage).abs() < 1e-9)
-        .expect("voltage on the grid");
-    study.yield_at(scheme, grid_index)
-}
-
 #[test]
 fn iid_monte_carlo_yield_matches_the_closed_forms() {
     let bridge = PfailVoltageModel::ispass2010();
@@ -77,15 +69,22 @@ fn iid_monte_carlo_yield_matches_the_closed_forms() {
         variation: VariationModel::iid(bridge),
         ..YieldParams::quick()
     };
-    let study = YieldStudy::run(&params);
+    let fleet = FleetStudy::run_parallel(&FleetParams::new(params.clone()));
+    let curve = fleet.yield_curve();
+    let labels = YieldStudy::scheme_labels();
     let geom = CacheGeometry::ispass2010_l1().to_array_geometry();
     let wd_params = WordDisableParams::ispass2010();
 
-    for &v in &study.grid.clone() {
+    for (&v, (_, row)) in fleet.grid.iter().zip(&curve.rows) {
+        // Monte-Carlo yield of one scheme at this voltage: its curve cell.
+        let monte_carlo_yield = |label: &str| {
+            let scheme = labels.iter().position(|l| l == label).expect("scheme in registry");
+            row[scheme].expect("the yield curve has no empty cells")
+        };
         let pfail = bridge.pfail(v);
         // Block-disabling: binomial capacity-tail closed form (Eq. 3).
         let analytical = yield_model::block_disable_yield(&geom, pfail, params.min_capacity);
-        let empirical = monte_carlo_yield(&study, "block disabling", v);
+        let empirical = monte_carlo_yield("block disabling");
         assert!(
             (analytical - empirical).abs() < 0.05,
             "block-disabling at V={v}: closed-form {analytical} vs Monte Carlo {empirical}"
@@ -93,13 +92,13 @@ fn iid_monte_carlo_yield_matches_the_closed_forms() {
         // Word-disabling: complement of the whole-cache failure probability
         // (Eqs. 4-5); with a 0.5 capacity floor, usable == operational.
         let analytical = yield_model::word_disable_yield(&geom, &wd_params, pfail);
-        let empirical = monte_carlo_yield(&study, "word disabling", v);
+        let empirical = monte_carlo_yield("word disabling");
         assert!(
             (analytical - empirical).abs() < 0.05,
             "word-disabling at V={v}: closed-form {analytical} vs Monte Carlo {empirical}"
         );
         // The idealized baseline has unit yield everywhere.
-        assert_eq!(monte_carlo_yield(&study, "baseline", v), 1.0);
+        assert_eq!(monte_carlo_yield("baseline"), 1.0);
     }
 }
 
@@ -175,7 +174,7 @@ fn systematic_variation_widens_the_vccmin_distribution() {
         ..quick.clone()
     };
     let spread = |params: &YieldParams| {
-        let summary = YieldStudy::run(params).vccmin_summary();
+        let summary = FleetStudy::run(&FleetParams::new(params.clone())).vccmin_summary();
         summary
             .rows
             .iter()
