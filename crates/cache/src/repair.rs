@@ -35,21 +35,43 @@ use crate::disabling::{DisableError, DisablingScheme, VoltageMode};
 /// This generalizes the "disable every faulty block" rule of block-disabling:
 /// bit-fix and way-sacrifice disable ways that are not themselves faulty (the
 /// sacrificed pattern-storage way) and keep ways that are (repaired blocks).
+/// Each set's decision is one `u64` of disabled ways (bit `w` for way `w`),
+/// so a mask covers at most 64 ways per set, as
+/// [`SetAssocCache`](crate::set_assoc::SetAssocCache) does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WayDisableMask {
     sets: u64,
     associativity: u64,
-    disabled: Vec<bool>,
+    /// Per set, the bitset of its disabled ways.
+    disabled: Vec<u64>,
+}
+
+/// The bitset of the ways of `blocks` (one set, in way order) for which
+/// `pick` holds.
+fn ways_where(blocks: &[BlockFaults], pick: impl Fn(&BlockFaults) -> bool) -> u64 {
+    blocks
+        .iter()
+        .enumerate()
+        .fold(0, |ways, (way, block)| ways | u64::from(pick(block)) << way)
 }
 
 impl WayDisableMask {
     /// A mask with every way enabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 64 ways per set.
     #[must_use]
     pub fn all_enabled(geometry: &CacheGeometry) -> Self {
+        assert!(
+            geometry.associativity() <= 64,
+            "a disable mask holds at most 64 ways per set, got {}",
+            geometry.associativity()
+        );
         Self {
             sets: geometry.sets(),
             associativity: geometry.associativity(),
-            disabled: vec![false; (geometry.sets() * geometry.associativity()) as usize],
+            disabled: vec![0; geometry.sets() as usize],
         }
     }
 
@@ -68,27 +90,27 @@ impl WayDisableMask {
     }
 
     /// Builds the mask of `map`'s geometry one set at a time: `disable` sees
-    /// the set's block fault records (from [`FaultMap::sets`]) and the set's
-    /// disable flags, both in way order.
-    fn from_sets(map: &FaultMap, mut disable: impl FnMut(&[BlockFaults], &mut [bool])) -> Self {
+    /// the set's block fault records (from [`FaultMap::sets`]), in way order,
+    /// and returns the bitset of the set's disabled ways.
+    fn from_sets(map: &FaultMap, mut disable: impl FnMut(&[BlockFaults]) -> u64) -> Self {
         let mut mask = Self::all_enabled(map.geometry());
-        let ways = mask.associativity as usize;
-        for (blocks, disabled) in map.sets().zip(mask.disabled.chunks_exact_mut(ways)) {
-            disable(blocks, disabled);
+        for (ways, blocks) in mask.disabled.iter_mut().zip(map.sets()) {
+            *ways = disable(blocks);
         }
         mask
     }
 
-    fn index(&self, set: u64, way: u64) -> usize {
+    /// The set index and way bit of (`set`, `way`).
+    fn locate(&self, set: u64, way: u64) -> (usize, u64) {
         assert!(set < self.sets, "set {set} out of range");
         assert!(way < self.associativity, "way {way} out of range");
-        (set * self.associativity + way) as usize
+        (set as usize, 1 << way)
     }
 
     /// Marks a way as disabled.
     pub fn disable(&mut self, set: u64, way: u64) {
-        let i = self.index(set, way);
-        self.disabled[i] = true;
+        let (set, bit) = self.locate(set, way);
+        self.disabled[set] |= bit;
     }
 
     /// Whether the given way is disabled.
@@ -98,7 +120,13 @@ impl WayDisableMask {
     /// Panics if `set` or `way` are out of range.
     #[must_use]
     pub fn is_disabled(&self, set: u64, way: u64) -> bool {
-        self.disabled[self.index(set, way)]
+        let (set, bit) = self.locate(set, way);
+        self.disabled[set] & bit != 0
+    }
+
+    /// Per set, the bitset of its disabled ways (bit `w` for way `w`).
+    pub(crate) fn disabled_ways(&self) -> &[u64] {
+        &self.disabled
     }
 
     /// Number of sets covered by the mask.
@@ -116,13 +144,13 @@ impl WayDisableMask {
     /// Number of disabled ways across the whole cache.
     #[must_use]
     pub fn disabled_blocks(&self) -> u64 {
-        self.disabled.iter().filter(|&&d| d).count() as u64
+        self.disabled.iter().map(|ways| u64::from(ways.count_ones())).sum()
     }
 
     /// Number of usable ways across the whole cache.
     #[must_use]
     pub fn usable_blocks(&self) -> u64 {
-        self.disabled.len() as u64 - self.disabled_blocks()
+        self.sets * self.associativity - self.disabled_blocks()
     }
 }
 
@@ -293,10 +321,8 @@ impl RepairScheme for BlockDisablingScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         Ok(ResolvedOrganization {
             geometry: *map.geometry(),
-            disabled: Some(WayDisableMask::from_sets(map, |blocks, disabled| {
-                for (d, block) in disabled.iter_mut().zip(blocks) {
-                    *d = block.has_any_fault();
-                }
+            disabled: Some(WayDisableMask::from_sets(map, |blocks| {
+                ways_where(blocks, BlockFaults::has_any_fault)
             })),
         })
     }
@@ -420,14 +446,12 @@ impl RepairScheme for BitFixScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
         let budget = Self::params(&geometry).repair_word_budget;
-        let mask = WayDisableMask::from_sets(map, |blocks, disabled| {
+        let mask = WayDisableMask::from_sets(map, |blocks| {
             if !blocks.iter().any(BlockFaults::has_any_fault) {
-                return;
+                return 0;
             }
-            let sacrificed = Self::sacrificed_way(blocks, budget);
-            for (way, (d, block)) in disabled.iter_mut().zip(blocks).enumerate() {
-                *d = way == sacrificed || Self::unrepairable(block, budget);
-            }
+            (1 << Self::sacrificed_way(blocks, budget))
+                | ways_where(blocks, |block| Self::unrepairable(block, budget))
         });
         Ok(ResolvedOrganization {
             geometry,
@@ -486,11 +510,8 @@ impl RepairScheme for WaySacrificeScheme {
 
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
-        let mask = WayDisableMask::from_sets(map, |blocks, disabled| {
-            let worst = Self::worst_way(blocks);
-            for (way, (d, block)) in disabled.iter_mut().zip(blocks).enumerate() {
-                *d = way == worst || block.has_any_fault();
-            }
+        let mask = WayDisableMask::from_sets(map, |blocks| {
+            (1 << Self::worst_way(blocks)) | ways_where(blocks, BlockFaults::has_any_fault)
         });
         Ok(ResolvedOrganization {
             geometry,

@@ -3,17 +3,21 @@
 //! # Hot-path layout
 //!
 //! The cache is stored structure-of-arrays: one dense row of tags and one
-//! `Vec<u8>` of recency ranks (indexed `set * associativity + way`), plus one packed
-//! `SetMeta` record per set holding the `valid`, `dirty` and `usable` way
-//! bitsets (bit `w` describes way `w`). Packing the three bitsets into one
-//! 24-byte record means a lookup touches a single metadata cache line per set
-//! instead of three scattered ones.
+//! `Vec<u8>` of recency ranks (indexed `set * associativity + way`), plus the
+//! `valid`, `dirty` and `usable` way bitsets of each set (bit `w` of a bitset
+//! describes way `w`). While `3 * associativity <= 64`, which holds for every
+//! array up to 21 ways and so for every array of the paper, the three bitsets
+//! are fields of one `u64` per set, 21 bits apart, and a lookup reads one
+//! word of state. Wider arrays keep three words per set. The layout is chosen
+//! once, at construction; each access branches on it, predictably.
 //!
-//! Tags are stored in 32 bits while every tag the cache has held fits, as
-//! the tag of every address below `2^(32 + offset + index bits)` does: an
-//! 8-way set's tags then fill half a host cache line, and the 2 MB L2's tag
-//! row takes 128 KB instead of 256 KB. The first fill of a wider tag widens
-//! the whole row to 64 bits, so the stored tags are always exact.
+//! Tags are stored in the narrowest of three widths that holds every tag the
+//! cache has held: 16, 32 or 64 bits. The first fill of a tag that does not
+//! fit widens the whole row a step at a time (16 to 32 to 64 bits), so the
+//! stored tags are always exact. The 2 MB, 8-way L2 has 4,096 sets, so any
+//! 32-bit address gives it a tag of at most 14 bits. A 32 KB L1 keeps 16-bit
+//! tags below address `2^28`; the synthetic hot region starts there, and the
+//! 32-bit row it widens to costs the L1 1 KB more.
 //!
 //! The scans themselves are *branchless*: the hit scan compares every tag in
 //! the set with a fixed trip count and accumulates a match bitmask (no
@@ -27,8 +31,18 @@
 //!
 //! The `usable` bitsets are *precomputed at install time*: a repair scheme's
 //! per-set decision ([`WayDisableMask`]) is folded into them once in
-//! [`SetAssocCache::with_disabled_ways`], so `access()` never consults the
-//! scheme or the mask again.
+//! [`SetAssocCache::with_disabled_ways`], one AND per set, so `access()` never
+//! consults the scheme or the mask again.
+//!
+//! # Footprint
+//!
+//! A new 2 MB, 8-way L2 holds 128 KiB: 64 KiB of 16-bit tags, 32 KiB of
+//! ranks and 32 KiB of state words. The size matters because a scheme
+//! campaign keeps one hierarchy per cell live while several cells share a
+//! pass over their workload's trace (`JOBS_PER_TRACE_PASS` in
+//! `vccmin-experiments`): the smaller each store, the more cells can share a
+//! pass within a worker's memory, and the more of each store stays in the
+//! host's caches.
 //!
 //! # Recency ranks
 //!
@@ -68,18 +82,6 @@ pub struct AccessOutcome {
     pub bypassed: bool,
 }
 
-/// Per-set way bitsets, packed so one lookup touches one metadata record.
-/// Bit `w` of each field describes way `w`.
-#[derive(Debug, Clone, Copy)]
-struct SetMeta {
-    /// Ways currently holding a block.
-    valid: u64,
-    /// Ways holding a modified block (meaningful where `valid` is set).
-    dirty: u64,
-    /// Ways the installed repair scheme left usable; fixed at construction.
-    usable: u64,
-}
-
 /// Bitmask of the ways in `tags` whose tag equals `tag`. Fixed trip count —
 /// no early exit — so the loop compiles to straight-line compare/or code.
 /// The 8-way case (every ISPASS-2010 cache) goes through a compile-time-sized
@@ -100,10 +102,12 @@ fn match_mask<T: Copy + PartialEq>(tags: &[T], tag: T) -> u64 {
     mask
 }
 
-/// The tag of each way, indexed `set * assoc + way`: 32 bits wide until a
-/// tag that does not fit is stored (see the module docs).
+/// The tag of each way, indexed `set * assoc + way`, in the narrowest width
+/// that holds every tag stored so far (see the module docs).
 #[derive(Debug, Clone)]
 enum Tags {
+    /// Every stored tag fits in 16 bits.
+    Short(Vec<u16>),
     /// Every stored tag fits in 32 bits.
     Narrow(Vec<u32>),
     /// Some stored tag did not fit in 32 bits.
@@ -111,54 +115,176 @@ enum Tags {
 }
 
 impl Tags {
-    /// Bitmask of the ways in `row` whose tag equals `tag`. No narrow tag
-    /// equals a tag wider than 32 bits. The wide paths stay out of line, so
-    /// the narrow one is all the access path inlines.
+    /// Bitmask of the ways in `row` whose tag equals `tag`. No stored tag
+    /// equals a tag wider than the row. The 64-bit path stays out of line,
+    /// so the 16- and 32-bit ones are all the access path inlines.
     #[inline]
     fn matches(&self, row: std::ops::Range<usize>, tag: u64) -> u64 {
-        match (self, u32::try_from(tag)) {
-            (Self::Narrow(tags), Ok(tag)) => match_mask(&tags[row], tag),
-            _ => self.matches_wide(row, tag),
+        match self {
+            Self::Short(tags) => u16::try_from(tag).map_or(0, |tag| match_mask(&tags[row], tag)),
+            Self::Narrow(tags) => u32::try_from(tag).map_or(0, |tag| match_mask(&tags[row], tag)),
+            Self::Wide(tags) => Self::matches_wide(&tags[row], tag),
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn matches_wide(&self, row: std::ops::Range<usize>, tag: u64) -> u64 {
-        match self {
-            Self::Narrow(_) => 0,
-            Self::Wide(tags) => match_mask(&tags[row], tag),
-        }
+    fn matches_wide(tags: &[u64], tag: u64) -> u64 {
+        match_mask(tags, tag)
     }
 
     /// The tag stored at `index`.
     #[inline]
     fn get(&self, index: usize) -> u64 {
         match self {
+            Self::Short(tags) => u64::from(tags[index]),
             Self::Narrow(tags) => u64::from(tags[index]),
             Self::Wide(tags) => tags[index],
         }
     }
 
-    /// Stores `tag` at `index`, widening every tag first if it does not fit
-    /// in 32 bits.
+    /// Stores `tag` at `index` if it fits the row, returning whether it did.
     #[inline]
-    fn set(&mut self, index: usize, tag: u64) {
-        match (&mut *self, u32::try_from(tag)) {
-            (Self::Narrow(tags), Ok(tag)) => tags[index] = tag,
-            _ => self.set_wide(index, tag),
+    fn store(&mut self, index: usize, tag: u64) -> bool {
+        match self {
+            Self::Short(tags) => u16::try_from(tag).map(|tag| tags[index] = tag).is_ok(),
+            Self::Narrow(tags) => u32::try_from(tag).map(|tag| tags[index] = tag).is_ok(),
+            Self::Wide(tags) => {
+                tags[index] = tag;
+                true
+            }
         }
     }
 
+    /// Stores `tag` at `index`, widening every tag first if it does not fit
+    /// the row.
+    #[inline]
+    fn set(&mut self, index: usize, tag: u64) {
+        if !self.store(index, tag) {
+            self.widen_and_store(index, tag);
+        }
+    }
+
+    /// Widens the row a step at a time (16 to 32 to 64 bits) until `tag`
+    /// fits, then stores it.
     #[cold]
     #[inline(never)]
-    fn set_wide(&mut self, index: usize, tag: u64) {
-        if let Self::Narrow(tags) = self {
-            *self = Self::Wide(tags.iter().map(|&t| u64::from(t)).collect());
+    fn widen_and_store(&mut self, index: usize, tag: u64) {
+        while !self.store(index, tag) {
+            *self = match self {
+                Self::Short(tags) => Self::Narrow(tags.iter().map(|&t| u32::from(t)).collect()),
+                Self::Narrow(tags) => Self::Wide(tags.iter().map(|&t| u64::from(t)).collect()),
+                Self::Wide(_) => unreachable!("a 64-bit row stores every tag"),
+            };
         }
-        if let Self::Wide(tags) = self {
-            tags[index] = tag;
+    }
+}
+
+/// Field index of the ways holding a block, in [`SetStates`].
+const VALID: usize = 0;
+/// Field index of the ways holding a modified block (meaningful where
+/// `valid` is set).
+const DIRTY: usize = 1;
+/// Field index of the ways the installed repair scheme left usable; fixed at
+/// construction.
+const USABLE: usize = 2;
+
+/// Bits from one field of a packed state word to the next: three fields of
+/// up to 21 ways fill 63 bits.
+const FIELD_BITS: usize = 21;
+/// The bits of one packed field.
+const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+
+/// The `valid`, `dirty` and `usable` way bitsets of every set (see the
+/// module docs). Each layout keeps a field's bits above the associativity
+/// clear.
+#[derive(Debug, Clone)]
+enum SetStates {
+    /// One word per set, field `f` at bit `f * FIELD_BITS`: at most 21 ways.
+    Packed(Vec<u64>),
+    /// One word per field, three per set.
+    Wide(Vec<[u64; 3]>),
+}
+
+/// One set's three bitsets, read together.
+#[derive(Debug, Clone, Copy)]
+struct SetMeta {
+    valid: u64,
+    dirty: u64,
+    usable: u64,
+}
+
+impl SetStates {
+    /// `sets` sets of `assoc` ways, every way usable and none valid.
+    fn new(sets: usize, assoc: usize) -> Self {
+        let all_ways = u64::MAX >> (64 - assoc);
+        if assoc <= FIELD_BITS {
+            Self::Packed(vec![all_ways << (USABLE * FIELD_BITS); sets])
+        } else {
+            Self::Wide(vec![[0, 0, all_ways]; sets])
         }
+    }
+
+    /// The number of sets.
+    fn sets(&self) -> usize {
+        match self {
+            Self::Packed(words) => words.len(),
+            Self::Wide(words) => words.len(),
+        }
+    }
+
+    /// Field `field` of `set`.
+    #[inline(always)]
+    fn get(&self, set: usize, field: usize) -> u64 {
+        match self {
+            Self::Packed(words) => (words[set] >> (field * FIELD_BITS)) & FIELD_MASK,
+            Self::Wide(words) => words[set][field],
+        }
+    }
+
+    /// All three bitsets of `set`.
+    #[inline(always)]
+    fn meta(&self, set: usize) -> SetMeta {
+        match self {
+            Self::Packed(words) => {
+                let word = words[set];
+                SetMeta {
+                    valid: word & FIELD_MASK,
+                    dirty: (word >> FIELD_BITS) & FIELD_MASK,
+                    usable: word >> (USABLE * FIELD_BITS),
+                }
+            }
+            Self::Wide(words) => {
+                let [valid, dirty, usable] = words[set];
+                SetMeta { valid, dirty, usable }
+            }
+        }
+    }
+
+    /// Sets the ways of `ways`, all below the associativity, in field
+    /// `field` of `set`.
+    #[inline(always)]
+    fn insert(&mut self, set: usize, field: usize, ways: u64) {
+        match self {
+            Self::Packed(words) => words[set] |= (ways & FIELD_MASK) << (field * FIELD_BITS),
+            Self::Wide(words) => words[set][field] |= ways,
+        }
+    }
+
+    /// Clears the ways of `ways` in field `field` of `set`.
+    #[inline(always)]
+    fn remove(&mut self, set: usize, field: usize, ways: u64) {
+        match self {
+            Self::Packed(words) => words[set] &= !((ways & FIELD_MASK) << (field * FIELD_BITS)),
+            Self::Wide(words) => words[set][field] &= !ways,
+        }
+    }
+
+    /// The number of ways set in field `field`, summed over every set.
+    fn count(&self, field: usize) -> u64 {
+        (0..self.sets())
+            .map(|set| u64::from(self.get(set, field).count_ones()))
+            .sum()
     }
 }
 
@@ -254,8 +380,8 @@ pub struct SetAssocCache {
     /// index (see the module docs): each set's ranks are a permutation of
     /// `0..assoc`, and the valid ways hold `0..valid`.
     ranks: Vec<u8>,
-    /// Packed per-set `valid`/`dirty`/`usable` bitsets.
-    meta: Vec<SetMeta>,
+    /// Per-set `valid`/`dirty`/`usable` bitsets.
+    state: SetStates,
     stats: CacheStats,
 }
 
@@ -278,22 +404,14 @@ impl SetAssocCache {
         );
         let sets = geometry.sets() as usize;
         let assoc = assoc as usize;
-        let all_ways = if assoc == 64 { u64::MAX } else { (1u64 << assoc) - 1 };
         Self {
             assoc,
             offset_bits: geometry.offset_bits(),
             tag_shift: geometry.offset_bits() + geometry.index_bits(),
             set_mask: geometry.sets() - 1,
-            tags: Tags::Narrow(vec![0; sets * assoc]),
+            tags: Tags::Short(vec![0; sets * assoc]),
             ranks: vec![0; sets * assoc],
-            meta: vec![
-                SetMeta {
-                    valid: 0,
-                    dirty: 0,
-                    usable: all_ways,
-                };
-                sets
-            ],
+            state: SetStates::new(sets, assoc),
             stats: CacheStats::default(),
             geometry,
         }
@@ -302,9 +420,9 @@ impl SetAssocCache {
     /// Creates a cache with the ways of `mask` disabled — the organization any
     /// [`RepairScheme`](crate::repair::RepairScheme) resolves to at low voltage.
     ///
-    /// This is the repair-scheme install point: the mask's per-set decisions are
-    /// folded into the dense per-set `usable` bitsets here, once, so the access
-    /// path never consults the scheme or the mask again.
+    /// This is the repair-scheme install point: each set's disabled ways are
+    /// cleared from its `usable` bitset here, once, so the access path never
+    /// consults the scheme or the mask again.
     ///
     /// # Panics
     ///
@@ -316,14 +434,8 @@ impl SetAssocCache {
             "disable mask shape must match the cache geometry"
         );
         let mut cache = Self::new(geometry);
-        for set in 0..geometry.sets() {
-            let mut usable = cache.meta[set as usize].usable;
-            for way in 0..geometry.associativity() {
-                if mask.is_disabled(set, way) {
-                    usable &= !(1u64 << way);
-                }
-            }
-            cache.meta[set as usize].usable = usable;
+        for (set, &disabled) in mask.disabled_ways().iter().enumerate() {
+            cache.state.remove(set, USABLE, disabled);
         }
         cache
     }
@@ -357,16 +469,13 @@ impl SetAssocCache {
     /// Number of usable ways in `set`.
     #[must_use]
     pub fn usable_ways(&self, set: u64) -> u64 {
-        u64::from(self.meta[set as usize].usable.count_ones())
+        u64::from(self.state.get(set as usize, USABLE).count_ones())
     }
 
     /// Total number of usable blocks across all sets.
     #[must_use]
     pub fn usable_blocks(&self) -> u64 {
-        self.meta
-            .iter()
-            .map(|m| u64::from(m.usable.count_ones()))
-            .sum()
+        self.state.count(USABLE)
     }
 
     /// Whether the block containing `addr` is currently present (no LRU update).
@@ -374,7 +483,7 @@ impl SetAssocCache {
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.decompose(addr);
         let base = set * self.assoc;
-        let meta = self.meta[set];
+        let meta = self.state.meta(set);
         self.tags.matches(base..base + self.assoc, tag) & meta.valid & meta.usable != 0
     }
 
@@ -388,7 +497,7 @@ impl SetAssocCache {
         let (set, tag) = self.decompose(addr);
         self.stats.accesses += 1;
         let base = set * self.assoc;
-        let meta = self.meta[set];
+        let meta = self.state.meta(set);
 
         // Hit scan: only ways that are both valid and usable can match. Live
         // tags are unique within a set (a block is allocated at most once), so
@@ -399,7 +508,7 @@ impl SetAssocCache {
             touch(&mut self.ranks[base..base + self.assoc], hit.trailing_zeros() as usize);
             // Fold the store's dirty bit in without a branch: the mask is
             // all-ones for a write, zero otherwise.
-            self.meta[set].dirty |= hit & u64::from(write).wrapping_neg();
+            self.state.insert(set, DIRTY, hit & u64::from(write).wrapping_neg());
             self.stats.hits += 1;
             #[cfg(debug_assertions)]
             self.debug_check_set(set);
@@ -438,12 +547,11 @@ impl SetAssocCache {
             None
         };
         let evicted_dirty = was_valid && meta.dirty & bit != 0;
-        let slot = &mut self.meta[set];
-        slot.valid |= bit;
+        self.state.insert(set, VALID, bit);
         if write {
-            slot.dirty |= bit;
+            self.state.insert(set, DIRTY, bit);
         } else {
-            slot.dirty &= !bit;
+            self.state.remove(set, DIRTY, bit);
         }
         self.tags.set(base + victim, tag);
         touch(&mut self.ranks[base..base + self.assoc], victim);
@@ -482,21 +590,18 @@ impl SetAssocCache {
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (set, tag) = self.decompose(addr);
         let base = set * self.assoc;
-        let meta = self.meta[set];
+        let meta = self.state.meta(set);
         let hit = self.tags.matches(base..base + self.assoc, tag) & meta.valid & meta.usable;
         // Live tags are unique, so `hit` has at most one bit; keep only the
         // lowest anyway to mirror an ascending scan exactly.
-        self.meta[set].dirty |= hit & hit.wrapping_neg();
+        self.state.insert(set, DIRTY, hit & hit.wrapping_neg());
         hit != 0
     }
 
     /// Number of valid blocks currently resident.
     #[must_use]
     pub fn resident_blocks(&self) -> u64 {
-        self.meta
-            .iter()
-            .map(|m| u64::from(m.valid.count_ones()))
-            .sum()
+        self.state.count(VALID)
     }
 
     /// The recency ranks of `set`, way by way.
@@ -510,7 +615,7 @@ impl SetAssocCache {
     /// all usable, hold ranks `0..valid`.
     #[cfg(debug_assertions)]
     fn debug_check_set(&self, set: usize) {
-        let meta = self.meta[set];
+        let meta = self.state.meta(set);
         let valid = meta.valid.count_ones();
         let mut seen = 0u64;
         for (way, rank) in self.set_ranks(set).enumerate() {
@@ -693,9 +798,10 @@ mod tests {
 
     #[test]
     fn ranks_stay_a_permutation_with_the_valid_ways_in_front() {
-        // The 8-way SWAR path and the generic path (2 and 16 ways), each with
-        // some ways disabled, under a random stream of accesses and inserts.
-        for assoc in [2u64, 8, 16] {
+        // The 8-way SWAR path and the generic path (2, 16 and 32 ways, the
+        // last with three state words per set), each with some ways
+        // disabled, under a random stream of accesses and inserts.
+        for assoc in [2u64, 8, 16, 32] {
             let geom = CacheGeometry::new(16 * assoc * 64, 64, assoc, 24).unwrap();
             let mask = WayDisableMask::from_fn(&geom, |set, way| (set * 7 + way * 3) % 5 == 0);
             let mut c = SetAssocCache::with_disabled_ways(geom, &mask);
@@ -711,12 +817,12 @@ mod tests {
                     c.access(a, x & 2 == 2);
                 }
             }
-            for set in 0..c.meta.len() {
+            for set in 0..geom.sets() as usize {
                 let ranks: Vec<u8> = c.set_ranks(set).collect();
                 let mut sorted = ranks.clone();
                 sorted.sort_unstable();
                 assert!(sorted.iter().copied().eq(0..assoc as u8), "{assoc} ways, set {set}: {ranks:?}");
-                let meta = c.meta[set];
+                let meta = c.state.meta(set);
                 assert_eq!(meta.valid & !meta.usable, 0);
                 let valid = meta.valid.count_ones();
                 for (way, &rank) in ranks.iter().enumerate() {
@@ -746,22 +852,63 @@ mod tests {
 
     #[test]
     fn a_tag_wider_than_32_bits_widens_the_row_and_keeps_every_block() {
-        // 4 sets of 2 ways: the tag is the address above bit 8, so `narrow`
-        // has a 32-bit tag and `wide` a 33-bit one, in the same set.
+        // 4 sets of 2 ways: the tag is the address above bit 8, so `short`
+        // has a 16-bit tag, `narrow` a 32-bit one and `wide` a 33-bit one, all
+        // in set 1. The row widens a step at a time: 16 to 32 to 64 bits.
         let mut c = small_cache();
+        let short = addr(1, u64::from(u16::MAX));
         let narrow = addr(1, u64::from(u32::MAX));
         let wide = addr(1, 1 << 32);
-        assert!(!c.probe(wide));
-        assert!(!c.access(narrow, true).hit);
+        assert!(!c.access(short, true).hit);
+        assert!(matches!(c.tags, Tags::Short(_)));
+        assert!(!c.probe(narrow), "no 16-bit tag equals a wider one");
+        assert!(!c.access(narrow, false).hit);
         assert!(matches!(c.tags, Tags::Narrow(_)));
-        assert!(!c.access(wide, false).hit);
+        assert!(c.access(short, false).hit, "the short block survives the first widening");
+        assert!(!c.probe(wide));
+        let out = c.access(wide, false);
+        assert_eq!(out.evicted, Some(narrow), "the LRU block, with its full address");
         assert!(matches!(c.tags, Tags::Wide(_)));
-        assert!(c.access(narrow, false).hit, "the narrow block survives the widening");
+        assert!(c.access(short, false).hit, "the short block survives the second widening");
         assert!(c.access(wide, false).hit);
         let out = c.access(addr(1, 7), false);
-        assert_eq!(out.evicted, Some(narrow), "the LRU block, with its full address");
+        assert_eq!(out.evicted, Some(short));
         assert!(out.evicted_dirty);
         assert!(c.mark_dirty(wide));
+    }
+
+    /// Bytes of tags, ranks and state words the cache holds.
+    fn state_bytes(c: &SetAssocCache) -> usize {
+        let tags = match &c.tags {
+            Tags::Short(tags) => std::mem::size_of_val(tags.as_slice()),
+            Tags::Narrow(tags) => std::mem::size_of_val(tags.as_slice()),
+            Tags::Wide(tags) => std::mem::size_of_val(tags.as_slice()),
+        };
+        let state = match &c.state {
+            SetStates::Packed(words) => std::mem::size_of_val(words.as_slice()),
+            SetStates::Wide(words) => std::mem::size_of_val(words.as_slice()),
+        };
+        tags + c.ranks.len() + state
+    }
+
+    #[test]
+    fn a_new_l2_holds_128_kib_while_its_tags_fit_16_bits() {
+        let mut l2 = SetAssocCache::new(CacheGeometry::ispass2010_l2());
+        assert_eq!(state_bytes(&l2), 128 * 1024);
+        // Every 32-bit address has a tag of at most 14 bits in the L2.
+        for i in 0..50_000u64 {
+            l2.access(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32, i % 3 == 0);
+        }
+        l2.access(u64::from(u32::MAX), true);
+        assert!(matches!(l2.tags, Tags::Short(_)));
+        assert_eq!(state_bytes(&l2), 128 * 1024);
+        // An L1 widens to 32-bit tags at the synthetic hot region, for 1 KiB.
+        let mut l1 = SetAssocCache::new(CacheGeometry::ispass2010_l1());
+        let before = state_bytes(&l1);
+        l1.access(0x0fff_ffc0, false);
+        assert_eq!(state_bytes(&l1), before);
+        l1.access(0x1000_0000, false);
+        assert_eq!(state_bytes(&l1), before + 1024);
     }
 
     #[test]

@@ -302,14 +302,28 @@ impl FaultMap {
     /// Whether a word-disabled cache built from this array is usable at low voltage:
     /// every subblock of `subblock_len` words must contain at most
     /// `subblock_len / 2` faulty words. (Tag cells don't count: word-disabling
-    /// stores them in robust 10T cells.)
+    /// stores them in robust 10T cells.) Each subblock costs one masked
+    /// popcount of its block's faulty-word mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subblock_len` is zero.
     #[must_use]
     pub fn word_disable_usable(&self, subblock_len: u8) -> bool {
+        assert!(subblock_len > 0, "a word-disable subblock holds at least one word");
         let budget = u32::from(subblock_len / 2);
+        let len = u32::from(subblock_len);
+        let subblock = u64::MAX >> 64u32.saturating_sub(len);
         self.blocks.iter().all(|b| {
-            (0..b.words())
-                .step_by(subblock_len as usize)
-                .all(|start| b.faulty_words_in_range(start, subblock_len) <= budget)
+            let faulty = b.faulty_word_mask();
+            let mut start = 0;
+            while start < u32::from(b.words()) {
+                if ((faulty >> start) & subblock).count_ones() > budget {
+                    return false;
+                }
+                start += len;
+            }
+            true
         })
     }
 
@@ -647,6 +661,47 @@ mod tests {
         // Faulty tags do not matter for word-disable usability.
         m.blocks[1] = BlockFaults::new(16, 0, true);
         assert!(m.word_disable_usable(8));
+    }
+
+    #[test]
+    fn word_disable_usability_matches_the_window_by_window_walk() {
+        // The walk the masked popcount replaced: one range count per subblock.
+        fn by_windows(m: &FaultMap, subblock_len: u8) -> bool {
+            let budget = u32::from(subblock_len / 2);
+            m.blocks.iter().all(|b| {
+                (0..b.words())
+                    .step_by(subblock_len as usize)
+                    .all(|start| b.faulty_words_in_range(start, subblock_len) <= budget)
+            })
+        }
+        let masks = [
+            0,
+            u64::MAX,
+            0x8000_0000_0000_0001,
+            0xdead_beef_0bad_f00d,
+            0x5555_5555_5555_5555,
+            0x0f0f_0000_00f0_f0ff,
+            0x0000_0000_0000_001f,
+        ];
+        let mut m = FaultMap::fault_free(&l1());
+        for words in [16u8, 64] {
+            for &mask in &masks {
+                m.blocks[3] = BlockFaults::new(words, mask, false);
+                for len in 1..=u8::MAX {
+                    assert_eq!(
+                        m.word_disable_usable(len),
+                        by_windows(&m, len),
+                        "words={words} mask={mask:#x} subblock={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn an_empty_word_disable_subblock_is_rejected() {
+        let _ = FaultMap::fault_free(&l1()).word_disable_usable(0);
     }
 
     #[test]

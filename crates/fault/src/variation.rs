@@ -152,20 +152,31 @@ impl SystematicField {
     /// outside `[0, 1]` clamp to the border).
     #[must_use]
     pub fn at(&self, x: f64, y: f64) -> f64 {
+        self.interpolate(self.axis(x), self.axis(y))
+    }
+
+    /// The grid interval holding coordinate `t` of one axis (clamped to
+    /// `[0, 1]`) and the fraction of the way across it. A one-point grid has
+    /// no interval and gives `(0, 0.0)`.
+    fn axis(&self, t: f64) -> (usize, f64) {
+        if self.points == 1 {
+            return (0, 0.0);
+        }
+        let g = t.clamp(0.0, 1.0) * (self.points - 1) as f64;
+        let i = (g.floor() as usize).min(self.points - 2);
+        (i, g - i as f64)
+    }
+
+    /// The bilinear interpolation at the grid intervals and fractions that
+    /// [`SystematicField::axis`] gives for `x` and `y`: along `x` on both
+    /// bounding rows, then along `y` between them. A one-point grid is flat.
+    fn interpolate(&self, (x0, fx): (usize, f64), (y0, fy): (usize, f64)) -> f64 {
         if self.points == 1 {
             return self.values[0];
         }
-        let scale = (self.points - 1) as f64;
-        let gx = (x.clamp(0.0, 1.0)) * scale;
-        let gy = (y.clamp(0.0, 1.0)) * scale;
-        let x0 = (gx.floor() as usize).min(self.points - 2);
-        let y0 = (gy.floor() as usize).min(self.points - 2);
-        let fx = gx - x0 as f64;
-        let fy = gy - y0 as f64;
-        let v00 = self.control(x0, y0);
-        let v10 = self.control(x0 + 1, y0);
-        let v01 = self.control(x0, y0 + 1);
-        let v11 = self.control(x0 + 1, y0 + 1);
+        let corner = y0 * self.points + x0;
+        let (v00, v10) = (self.values[corner], self.values[corner + 1]);
+        let (v01, v11) = (self.values[corner + self.points], self.values[corner + self.points + 1]);
         let top = v00 + (v10 - v00) * fx;
         let bottom = v01 + (v11 - v01) * fx;
         top + (bottom - top) * fy
@@ -197,21 +208,23 @@ pub struct DieVariation {
 impl DieVariation {
     /// Samples one die for `geometry` under `model`, deterministically from
     /// `seed`: the coarse Gaussian field is drawn first, then evaluated at the
-    /// center of every (set, way) cell of the unit square. One more pass
-    /// records the extreme offsets of every tile.
+    /// center of every (set, way) cell of the unit square, as
+    /// [`SystematicField::at`] evaluates it, with each set's and each way's
+    /// grid interval found once. One more pass records the extreme offsets of
+    /// every tile.
     #[must_use]
     pub fn sample(geometry: &CacheGeometry, model: &VariationModel, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let field = SystematicField::sample(model.grid_points, model.sigma_systematic, &mut rng);
         let sets = geometry.sets();
         let ways = geometry.associativity();
+        let columns: Vec<_> = (0..ways)
+            .map(|way| field.axis((way as f64 + 0.5) / ways as f64))
+            .collect();
         let mut offsets = Vec::with_capacity((sets * ways) as usize);
         for set in 0..sets {
-            let x = (set as f64 + 0.5) / sets as f64;
-            for way in 0..ways {
-                let y = (way as f64 + 0.5) / ways as f64;
-                offsets.push(field.at(x, y));
-            }
+            let row = field.axis((set as f64 + 0.5) / sets as f64);
+            offsets.extend(columns.iter().map(|&column| field.interpolate(row, column)));
         }
         let ways = ways as usize;
         let mut tile_extremes = Vec::with_capacity(sets.div_ceil(TILE_SETS) as usize * ways);
@@ -384,6 +397,56 @@ mod tests {
         // rounding step of the interpolation arithmetic).
         assert!((field.at(-1.0, -1.0) - field.control(0, 0)).abs() < 1e-12);
         assert!((field.at(2.0, 2.0) - field.control(3, 3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sampled_offsets_equal_the_field_at_every_block_center_bit_for_bit() {
+        // The per-point evaluation `sample` used before it found each set's
+        // and each way's grid interval once.
+        fn reference_at(field: &SystematicField, x: f64, y: f64) -> f64 {
+            let points = field.points();
+            if points == 1 {
+                return field.control(0, 0);
+            }
+            let scale = (points - 1) as f64;
+            let gx = (x.clamp(0.0, 1.0)) * scale;
+            let gy = (y.clamp(0.0, 1.0)) * scale;
+            let x0 = (gx.floor() as usize).min(points - 2);
+            let y0 = (gy.floor() as usize).min(points - 2);
+            let fx = gx - x0 as f64;
+            let fy = gy - y0 as f64;
+            let v00 = field.control(x0, y0);
+            let v10 = field.control(x0 + 1, y0);
+            let v01 = field.control(x0, y0 + 1);
+            let v11 = field.control(x0 + 1, y0 + 1);
+            let top = v00 + (v10 - v00) * fx;
+            let bottom = v01 + (v11 - v01) * fx;
+            top + (bottom - top) * fy
+        }
+        let two_way = CacheGeometry::new(4096, 64, 2, 24).unwrap();
+        for geom in [l1(), CacheGeometry::ispass2010_l2(), two_way] {
+            for points in [1, 2, 4, 7] {
+                let model = VariationModel::new(PfailVoltageModel::ispass2010(), 0.0125, points);
+                for seed in 0..4 {
+                    let die = DieVariation::sample(&geom, &model, seed);
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let field = SystematicField::sample(points, model.sigma_systematic, &mut rng);
+                    let (sets, ways) = (geom.sets(), geom.associativity());
+                    for set in 0..sets {
+                        let x = (set as f64 + 0.5) / sets as f64;
+                        for way in 0..ways {
+                            let y = (way as f64 + 0.5) / ways as f64;
+                            assert_eq!(
+                                die.systematic_offset(set, way).to_bits(),
+                                reference_at(&field, x, y).to_bits(),
+                                "{points} points, seed {seed}, set {set}, way {way}"
+                            );
+                            assert_eq!(field.at(x, y).to_bits(), reference_at(&field, x, y).to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

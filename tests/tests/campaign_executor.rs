@@ -23,9 +23,11 @@
 //! scheme campaign runs a workload's planned simulations in jobs of
 //! `JOBS_PER_TRACE_PASS` over one pass of its trace, so the sweep also covers
 //! a job whose first simulation has no hierarchy to run (its pair cannot be
-//! repaired) and a workload with an odd number of planned simulations, whose
-//! last job is short. The test counts each one and requires it to occur, so
-//! the sweep cannot quietly stop covering a case.
+//! repaired), a job with such a simulation in a later slot, and a workload
+//! whose number of planned simulations is not a multiple of
+//! `JOBS_PER_TRACE_PASS`, whose last job is short. The test counts each one
+//! and requires it to occur, so the sweep cannot quietly stop covering a
+//! case.
 
 use vccmin_core::cache::{CacheHierarchy, DisablingScheme, FaultMap, VoltageMode};
 use vccmin_core::cpu::{CoreModel, SimResult};
@@ -231,9 +233,12 @@ struct Outcomes {
     /// Jobs of a scheme campaign whose first simulation's hierarchy cannot
     /// be built.
     job_first_unbuilt: usize,
-    /// Workloads of a scheme campaign with an odd number of planned
-    /// simulations.
-    odd_planned_workloads: usize,
+    /// Jobs of a scheme campaign with a simulation after the first (in a
+    /// middle or the last slot) whose hierarchy cannot be built.
+    job_later_unbuilt: usize,
+    /// Workloads of a scheme campaign whose last job is short: their number
+    /// of planned simulations is not a multiple of `JOBS_PER_TRACE_PASS`.
+    short_last_job_workloads: usize,
 }
 
 impl Outcomes {
@@ -260,12 +265,13 @@ impl Outcomes {
     /// hierarchy can be built; every workload plans the same.
     fn record_jobs(&mut self, params: &SimulationParams, planned: &[bool]) {
         let workloads = params.workloads.len();
-        let first_unbuilt = planned
-            .chunks(JOBS_PER_TRACE_PASS)
-            .filter(|job| job.len() > 1 && !job[0])
-            .count();
+        let jobs = || planned.chunks(JOBS_PER_TRACE_PASS).filter(|job| job.len() > 1);
+        let first_unbuilt = jobs().filter(|job| !job[0]).count();
+        let later_unbuilt = jobs().filter(|job| job[1..].contains(&false)).count();
         self.job_first_unbuilt += workloads * first_unbuilt;
-        self.odd_planned_workloads += workloads * (planned.len() % 2);
+        self.job_later_unbuilt += workloads * later_unbuilt;
+        self.short_last_job_workloads +=
+            workloads * usize::from(!planned.len().is_multiple_of(JOBS_PER_TRACE_PASS));
     }
 
     fn record_governor(&mut self, results: &[GovernorBenchmarkResult]) {
@@ -411,7 +417,8 @@ fn sweep(core: CoreModel) {
     assert!(outcomes.governor_low_cell_failed > 0, "{outcomes:?}");
     assert!(outcomes.interval_runs_switching > 0, "{outcomes:?}");
     assert!(outcomes.job_first_unbuilt > 0, "{outcomes:?}");
-    assert!(outcomes.odd_planned_workloads > 0, "{outcomes:?}");
+    assert!(outcomes.job_later_unbuilt > 0, "{outcomes:?}");
+    assert!(outcomes.short_last_job_workloads > 0, "{outcomes:?}");
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Differential tests of the structure-of-arrays cache hot path against a
 //! faithful port of the pre-refactor scalar implementation.
 //!
-//! The SoA rewrite of [`SetAssocCache`] (bitset valid/dirty/usable state,
-//! per-set recency ranks instead of timestamps, 32-bit tags until a wider one
-//! is stored) and the batched hierarchy
-//! entry points are required to be *bit-identical* to the old
+//! The SoA rewrite of [`SetAssocCache`] (valid/dirty/usable bitsets packed
+//! into one state word per set, per-set recency ranks instead of timestamps,
+//! 16-bit tags until a wider one is stored, then 32-bit ones) and the batched
+//! hierarchy entry points are required to be *bit-identical* to the old
 //! array-of-structs code for every observable: outcome sequences,
 //! statistics, and residency. The reference keeps the old timestamp clock as
 //! the LRU oracle. Its historical `u32` width wrapped after 2^32 recency
@@ -420,9 +420,13 @@ fn soa_cache_matches_the_scalar_reference_for_every_scheme_organization() {
 
 #[test]
 fn soa_cache_matches_the_reference_when_tags_outgrow_32_bits() {
-    // The cache stores 32-bit tags until a wider one is filled. From op
-    // 5,000 on, every fourth address sets bit 56 (a tag far above 32 bits),
-    // so each organization widens mid-stream with narrow blocks resident.
+    // The cache stores 16-bit tags until a wider one is filled, then 32-bit
+    // ones. Every tag of the stream below fits 16 bits. From op 3,000 on,
+    // every fourth address sets bit 40 (a tag between 2^16 and 2^32 in every
+    // organization here), and from op 7,000 on, every fourth of the others
+    // sets bit 56 (a tag far above 2^32). So each organization widens twice
+    // mid-stream with narrower blocks resident, and the outcomes compared
+    // include the full addresses of the wide blocks it evicts.
     for voltage in [VoltageMode::High, VoltageMode::Low] {
         for (scheme, geom, mask) in organizations(voltage) {
             let mut cache = SetAssocCache::with_disabled_ways(geom, &mask);
@@ -430,7 +434,11 @@ fn soa_cache_matches_the_reference_when_tags_outgrow_32_bits() {
             let span = geom.size_bytes() * 5;
             for (i, &(addr, write)) in lcg_stream(scheme as u64 + 7, 12_000, span).iter().enumerate()
             {
-                let addr = if i >= 5_000 && i % 4 == 0 { addr | 1 << 56 } else { addr };
+                let addr = match (i % 4, i) {
+                    (0, 3_000..) => addr | 1 << 40,
+                    (2, 7_000..) => addr | 1 << 56,
+                    _ => addr,
+                };
                 match i % 5 {
                     3 => assert_eq!(cache.insert(addr, write), reference.insert(addr, write)),
                     4 => assert_eq!(cache.mark_dirty(addr), reference.mark_dirty(addr)),
@@ -567,12 +575,13 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random op streams over random small geometries and random disable
+    /// Random op streams over random small geometries (1 to 64 ways, so
+    /// both the one-word and the three-word state layouts) and random disable
     /// masks: the SoA cache and the scalar reference never diverge.
     #[test]
     fn soa_cache_is_equivalent_under_random_op_streams(
         log2_sets in 0u32..5,
-        log2_assoc in 0u32..4,
+        log2_assoc in 0u32..7,
         disable_bits in any::<u64>(),
         start_clock in any::<u64>(),
         ops in proptest::collection::vec(cache_op(), 1..300),

@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use vccmin_core::analysis::word_disable::WordDisableParams;
 use vccmin_core::analysis::{block_faults, capacity::CapacityDistribution, incremental, word_disable};
 use vccmin_core::cache::repair;
-use vccmin_core::cache::{CacheHierarchy, DisablingScheme, HierarchyConfig, HitLevel, VoltageMode};
+use vccmin_core::cache::{
+    CacheHierarchy, DisablingScheme, HierarchyConfig, HitLevel, SetAssocCache, VoltageMode,
+};
 use vccmin_core::cpu::{CpuConfig, OpClass, Pipeline, TraceInstruction};
 use vccmin_core::fault::FaultMapStats;
 use vccmin_core::{
@@ -261,6 +263,36 @@ proptest! {
                 after <= before + 1e-12,
                 "{}: adding faults raised capacity {before} -> {after}", scheme.name()
             );
+        }
+    }
+
+    #[test]
+    fn disable_masks_count_and_install_exactly_the_ways_they_disable(
+        pfail in 0.0..0.05f64,
+        seed in any::<u64>(),
+        l2 in any::<bool>(),
+    ) {
+        let geom = if l2 { CacheGeometry::ispass2010_l2() } else { CacheGeometry::ispass2010_l1() };
+        let map = FaultMap::generate(&geom, pfail, seed);
+        for scheme in repair::registry() {
+            let Ok(resolved) = scheme.repair(&map) else { continue };
+            let Some(mask) = resolved.disabled else { continue };
+            let cache = SetAssocCache::with_disabled_ways(resolved.geometry, &mask);
+            let mut usable = 0;
+            for set in 0..mask.sets() {
+                let disabled = (0..mask.associativity())
+                    .filter(|&way| mask.is_disabled(set, way))
+                    .count() as u64;
+                usable += mask.associativity() - disabled;
+                prop_assert_eq!(
+                    cache.usable_ways(set),
+                    mask.associativity() - disabled,
+                    "{}: set {}", scheme.name(), set
+                );
+            }
+            prop_assert_eq!(mask.usable_blocks(), usable, "{}", scheme.name());
+            prop_assert_eq!(mask.disabled_blocks(), geom.blocks() - usable, "{}", scheme.name());
+            prop_assert_eq!(cache.usable_blocks(), usable, "{}", scheme.name());
         }
     }
 
