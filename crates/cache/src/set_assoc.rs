@@ -2,14 +2,16 @@
 //!
 //! # Hot-path layout
 //!
-//! The cache is stored structure-of-arrays: one dense row of tags and one
-//! `Vec<u8>` of recency ranks (indexed `set * associativity + way`), plus the
-//! `valid`, `dirty` and `usable` way bitsets of each set (bit `w` of a bitset
-//! describes way `w`). While `3 * associativity <= 64`, which holds for every
-//! array up to 21 ways and so for every array of the paper, the three bitsets
-//! are fields of one `u64` per set, 21 bits apart, and a lookup reads one
-//! word of state. Wider arrays keep three words per set. The layout is chosen
-//! once, at construction; each access branches on it, predictably.
+//! The cache is stored structure-of-arrays: one dense row of tags, indexed
+//! `set * associativity + way`, and the state of each set: its `valid`,
+//! `dirty` and `usable` way bitsets (bit `w` of a bitset describes way `w`)
+//! and the recency rank of each of its ways. A set of at most 8 ways, which
+//! covers every array of the paper, keeps all of it in one `u64`: the three
+//! bitsets are 8-bit fields of the low half and the ranks are 4-bit fields of
+//! the high half, 56 of the 64 bits. So a lookup reads one word of state, and
+//! its replacement update writes the same word. Wider sets keep three bitset
+//! words per set and a rank byte per way. The layout is chosen once, at
+//! construction; each access branches on it, predictably.
 //!
 //! Tags are stored in the narrowest of three widths that holds every tag the
 //! cache has held: 16, 32 or 64 bits. The first fill of a tag that does not
@@ -36,19 +38,19 @@
 //!
 //! # Footprint
 //!
-//! A new 2 MB, 8-way L2 holds 128 KiB: 64 KiB of 16-bit tags, 32 KiB of
-//! ranks and 32 KiB of state words. The size matters because a scheme
-//! campaign keeps one hierarchy per cell live while several cells share a
-//! pass over their workload's trace (`JOBS_PER_TRACE_PASS` in
-//! `vccmin-experiments`): the smaller each store, the more cells can share a
-//! pass within a worker's memory, and the more of each store stays in the
-//! host's caches.
+//! A new 2 MB, 8-way L2 holds 96 KiB: 64 KiB of 16-bit tags and 32 KiB of
+//! state words, ranks included. The size matters because a scheme campaign
+//! keeps one hierarchy per cell live while several cells share a pass over
+//! their workload's trace (`JOBS_PER_TRACE_PASS` in `vccmin-experiments`).
+//! Four such L2s take 384 KiB, what three took with a rank byte per way
+//! beside the state words, so four cells share a pass at the peak memory of
+//! three, and more of each store stays in the host's caches.
 //!
 //! # Recency ranks
 //!
-//! Each way holds a `u8` recency rank, 0 for the most recently used way of
-//! its set. A touch moves the way to rank 0 and moves every way ranked before
-//! it one rank back, so each set's ranks stay a permutation of
+//! Each way holds a recency rank, 0 for the most recently used way of its
+//! set. A touch moves the way to rank 0 and moves every way ranked before it
+//! one rank back, so each set's ranks stay a permutation of
 //! `0..associativity`. A way becomes valid only through a fill, which touches
 //! it, and nothing invalidates a way again. So the valid ways always hold
 //! ranks `0..valid`: a fill into an invalid way moves every valid way one rank
@@ -57,12 +59,13 @@
 //! would pick, since live timestamps are distinct and ordered as the ranks
 //! are. The order is exact, and with no access counter nothing can wrap.
 //!
-//! A rank is stored XORed with its way's index, so a new cache's zeroed rank
-//! array is the initial ranking (way `w` at rank `w`) and costs no memory
-//! until its sets are touched. For the 8-way caches of the paper a set's
-//! eight ranks are read as one `u64`, so a touch and a victim lookup are a
-//! few word operations each (SWAR). Debug builds check the permutation
-//! invariant after every access.
+//! A packed set has eight rank fields whatever its associativity. The field
+//! of each way past the associativity holds that way's index: it ranks after
+//! every real way, so no touch moves it and no victim lookup searches for
+//! it. The eight fields are therefore always a permutation of `0..8`, and a
+//! touch and a victim lookup are a few word operations each on the state
+//! word (SWAR). Debug builds check the permutation invariant after every
+//! access.
 
 use vccmin_fault::CacheGeometry;
 
@@ -189,21 +192,86 @@ const DIRTY: usize = 1;
 /// construction.
 const USABLE: usize = 2;
 
-/// Bits from one field of a packed state word to the next: three fields of
-/// up to 21 ways fill 63 bits.
-const FIELD_BITS: usize = 21;
-/// The bits of one packed field.
+/// The most ways a packed state word holds.
+const PACKED_WAYS: usize = 8;
+/// Bits from one bitset field of a packed state word to the next.
+const FIELD_BITS: usize = 8;
+/// The bits of one packed bitset field.
 const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+/// Bit of a packed state word where the rank fields start: way `w`'s rank is
+/// the 4 bits from `RANK_SHIFT + 4 * w`.
+const RANK_SHIFT: usize = 32;
+/// The low bit of every rank field.
+const RANK_ONES: u64 = 0x1111_1111 << RANK_SHIFT;
+/// The high bit of every rank field.
+const RANK_HIGHS: u64 = 0x8888_8888 << RANK_SHIFT;
+/// Every rank field.
+const RANK_FIELDS: u64 = 0xffff_ffff << RANK_SHIFT;
+/// The rank fields of a new packed set: way `w` at rank `w`.
+const NEW_RANKS: u64 = 0x7654_3210 << RANK_SHIFT;
 
-/// The `valid`, `dirty` and `usable` way bitsets of every set (see the
-/// module docs). Each layout keeps a field's bits above the associativity
-/// clear.
+/// `word`, a packed set's state, with `way` made the most recently used way:
+/// it moves to rank 0 and every way ranked before it moves one rank back.
+/// Each rank `q` and the touched way's rank `r` are below 8, so the
+/// field-wise difference `7 + r - q` never borrows, and its high bit is set
+/// exactly where `q < r`. The fields past the associativity rank after `r`,
+/// so they stay as they are.
+#[inline(always)]
+fn touch_packed(word: u64, way: usize) -> u64 {
+    let shift = RANK_SHIFT + 4 * way;
+    let r = (word >> shift) & 0xf;
+    let before = (((7 + r) * RANK_ONES - (word & RANK_FIELDS)) & RANK_HIGHS) >> 3;
+    (word + before) & !(0xf << shift)
+}
+
+/// The way holding rank `rank`, below 8, in a packed set's state `word`. XOR
+/// the rank into every field and take the lowest zero field: the zero-field
+/// test can flag a field only at or above a true zero, and the eight fields,
+/// a permutation, have exactly one.
+#[inline(always)]
+fn way_ranked_packed(word: u64, rank: u32) -> usize {
+    // A rank below 8 fills each field without carrying into the next.
+    let x = word ^ (u64::from(rank) * RANK_ONES);
+    let zero = x.wrapping_sub(RANK_ONES) & !x & RANK_HIGHS;
+    (zero.trailing_zeros() as usize - RANK_SHIFT) / 4
+}
+
+/// Makes `way` the most recently used way of a set whose ranks are `ranks`,
+/// one byte per way.
+fn touch_bytes(ranks: &mut [u8], way: usize) {
+    let r = ranks[way];
+    for rank in ranks.iter_mut() {
+        if *rank < r {
+            *rank += 1;
+        }
+    }
+    ranks[way] = 0;
+}
+
+/// The way holding rank `rank` in a set whose ranks are `ranks`, one byte
+/// per way.
+fn way_ranked_bytes(ranks: &[u8], rank: u32) -> usize {
+    ranks
+        .iter()
+        .position(|&r| u32::from(r) == rank)
+        .unwrap_or(0)
+}
+
+/// The `valid`, `dirty` and `usable` way bitsets and the recency ranks of
+/// every set (see the module docs). Each layout keeps a bitset field's bits
+/// above the associativity clear.
 #[derive(Debug, Clone)]
 enum SetStates {
-    /// One word per set, field `f` at bit `f * FIELD_BITS`: at most 21 ways.
+    /// One word per set, bitset field `f` at bit `f * FIELD_BITS` and the
+    /// rank fields from bit `RANK_SHIFT`: at most 8 ways.
     Packed(Vec<u64>),
-    /// One word per field, three per set.
-    Wide(Vec<[u64; 3]>),
+    /// Three bitset words per set, one per field, and a rank byte per way,
+    /// indexed `set * assoc + way`.
+    Wide {
+        words: Vec<[u64; 3]>,
+        ranks: Vec<u8>,
+        assoc: usize,
+    },
 }
 
 /// One set's three bitsets, read together.
@@ -215,13 +283,18 @@ struct SetMeta {
 }
 
 impl SetStates {
-    /// `sets` sets of `assoc` ways, every way usable and none valid.
+    /// `sets` sets of `assoc` ways, every way usable, none valid, and way
+    /// `w` at rank `w`.
     fn new(sets: usize, assoc: usize) -> Self {
         let all_ways = u64::MAX >> (64 - assoc);
-        if assoc <= FIELD_BITS {
-            Self::Packed(vec![all_ways << (USABLE * FIELD_BITS); sets])
+        if assoc <= PACKED_WAYS {
+            Self::Packed(vec![all_ways << (USABLE * FIELD_BITS) | NEW_RANKS; sets])
         } else {
-            Self::Wide(vec![[0, 0, all_ways]; sets])
+            Self::Wide {
+                words: vec![[0, 0, all_ways]; sets],
+                ranks: (0u8..).take(assoc).cycle().take(sets * assoc).collect(),
+                assoc,
+            }
         }
     }
 
@@ -229,7 +302,7 @@ impl SetStates {
     fn sets(&self) -> usize {
         match self {
             Self::Packed(words) => words.len(),
-            Self::Wide(words) => words.len(),
+            Self::Wide { words, .. } => words.len(),
         }
     }
 
@@ -238,7 +311,7 @@ impl SetStates {
     fn get(&self, set: usize, field: usize) -> u64 {
         match self {
             Self::Packed(words) => (words[set] >> (field * FIELD_BITS)) & FIELD_MASK,
-            Self::Wide(words) => words[set][field],
+            Self::Wide { words, .. } => words[set][field],
         }
     }
 
@@ -251,10 +324,10 @@ impl SetStates {
                 SetMeta {
                     valid: word & FIELD_MASK,
                     dirty: (word >> FIELD_BITS) & FIELD_MASK,
-                    usable: word >> (USABLE * FIELD_BITS),
+                    usable: (word >> (USABLE * FIELD_BITS)) & FIELD_MASK,
                 }
             }
-            Self::Wide(words) => {
+            Self::Wide { words, .. } => {
                 let [valid, dirty, usable] = words[set];
                 SetMeta { valid, dirty, usable }
             }
@@ -267,7 +340,7 @@ impl SetStates {
     fn insert(&mut self, set: usize, field: usize, ways: u64) {
         match self {
             Self::Packed(words) => words[set] |= (ways & FIELD_MASK) << (field * FIELD_BITS),
-            Self::Wide(words) => words[set][field] |= ways,
+            Self::Wide { words, .. } => words[set][field] |= ways,
         }
     }
 
@@ -276,7 +349,45 @@ impl SetStates {
     fn remove(&mut self, set: usize, field: usize, ways: u64) {
         match self {
             Self::Packed(words) => words[set] &= !((ways & FIELD_MASK) << (field * FIELD_BITS)),
-            Self::Wide(words) => words[set][field] &= !ways,
+            Self::Wide { words, .. } => words[set][field] &= !ways,
+        }
+    }
+
+    /// Makes `way` the most recently used way of `set`.
+    #[inline(always)]
+    fn touch(&mut self, set: usize, way: usize) {
+        match self {
+            Self::Packed(words) => words[set] = touch_packed(words[set], way),
+            Self::Wide { ranks, assoc, .. } => {
+                touch_bytes(&mut ranks[set * *assoc..][..*assoc], way);
+            }
+        }
+    }
+
+    /// The way of `set` holding rank `rank`.
+    #[inline(always)]
+    fn way_ranked(&self, set: usize, rank: u32) -> usize {
+        match self {
+            Self::Packed(words) => way_ranked_packed(words[set], rank),
+            Self::Wide { ranks, assoc, .. } => {
+                way_ranked_bytes(&ranks[set * assoc..][..*assoc], rank)
+            }
+        }
+    }
+
+    /// Every rank field of `set`, way by way: eight for a packed set, whose
+    /// fields past the associativity hold their own way's index, and one per
+    /// way for a wide set.
+    #[cfg(any(test, debug_assertions))]
+    fn ranks(&self, set: usize) -> Vec<usize> {
+        match self {
+            Self::Packed(words) => (0..PACKED_WAYS)
+                .map(|way| (words[set] >> (RANK_SHIFT + 4 * way)) as usize & 0xf)
+                .collect(),
+            Self::Wide { ranks, assoc, .. } => ranks[set * assoc..][..*assoc]
+                .iter()
+                .map(|&r| usize::from(r))
+                .collect(),
         }
     }
 
@@ -286,74 +397,6 @@ impl SetStates {
             .map(|set| u64::from(self.get(set, field).count_ones()))
             .sum()
     }
-}
-
-/// Each byte of a `u64` set to `byte`.
-const fn broadcast(byte: u8) -> u64 {
-    u64::from_le_bytes([byte; 8])
-}
-
-/// The high bit of each byte of a `u64`.
-const HIGH_BITS: u64 = broadcast(0x80);
-
-/// Byte `w` holds `w`: the XOR that turns a stored 8-way row into its ranks
-/// and back (see the module docs).
-const WAY_BYTES: u64 = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7]);
-
-/// The ranks of a set whose stored row is `stored`, way by way.
-fn decoded(stored: &[u8]) -> impl Iterator<Item = u8> + '_ {
-    stored.iter().zip(0u8..).map(|(&byte, way)| byte ^ way)
-}
-
-/// The eight ranks of an 8-way set as one word, byte `w` for way `w`.
-#[inline(always)]
-fn packed(stored: &[u8]) -> Option<u64> {
-    <[u8; 8]>::try_from(stored)
-        .ok()
-        .map(|bytes| u64::from_le_bytes(bytes) ^ WAY_BYTES)
-}
-
-/// Makes `way` the most recently used way of the set whose stored ranks are
-/// `stored`: it moves to rank 0 and every way ranked before it moves one
-/// rank back. The 8-way case updates all eight ranks in one word: each rank
-/// `q` is below 8, so the byte-wise difference `0x7f + r - q` never borrows,
-/// and its high bit is set exactly where `q < r`.
-#[inline]
-fn touch(stored: &mut [u8], way: usize) {
-    if let Some(word) = packed(stored) {
-        let r = (word >> (way * 8)) & 0xff;
-        let before = ((broadcast(0x7f) + r * broadcast(1) - word) & HIGH_BITS) >> 7;
-        let word = (word + before) & !(0xff << (way * 8));
-        stored.copy_from_slice(&(word ^ WAY_BYTES).to_le_bytes());
-        return;
-    }
-    let r = decoded(stored).nth(way).unwrap_or(0);
-    for (byte, w) in stored.iter_mut().zip(0u8..) {
-        let rank = *byte ^ w;
-        let rank = match rank.cmp(&r) {
-            std::cmp::Ordering::Less => rank + 1,
-            std::cmp::Ordering::Equal => 0,
-            std::cmp::Ordering::Greater => rank,
-        };
-        *byte = rank ^ w;
-    }
-}
-
-/// The way holding rank `rank` in a set whose ranks are a permutation. The
-/// 8-way case XORs the rank into every byte and takes the lowest zero byte:
-/// the zero-byte test can flag a byte only at or above a true zero, and the
-/// permutation has exactly one.
-#[inline]
-fn way_ranked(stored: &[u8], rank: u32) -> usize {
-    if let Some(word) = packed(stored) {
-        // A rank below 8 fills each byte without carrying into the next.
-        let x = word ^ (u64::from(rank) * broadcast(1));
-        let zero = x.wrapping_sub(broadcast(1)) & !x & HIGH_BITS;
-        return zero.trailing_zeros() as usize / 8;
-    }
-    decoded(stored)
-        .position(|r| u32::from(r) == rank)
-        .unwrap_or(0)
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -376,11 +419,9 @@ pub struct SetAssocCache {
     /// Tag of each way, indexed `set * assoc + way`. Only meaningful where the
     /// set's `valid` bit is set.
     tags: Tags,
-    /// Recency rank of each way, 0 for the most recent, XORed with the way's
-    /// index (see the module docs): each set's ranks are a permutation of
-    /// `0..assoc`, and the valid ways hold `0..valid`.
-    ranks: Vec<u8>,
-    /// Per-set `valid`/`dirty`/`usable` bitsets.
+    /// Per-set `valid`/`dirty`/`usable` bitsets and recency ranks: each
+    /// set's ranks are a permutation of `0..assoc`, 0 for the most recent,
+    /// and the valid ways hold `0..valid`.
     state: SetStates,
     stats: CacheStats,
 }
@@ -410,7 +451,6 @@ impl SetAssocCache {
             tag_shift: geometry.offset_bits() + geometry.index_bits(),
             set_mask: geometry.sets() - 1,
             tags: Tags::Short(vec![0; sets * assoc]),
-            ranks: vec![0; sets * assoc],
             state: SetStates::new(sets, assoc),
             stats: CacheStats::default(),
             geometry,
@@ -505,7 +545,7 @@ impl SetAssocCache {
         let live = meta.valid & meta.usable;
         let hit = self.tags.matches(base..base + self.assoc, tag) & live;
         if hit != 0 {
-            touch(&mut self.ranks[base..base + self.assoc], hit.trailing_zeros() as usize);
+            self.state.touch(set, hit.trailing_zeros() as usize);
             // Fold the store's dirty bit in without a branch: the mask is
             // all-ones for a write, zero otherwise.
             self.state.insert(set, DIRTY, hit & u64::from(write).wrapping_neg());
@@ -528,7 +568,7 @@ impl SetAssocCache {
         let victim = if free != 0 {
             free.trailing_zeros() as usize
         } else if live != 0 {
-            way_ranked(&self.ranks[base..base + self.assoc], live.count_ones() - 1)
+            self.state.way_ranked(set, live.count_ones() - 1)
         } else {
             self.stats.unallocated_fills += 1;
             return AccessOutcome {
@@ -554,7 +594,7 @@ impl SetAssocCache {
             self.state.remove(set, DIRTY, bit);
         }
         self.tags.set(base + victim, tag);
-        touch(&mut self.ranks[base..base + self.assoc], victim);
+        self.state.touch(set, victim);
         if was_valid {
             self.stats.evictions += 1;
         }
@@ -604,29 +644,33 @@ impl SetAssocCache {
         self.state.count(VALID)
     }
 
-    /// The recency ranks of `set`, way by way.
-    #[cfg(any(test, debug_assertions))]
-    fn set_ranks(&self, set: usize) -> impl Iterator<Item = u8> + '_ {
-        decoded(&self.ranks[set * self.assoc..(set + 1) * self.assoc])
-    }
-
     /// The rank invariant of `set`, checked in debug builds after every
-    /// access: its ranks are a permutation of `0..assoc`, and its valid ways,
-    /// all usable, hold ranks `0..valid`.
+    /// access: its rank fields are a permutation, each field past the
+    /// associativity holds its own way's index, and the valid ways, all
+    /// usable, hold ranks `0..valid`.
     #[cfg(debug_assertions)]
     fn debug_check_set(&self, set: usize) {
         let meta = self.state.meta(set);
-        let valid = meta.valid.count_ones();
+        let valid = meta.valid.count_ones() as usize;
+        let ranks = self.state.ranks(set);
         let mut seen = 0u64;
-        for (way, rank) in self.set_ranks(set).enumerate() {
+        for (way, &rank) in ranks.iter().enumerate() {
             seen |= 1 << rank;
             debug_assert_eq!(
                 meta.valid >> way & 1 == 1,
-                u32::from(rank) < valid,
+                rank < valid,
                 "set {set}: way {way} has rank {rank}, but the valid ways must hold 0..{valid}"
             );
+            debug_assert!(
+                way < self.assoc || rank == way,
+                "set {set}: unused way {way} has rank {rank}"
+            );
         }
-        debug_assert_eq!(seen.count_ones() as usize, self.assoc, "set {set}: repeated ranks");
+        debug_assert_eq!(
+            seen.count_ones() as usize,
+            ranks.len(),
+            "set {set}: repeated ranks"
+        );
         debug_assert_eq!(meta.valid & !meta.usable, 0, "set {set}: a valid way is not usable");
     }
 }
@@ -798,9 +842,9 @@ mod tests {
 
     #[test]
     fn ranks_stay_a_permutation_with_the_valid_ways_in_front() {
-        // The 8-way SWAR path and the generic path (2, 16 and 32 ways, the
-        // last with three state words per set), each with some ways
-        // disabled, under a random stream of accesses and inserts.
+        // The packed layout (2 and 8 ways) and the wide one (16 and 32
+        // ways), each with some ways disabled, under a random stream of
+        // accesses and inserts.
         for assoc in [2u64, 8, 16, 32] {
             let geom = CacheGeometry::new(16 * assoc * 64, 64, assoc, 24).unwrap();
             let mask = WayDisableMask::from_fn(&geom, |set, way| (set * 7 + way * 3) % 5 == 0);
@@ -818,15 +862,25 @@ mod tests {
                 }
             }
             for set in 0..geom.sets() as usize {
-                let ranks: Vec<u8> = c.set_ranks(set).collect();
+                let ranks = c.state.ranks(set);
                 let mut sorted = ranks.clone();
                 sorted.sort_unstable();
-                assert!(sorted.iter().copied().eq(0..assoc as u8), "{assoc} ways, set {set}: {ranks:?}");
+                assert!(
+                    sorted.iter().copied().eq(0..ranks.len()),
+                    "{assoc} ways, set {set}: {ranks:?}"
+                );
+                assert_eq!(ranks.len(), (assoc as usize).max(PACKED_WAYS));
+                // A packed set's fields past the associativity never move.
+                assert!(ranks
+                    .iter()
+                    .enumerate()
+                    .skip(assoc as usize)
+                    .all(|(way, &rank)| rank == way));
                 let meta = c.state.meta(set);
                 assert_eq!(meta.valid & !meta.usable, 0);
-                let valid = meta.valid.count_ones();
+                let valid = meta.valid.count_ones() as usize;
                 for (way, &rank) in ranks.iter().enumerate() {
-                    assert_eq!(meta.valid >> way & 1 == 1, u32::from(rank) < valid, "set {set}: {ranks:?}");
+                    assert_eq!(meta.valid >> way & 1 == 1, rank < valid, "set {set}: {ranks:?}");
                 }
             }
         }
@@ -877,7 +931,7 @@ mod tests {
         assert!(c.mark_dirty(wide));
     }
 
-    /// Bytes of tags, ranks and state words the cache holds.
+    /// Bytes of tags, state words and rank bytes the cache holds.
     fn state_bytes(c: &SetAssocCache) -> usize {
         let tags = match &c.tags {
             Tags::Short(tags) => std::mem::size_of_val(tags.as_slice()),
@@ -886,22 +940,25 @@ mod tests {
         };
         let state = match &c.state {
             SetStates::Packed(words) => std::mem::size_of_val(words.as_slice()),
-            SetStates::Wide(words) => std::mem::size_of_val(words.as_slice()),
+            SetStates::Wide { words, ranks, .. } => {
+                std::mem::size_of_val(words.as_slice()) + ranks.len()
+            }
         };
-        tags + c.ranks.len() + state
+        tags + state
     }
 
     #[test]
-    fn a_new_l2_holds_128_kib_while_its_tags_fit_16_bits() {
+    fn a_new_l2_holds_96_kib_while_its_tags_fit_16_bits() {
+        // 64 KiB of 16-bit tags and 32 KiB of state words, ranks included.
         let mut l2 = SetAssocCache::new(CacheGeometry::ispass2010_l2());
-        assert_eq!(state_bytes(&l2), 128 * 1024);
+        assert_eq!(state_bytes(&l2), 96 * 1024);
         // Every 32-bit address has a tag of at most 14 bits in the L2.
         for i in 0..50_000u64 {
             l2.access(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32, i % 3 == 0);
         }
         l2.access(u64::from(u32::MAX), true);
         assert!(matches!(l2.tags, Tags::Short(_)));
-        assert_eq!(state_bytes(&l2), 128 * 1024);
+        assert_eq!(state_bytes(&l2), 96 * 1024);
         // An L1 widens to 32-bit tags at the synthetic hot region, for 1 KiB.
         let mut l1 = SetAssocCache::new(CacheGeometry::ispass2010_l1());
         let before = state_bytes(&l1);
@@ -909,6 +966,76 @@ mod tests {
         assert_eq!(state_bytes(&l1), before);
         l1.access(0x1000_0000, false);
         assert_eq!(state_bytes(&l1), before + 1024);
+    }
+
+    /// Steps `p` to the next permutation in lexicographic order; returns
+    /// false, leaving `p` as it is, after the last.
+    fn next_permutation(p: &mut [usize]) -> bool {
+        let Some(i) = p.windows(2).rposition(|pair| pair[0] < pair[1]) else {
+            return false;
+        };
+        let Some(j) = p.iter().rposition(|&x| x > p[i]) else {
+            return false;
+        };
+        p.swap(i, j);
+        p[i + 1..].reverse();
+        true
+    }
+
+    /// `word` with the rank fields of its first ways replaced by `ranks`,
+    /// way by way.
+    fn with_rank_fields(word: u64, ranks: &[usize]) -> u64 {
+        ranks.iter().enumerate().fold(word, |word, (way, &rank)| {
+            let shift = RANK_SHIFT + 4 * way;
+            word & !(0xf << shift) | (rank as u64) << shift
+        })
+    }
+
+    #[test]
+    fn packed_ranks_match_the_scalar_definition_for_every_permutation() {
+        // Every permutation of a packed set's ranks (40,320 at 8 ways), with
+        // the rest of the word as a new set has it: each touch of each way
+        // must give the word of the scalar touch, which moves only the set's
+        // own ways, and each rank's lookup the way a scan finds.
+        for assoc in 1..=PACKED_WAYS {
+            let SetStates::Packed(words) = SetStates::new(1, assoc) else {
+                panic!("{assoc} ways are packed");
+            };
+            let new_word = words[0];
+            let mut ranks: Vec<usize> = (0..assoc).collect();
+            let mut permutations = 0;
+            loop {
+                let word = with_rank_fields(new_word, &ranks);
+                for way in 0..assoc {
+                    let r = ranks[way];
+                    let touched: Vec<usize> = ranks
+                        .iter()
+                        .map(|&q| match q.cmp(&r) {
+                            std::cmp::Ordering::Less => q + 1,
+                            std::cmp::Ordering::Equal => 0,
+                            std::cmp::Ordering::Greater => q,
+                        })
+                        .collect();
+                    let want = with_rank_fields(word, &touched);
+                    assert_eq!(
+                        touch_packed(word, way),
+                        want,
+                        "{assoc} ways: touch way {way} of {ranks:?}"
+                    );
+                    let scan = ranks.iter().position(|&q| q == way).unwrap();
+                    assert_eq!(
+                        way_ranked_packed(word, way as u32),
+                        scan,
+                        "{assoc} ways: rank {way} in {ranks:?}"
+                    );
+                }
+                permutations += 1;
+                if !next_permutation(&mut ranks) {
+                    break;
+                }
+            }
+            assert_eq!(permutations, (1..=assoc).product::<usize>());
+        }
     }
 
     #[test]

@@ -30,11 +30,14 @@ use crate::instruction::TraceInstruction;
 use crate::pipeline::{Pipeline, TraceSource};
 use crate::result::SimResult;
 
-/// Instructions per slice when a run pulls its trace from a source. 256
-/// instructions take 12 KB, which stay in the host's caches while every core
-/// of a group consumes them. Slices four times as long ran no faster in paired
-/// campaigns and raised their peak memory.
-pub const CHUNK_INSTRUCTIONS: usize = 256;
+/// Instructions per slice when a run pulls its trace from a source. 64
+/// instructions take 3 KB; the four cores of a campaign group replay each
+/// slice in turn, and a short slice is more likely still cached for the
+/// last. In alternating untraced `ooo-schemes` runs on a 2-vCPU VM, four
+/// cores per group, slices of 64 read 0.165 s against 0.177 s for 32 (10
+/// rounds) and 0.208 s for 256 (6 rounds); a later sweep of 32 to 256 found
+/// no length faster than 64.
+pub const CHUNK_INSTRUCTIONS: usize = 64;
 
 /// Pulls at most `max_instructions` instructions from `trace`, in slices of
 /// [`CHUNK_INSTRUCTIONS`], and hands each slice to `feed` until the trace

@@ -25,12 +25,12 @@
 //! with `serial`; both give bit-identical results.
 //!
 //! The cells of one workload replay one instruction stream, so a scheme
-//! campaign runs up to [`JOBS_PER_TRACE_PASS`] (three) consecutive planned
+//! campaign runs up to [`JOBS_PER_TRACE_PASS`] (four) consecutive planned
 //! simulations of a workload as one job: it builds their cores, generates
 //! the stream once in slices of
 //! [`CHUNK_INSTRUCTIONS`](vccmin_cpu::CHUNK_INSTRUCTIONS) and feeds each
-//! slice to every core. A workload with 11 planned simulations then takes 4
-//! passes over its stream (6 in pairs, 11 one at a time). Each core sees
+//! slice to every core. A workload with 11 planned simulations then takes 3
+//! passes over its stream (4 in threes, 11 one at a time). Each core sees
 //! exactly its own stream, so the results are those of separate runs. A job
 //! returns its results by value, in job order. The governor's runs change
 //! mode between segments of their own stream, so each governed run is a job
@@ -269,10 +269,11 @@ impl BenchmarkResult {
 
 /// How many planned simulations of one workload a scheme campaign runs as
 /// one job, over one pass of the workload's instruction stream. Each keeps
-/// its hierarchy live for the whole pass, about 160 KB of cache state with
-/// the 2 MB L2's 128 KB tag store, so a worker holds three. A fourth would
-/// save one more pass in three, but raised peak memory when measured.
-pub const JOBS_PER_TRACE_PASS: usize = 3;
+/// its hierarchy live for the whole pass, about 130 KB of cache state with
+/// the 2 MB L2's 96 KB tag store, so a worker holds four in the memory three
+/// took with 128 KB stores. Four cells with the larger stores raised peak
+/// memory when measured.
+pub const JOBS_PER_TRACE_PASS: usize = 4;
 
 /// Runs one workload on each built core in lock step, with the campaign's
 /// instruction budget: the workload's stream is generated once, and each

@@ -576,8 +576,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random op streams over random small geometries (1 to 64 ways, so
-    /// both the one-word and the three-word state layouts) and random disable
-    /// masks: the SoA cache and the scalar reference never diverge.
+    /// both the one-word state layout of up to 8 ways and the three-word
+    /// layout with rank bytes above) and random disable masks: the SoA cache
+    /// and the scalar reference never diverge.
     #[test]
     fn soa_cache_is_equivalent_under_random_op_streams(
         log2_sets in 0u32..5,
