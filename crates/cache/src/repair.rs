@@ -26,7 +26,7 @@
 
 use vccmin_analysis::bit_fix::BitFixParams;
 use vccmin_analysis::{bit_fix, block_faults, way_sacrifice, word_disable};
-use vccmin_fault::{BlockFaults, CacheGeometry, FaultMap};
+use vccmin_fault::{CacheGeometry, FaultMap, SetFaults};
 
 use crate::disabling::{DisableError, DisablingScheme, VoltageMode};
 
@@ -44,15 +44,6 @@ pub struct WayDisableMask {
     associativity: u64,
     /// Per set, the bitset of its disabled ways.
     disabled: Vec<u64>,
-}
-
-/// The bitset of the ways of `blocks` (one set, in way order) for which
-/// `pick` holds.
-fn ways_where(blocks: &[BlockFaults], pick: impl Fn(&BlockFaults) -> bool) -> u64 {
-    blocks
-        .iter()
-        .enumerate()
-        .fold(0, |ways, (way, block)| ways | u64::from(pick(block)) << way)
 }
 
 impl WayDisableMask {
@@ -90,12 +81,12 @@ impl WayDisableMask {
     }
 
     /// Builds the mask of `map`'s geometry one set at a time: `disable` sees
-    /// the set's block fault records (from [`FaultMap::sets`]), in way order,
-    /// and returns the bitset of the set's disabled ways.
-    fn from_sets(map: &FaultMap, mut disable: impl FnMut(&[BlockFaults]) -> u64) -> Self {
+    /// the set's faults (from [`FaultMap::sets`]) and returns the bitset of
+    /// the set's disabled ways.
+    fn from_sets(map: &FaultMap, mut disable: impl FnMut(SetFaults<'_>) -> u64) -> Self {
         let mut mask = Self::all_enabled(map.geometry());
-        for (ways, blocks) in mask.disabled.iter_mut().zip(map.sets()) {
-            *ways = disable(blocks);
+        for (ways, set) in mask.disabled.iter_mut().zip(map.sets()) {
+            *ways = disable(set);
         }
         mask
     }
@@ -321,9 +312,7 @@ impl RepairScheme for BlockDisablingScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         Ok(ResolvedOrganization {
             geometry: *map.geometry(),
-            disabled: Some(WayDisableMask::from_sets(map, |blocks| {
-                ways_where(blocks, BlockFaults::has_any_fault)
-            })),
+            disabled: Some(WayDisableMask::from_sets(map, |set| set.faulty_ways())),
         })
     }
 
@@ -399,29 +388,40 @@ impl BitFixScheme {
         BitFixParams::for_block(geometry.word_bytes() * 8, geometry.words_per_block())
     }
 
-    /// Whether a block cannot be repaired from the set's pattern storage: its
-    /// tag cells are faulty, or it exceeds the per-block repair budget.
-    fn unrepairable(block: &BlockFaults, budget: u64) -> bool {
-        block.tag_is_faulty() || u64::from(block.faulty_word_count()) > budget
+    /// The ways bit-fix disables in `set`, with a repair budget of `budget`
+    /// faulty words per block. A clean set keeps every way. A faulty set
+    /// loses its unrepairable blocks (faulty tag cells, or more faulty words
+    /// than the budget) and sacrifices one way to store repair patterns: an
+    /// unrepairable block if one exists, otherwise the block with the most
+    /// faulty words, ties broken toward the lowest way index. So a set with
+    /// an unrepairable block loses exactly its unrepairable blocks. The
+    /// sacrificed way is always faulty, which is what makes bit-fix dominate
+    /// block-disabling on every fault map.
+    fn disabled_ways(set: SetFaults<'_>, budget: u64) -> u64 {
+        let faulty = set.faulty_ways();
+        if faulty == 0 {
+            return 0;
+        }
+        let unrepairable = set.tag_faulty_ways() | set.ways_with_more_faulty_words_than(budget);
+        if unrepairable != 0 {
+            return unrepairable;
+        }
+        1 << Self::most_faulty_way(set, faulty)
     }
 
-    /// The way sacrificed for pattern storage in a faulty set: an unrepairable
-    /// block if one exists, otherwise the block with the most faulty words
-    /// (ties broken toward the lowest way index). The chosen way is always
-    /// faulty, which is what makes bit-fix dominate block-disabling on every
-    /// fault map.
-    fn sacrificed_way(blocks: &[BlockFaults], budget: u64) -> usize {
-        let mut best_way = 0;
-        let mut best_score = (false, 0u32);
-        for (way, block) in blocks.iter().enumerate() {
-            let score = (
-                Self::unrepairable(block, budget),
-                block.faulty_word_count() + u32::from(block.tag_is_faulty()),
-            );
-            if score > best_score {
-                best_score = score;
-                best_way = way;
+    /// The way of `ways` (a bitset of `set`'s ways) with the most faulty
+    /// words, ties broken toward the lowest way index. In a faulty set with
+    /// no faulty tag, the faulty ways are the ways with a faulty word, so
+    /// the most faulty of them is the most faulty way of the set.
+    fn most_faulty_way(set: SetFaults<'_>, mut ways: u64) -> u32 {
+        let (mut best_way, mut best_count) = (0, 0);
+        while ways != 0 {
+            let way = ways.trailing_zeros();
+            let count = set.faulty_word_count(u64::from(way));
+            if count > best_count {
+                (best_way, best_count) = (way, count);
             }
+            ways &= ways - 1;
         }
         best_way
     }
@@ -446,13 +446,7 @@ impl RepairScheme for BitFixScheme {
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
         let budget = Self::params(&geometry).repair_word_budget;
-        let mask = WayDisableMask::from_sets(map, |blocks| {
-            if !blocks.iter().any(BlockFaults::has_any_fault) {
-                return 0;
-            }
-            (1 << Self::sacrificed_way(blocks, budget))
-                | ways_where(blocks, |block| Self::unrepairable(block, budget))
-        });
+        let mask = WayDisableMask::from_sets(map, |set| Self::disabled_ways(set, budget));
         Ok(ResolvedOrganization {
             geometry,
             disabled: Some(mask),
@@ -478,20 +472,16 @@ impl RepairScheme for BitFixScheme {
 pub struct WaySacrificeScheme;
 
 impl WaySacrificeScheme {
-    /// The worst way of a set: most faulty cells (words + tag), ties broken
-    /// toward the lowest index. Faulty blocks always outrank clean ones, so in
-    /// a faulty set the sacrifice costs nothing over block-disabling.
-    fn worst_way(blocks: &[BlockFaults]) -> usize {
-        let mut worst = 0;
-        let mut worst_score = 0u32;
-        for (way, block) in blocks.iter().enumerate() {
-            let score = block.faulty_word_count() + u32::from(block.tag_is_faulty());
-            if score > worst_score {
-                worst_score = score;
-                worst = way;
-            }
+    /// The ways way-sacrifice disables in `set`: its worst way (most faulty
+    /// cells, words + tag, ties broken toward the lowest index) and every
+    /// faulty way. Faulty blocks always outrank clean ones, so the worst way
+    /// of a faulty set is one of its faulty ways, and the sacrifice costs
+    /// nothing over block-disabling. A clean set gives up way 0.
+    fn disabled_ways(set: SetFaults<'_>) -> u64 {
+        match set.faulty_ways() {
+            0 => 1,
+            faulty => faulty,
         }
-        worst
     }
 }
 
@@ -510,9 +500,7 @@ impl RepairScheme for WaySacrificeScheme {
 
     fn repair(&self, map: &FaultMap) -> Result<ResolvedOrganization, DisableError> {
         let geometry = *map.geometry();
-        let mask = WayDisableMask::from_sets(map, |blocks| {
-            (1 << Self::worst_way(blocks)) | ways_where(blocks, BlockFaults::has_any_fault)
-        });
+        let mask = WayDisableMask::from_sets(map, Self::disabled_ways);
         Ok(ResolvedOrganization {
             geometry,
             disabled: Some(mask),

@@ -88,6 +88,12 @@ use vccmin_experiments::yield_study::YieldParams;
 use vccmin_experiments::{L2Protection, OverheadTable, SchemeConfig, Workload};
 use vccmin_cache::DisablingScheme;
 
+/// The most memory a campaign's fault maps may take: 1 GiB, about 414,000
+/// pairs of L1 maps, or 14,000 when each pair also has an L2 map. Paper scale
+/// is 50 pairs and quick scale 5. A larger `--pairs` is a usage error before
+/// any map is generated, not an allocation failure once they are.
+const FAULT_MAP_BYTES_LIMIT: u64 = 1 << 30;
+
 /// The trace-driven simulation targets.
 const TRACE_DRIVEN: &[&str] = &[
     "lowvolt", "highvolt", "schemes", "governor", "core-matrix", "fig8", "fig9", "fig10", "fig11",
@@ -344,6 +350,7 @@ fn parse_args() -> Result<Option<Options>, String> {
     if let Some(v) = seed {
         yield_params.master_seed = v;
     }
+    check_fault_map_bytes(&params)?;
     Ok(Some(Options {
         target,
         params,
@@ -373,6 +380,27 @@ where
         return Err(format!("bad {what}: must be at least 1\n{}", usage()));
     }
     Ok(count)
+}
+
+/// Rejects a pair count whose fault maps would take more than
+/// [`FAULT_MAP_BYTES_LIMIT`] bytes.
+fn check_fault_map_bytes(params: &SimulationParams) -> Result<(), String> {
+    let per_pair = FaultMapPool::bytes_per_pair(params);
+    let fits = u64::try_from(params.fault_map_pairs)
+        .ok()
+        .and_then(|pairs| pairs.checked_mul(per_pair))
+        .is_some_and(|bytes| bytes <= FAULT_MAP_BYTES_LIMIT);
+    if fits {
+        return Ok(());
+    }
+    Err(format!(
+        "bad pair count: {} fault-map pairs of {per_pair} bytes each exceed the {} MiB limit \
+         on a campaign's fault maps (at most {} pairs)\n{}",
+        params.fault_map_pairs,
+        FAULT_MAP_BYTES_LIMIT >> 20,
+        FAULT_MAP_BYTES_LIMIT / per_pair,
+        usage()
+    ))
 }
 
 /// Parses a per-cell failure probability: a value in `[0, 1]` (which rules out

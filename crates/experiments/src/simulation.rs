@@ -44,7 +44,7 @@ use vccmin_cpu::{feed_chunks, CoreModel, SimResult};
 use vccmin_fault::SeedSequence;
 use vccmin_workloads::{Benchmark, PhaseSchedule};
 
-use crate::config::{L2Protection, SchemeConfig};
+use crate::config::{L2Protection, SchemeConfig, ALL_LOW_VOLTAGE_SCHEMES};
 use crate::governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernorMetrics, GovernorPolicy,
 };
@@ -357,6 +357,23 @@ impl FaultMapPool {
             pair_count: params.fault_map_pairs,
             pairs: OnceLock::new(),
             l2: OnceLock::new(),
+        }
+    }
+
+    /// The bytes one fault-map pair of a pool for `params` holds once
+    /// generated: its two L1 maps, plus an L2 map when `params.l2` repairs
+    /// the L2 with a fault-map-dependent scheme for any configuration. Each
+    /// map counts its [`FaultMap`] value and its [`FaultMap::packed_bytes`].
+    #[must_use]
+    pub fn bytes_per_pair(params: &SimulationParams) -> u64 {
+        let map = |geometry: &CacheGeometry| {
+            std::mem::size_of::<FaultMap>() as u64 + FaultMap::packed_bytes(geometry)
+        };
+        let l1 = 2 * map(&CacheGeometry::ispass2010_l1());
+        if params.l2.needs_fault_maps(&ALL_LOW_VOLTAGE_SCHEMES) {
+            l1 + map(&CacheGeometry::ispass2010_l2())
+        } else {
+            l1
         }
     }
 

@@ -59,6 +59,38 @@ fn zero_counts_are_usage_errors() {
 }
 
 #[test]
+fn a_pair_count_beyond_the_fault_map_memory_limit_is_a_usage_error() {
+    let cases: [&[&str]; 3] = [
+        &["fig8", "--pairs", "1000000000", "--instructions", "1"],
+        // Each pair's L2 map makes 20,000 pairs too many for a faulty L2.
+        &["schemes", "--l2-scheme", "matched", "--pairs", "20000"],
+        // The byte count overflows a u64.
+        &["lowvolt", "--pairs", "18446744073709551615"],
+    ];
+    for args in cases {
+        let pairs = args[args.iter().position(|&a| a == "--pairs").unwrap() + 1];
+        let out = repro(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?} must fail, stderr:\n{stderr}"
+        );
+        assert!(
+            stdout.is_empty(),
+            "{args:?} must not print a table:\n{stdout}"
+        );
+        let named = format!("{pairs} fault-map pairs");
+        assert!(
+            stderr.contains(&named) && stderr.contains("1024 MiB limit"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: vccmin-repro"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn pfail_outside_the_unit_interval_is_a_usage_error() {
     for value in ["2", "-0.5", "NaN", "inf", "1.0000001"] {
         let out = repro(&["schemes", "--smoke", "--pfail", value]);

@@ -8,6 +8,42 @@
 //! `pfail`, the paper's fault model. Sampling happens at word/tag granularity with
 //! the exact derived probabilities (`1 - (1 - pfail)^bits`), which is statistically
 //! identical to cell-level sampling for every question the disabling schemes ask.
+//!
+//! # Layout
+//!
+//! A map keeps three packed `Vec<u64>`, each in block order (set-major,
+//! way-minor: block `b` is way `b % ways` of set `b / ways`):
+//!
+//! * the faulty-word masks: block `b`'s mask is a lane of `words_per_block`
+//!   bits starting at bit `b * words_per_block`, word `w` of the block at the
+//!   lane's bit `w`;
+//! * the tag bits: bit `b` is set when block `b`'s tag or metadata cells hold
+//!   a fault;
+//! * the any-fault bits: bit `b` is set when block `b` holds any fault, the
+//!   OR of its lane and its tag bit.
+//!
+//! The paper's 16-word blocks take 18 bits each. Its 2 MB L2 map holds 72 KiB
+//! of words (512 KiB as 16-byte records) and its 32 KB L1 map 1,152 B
+//! ([`FaultMap::packed_bytes`]).
+//!
+//! A lane never straddles two words. [`CacheGeometry::new`] admits 1 to 64
+//! words per block, and block and word sizes are powers of two, so the lane
+//! width is a power of two that divides 64 and lanes tile each word from bit
+//! 0. The associativity is a power of two as well, so a set of up to 64 ways
+//! sits inside one word of each bitset, and a set's lanes fill whole words or
+//! one aligned part of a word. A per-block question is then one shift and one
+//! mask. Whole-map questions ([`FaultMap::stats`],
+//! [`FaultMap::word_disable_usable`], [`FaultMap::union`]) run word by word
+//! over the vectors without decoding a block, and the repair rules read a
+//! set's bitsets and lanes through [`SetFaults`].
+//!
+//! The any-fault bits follow from the other two vectors, but they are what
+//! block disabling, bit-fix, way-sacrifice and the fleet's capacity checks
+//! read first: one extraction settles every clean set. They are recorded while
+//! sampling, one OR per block beside the block's 17 draws, and not cached on
+//! first use. A lazy cache would need interior mutability in maps that threads
+//! share, would charge its walk to whichever check came first, and would make
+//! two maps with the same faults compare unequal by their cache state.
 
 use rand::rngs::SmallRng;
 use rand::{gen_bool_threshold, Rng, SeedableRng};
@@ -15,8 +51,9 @@ use rand::{gen_bool_threshold, Rng, SeedableRng};
 use crate::geometry::CacheGeometry;
 use crate::variation::DieVariation;
 
-/// Fault status of one cache block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fault status of one cache block: the value [`FaultMap::block`] decodes
+/// from a map's packed vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockFaults {
     /// Bit `w` set means word `w` of the block contains at least one faulty cell.
     faulty_words: u64,
@@ -117,13 +154,138 @@ pub struct FaultMapStats {
     pub faulty_tags: u64,
 }
 
-/// A sampled fault map for one cache array.
+/// A sampled fault map for one cache array, packed as the
+/// [module documentation](self) describes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultMap {
     geometry: CacheGeometry,
+    layout: Layout,
     pfail: f64,
     seed: u64,
-    blocks: Vec<BlockFaults>,
+    /// Block `b`'s faulty-word mask in the lane at bit `b * words_per_block`.
+    words: Vec<u64>,
+    /// Bit `b`: block `b`'s tag or metadata cells hold a fault.
+    tags: Vec<u64>,
+    /// Bit `b`: block `b` holds any fault, in a word or in its tag.
+    faulty: Vec<u64>,
+}
+
+/// Where a geometry's blocks sit in a map's packed vectors: the base-2
+/// logarithms of the lane width (the words per block) and of the
+/// associativity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    lane_log2: u32,
+    ways_log2: u32,
+}
+
+impl Layout {
+    fn new(geometry: &CacheGeometry) -> Self {
+        Self {
+            lane_log2: geometry.words_per_block().trailing_zeros(),
+            ways_log2: geometry.associativity().trailing_zeros(),
+        }
+    }
+
+    /// Words per block, the width of a lane (at most 64).
+    fn words(self) -> u8 {
+        1 << self.lane_log2
+    }
+
+    /// The low bits that hold one lane.
+    fn lane_mask(self) -> u64 {
+        u64::MAX >> (64 - u32::from(self.words()))
+    }
+
+    /// Block `block`'s faulty-word mask in `words`.
+    fn lane(self, words: &[u64], block: usize) -> u64 {
+        let bit = block << self.lane_log2;
+        (words[bit >> 6] >> (bit & 63)) & self.lane_mask()
+    }
+}
+
+/// Bit `index` of a packed bitset.
+fn bit_of(bits: &[u64], index: usize) -> bool {
+    (bits[index >> 6] >> (index & 63)) & 1 == 1
+}
+
+/// The set bits of `words`.
+fn count_ones(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// The `u64` words that hold `bits` bits.
+fn words_for(bits: u64) -> u64 {
+    bits.div_ceil(64)
+}
+
+/// The SWAR popcount masks: step `k` adds each pair of adjacent `2^k`-bit
+/// fields into one field of `2^(k+1)` bits, keeping the bits `SWAR_STEPS[k]`
+/// selects.
+const SWAR_STEPS: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// `FIELD_ONES[k]` holds a one in the lowest bit of every `2^k`-bit field.
+const FIELD_ONES: [u64; 7] = [
+    u64::MAX,
+    0x5555_5555_5555_5555,
+    0x1111_1111_1111_1111,
+    0x0101_0101_0101_0101,
+    0x0001_0001_0001_0001,
+    0x0000_0001_0000_0001,
+    1,
+];
+
+/// The popcount of every `2^field_log2`-bit field of `x`, each in its own
+/// field. A field's count never exceeds its width, so no step carries into
+/// the next field.
+fn field_counts(mut x: u64, field_log2: u32) -> u64 {
+    for (step, &keep) in SWAR_STEPS.iter().enumerate().take(field_log2 as usize) {
+        x = (x & keep) + ((x >> (1 << step)) & keep);
+    }
+    x
+}
+
+/// A SWAR test of which `2^field_log2`-bit fields of a word hold more than
+/// `budget` set bits. Adding `2^(width - 1) - 1 - budget` to a field's count
+/// sets the field's top bit exactly when the count exceeds the budget, and a
+/// count of at most `width` never carries out of its field
+/// (`width + 2^(width - 1) - 1 < 2^width`).
+#[derive(Debug, Clone, Copy)]
+struct FieldsOver {
+    field_log2: u32,
+    bias: u64,
+    tops: u64,
+}
+
+impl FieldsOver {
+    /// The test, or `None` when no field can exceed `budget`: a field holds
+    /// at most its width of set bits.
+    fn new(field_log2: u32, budget: u64) -> Option<Self> {
+        let width = 1u32 << field_log2;
+        if budget >= u64::from(width) {
+            return None;
+        }
+        let ones = FIELD_ONES[field_log2 as usize];
+        let top = 1u64 << (width - 1);
+        Some(Self {
+            field_log2,
+            bias: ones * (top - 1 - budget),
+            tops: ones << (width - 1),
+        })
+    }
+
+    /// The top bit of every field of `x` that holds more than the budget,
+    /// and no other bit.
+    fn of(self, x: u64) -> u64 {
+        (field_counts(x, self.field_log2) + self.bias) & self.tops
+    }
 }
 
 impl FaultMap {
@@ -140,18 +302,13 @@ impl FaultMap {
             "pfail must be a probability, got {pfail}"
         );
         let thresholds = BlockThresholds::new(geometry, pfail);
-        let blocks = sample_blocks(
+        sample_blocks(
             geometry,
-            seed,
-            |_, _| Band::exact(thresholds),
-            |_| thresholds,
-        );
-        Self {
-            geometry: *geometry,
             pfail,
             seed,
-            blocks,
-        }
+            |_| Band::exact(thresholds),
+            |_| thresholds,
+        )
     }
 
     /// Samples the fault map of a concrete die at a given supply voltage: each
@@ -199,33 +356,38 @@ impl FaultMap {
         assert!(!voltage.is_nan(), "voltage must not be NaN");
         let thresholds = offset_thresholds(die, voltage);
         let bands = tile_bands(die, &thresholds);
-        let offsets = die.offsets();
-        let blocks = sample_blocks(
+        let (bands, offsets, tile) = (&bands, die.offsets(), die.block_tiles());
+        sample_blocks(
             die.geometry(),
+            die.model().pfail_voltage.pfail(voltage),
             seed,
-            |set, way| bands[die.tile(set, way)],
+            move |block| bands[tile(block)],
             |block| thresholds(offsets[block]),
-        );
-        Self {
-            geometry: *die.geometry(),
-            pfail: die.model().pfail_voltage.pfail(voltage),
-            seed,
-            blocks,
-        }
+        )
     }
 
     /// A fault map with no faults at all (what the cache sees at or above Vcc-min).
     #[must_use]
     pub fn fault_free(geometry: &CacheGeometry) -> Self {
-        let words = geometry.words_per_block() as u8;
+        let zeros = |bits: u64| vec![0; words_for(bits) as usize];
         Self {
             geometry: *geometry,
+            layout: Layout::new(geometry),
             pfail: 0.0,
             seed: 0,
-            blocks: (0..geometry.blocks())
-                .map(|_| BlockFaults::fault_free(words))
-                .collect(),
+            words: zeros(geometry.blocks() * geometry.words_per_block()),
+            tags: zeros(geometry.blocks()),
+            faulty: zeros(geometry.blocks()),
         }
+    }
+
+    /// The bytes of packed words a map of `geometry` holds: its faulty-word
+    /// lanes, its tag bits and its any-fault bits. 72 KiB for the paper's
+    /// 2 MB L2 and 1,152 B for its 32 KB L1.
+    #[must_use]
+    pub fn packed_bytes(geometry: &CacheGeometry) -> u64 {
+        let blocks = geometry.blocks();
+        8 * (words_for(blocks * geometry.words_per_block()) + 2 * words_for(blocks))
     }
 
     /// The cache geometry this fault map describes.
@@ -246,51 +408,99 @@ impl FaultMap {
         self.seed
     }
 
+    /// The number of block (set-major, way-minor) of `set`, `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` or `way` are out of range.
+    fn block_index(&self, set: u64, way: u64) -> usize {
+        assert!(set < self.geometry.sets(), "set {set} out of range");
+        assert!(
+            way < self.geometry.associativity(),
+            "way {way} out of range"
+        );
+        (set * self.geometry.associativity() + way) as usize
+    }
+
+    /// Block number `block`'s fault record, decoded from the packed vectors.
+    fn block_at(&self, block: usize) -> BlockFaults {
+        BlockFaults {
+            faulty_words: self.layout.lane(&self.words, block),
+            tag_faulty: bit_of(&self.tags, block),
+            words: self.layout.words(),
+        }
+    }
+
     /// Fault record of the block in `set`, `way`.
     ///
     /// # Panics
     ///
     /// Panics if `set` or `way` are out of range.
     #[must_use]
-    pub fn block(&self, set: u64, way: u64) -> &BlockFaults {
-        assert!(set < self.geometry.sets(), "set {set} out of range");
-        assert!(way < self.geometry.associativity(), "way {way} out of range");
-        &self.blocks[(set * self.geometry.associativity() + way) as usize]
+    pub fn block(&self, set: u64, way: u64) -> BlockFaults {
+        self.block_at(self.block_index(set, way))
     }
 
-    /// The block fault records set by set: one slice per set, in set order,
-    /// each holding that set's ways in way order. Walking these slices reads
-    /// every block without [`FaultMap::block`]'s per-block range checks.
-    pub fn sets(&self) -> std::slice::ChunksExact<'_, BlockFaults> {
-        self.blocks
-            .chunks_exact(self.geometry.associativity() as usize)
+    /// The map set by set, in set order. Each [`SetFaults`] reads its set's
+    /// way bitsets and lanes from the packed vectors without decoding a
+    /// block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 64 ways per set: a set's way
+    /// bitsets are one `u64`.
+    pub fn sets(&self) -> impl ExactSizeIterator<Item = SetFaults<'_>> {
+        assert!(
+            self.layout.ways_log2 <= 6,
+            "a set view holds at most 64 ways, got {}",
+            self.geometry.associativity()
+        );
+        let ways_log2 = self.layout.ways_log2;
+        (0..self.geometry.sets() as usize).map(move |set| SetFaults {
+            map: self,
+            first: set << ways_log2,
+        })
     }
 
     /// Iterates over all block fault records in (set-major, way-minor) order.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = &BlockFaults> {
-        self.blocks.iter()
+    pub fn iter_blocks(&self) -> impl Iterator<Item = BlockFaults> + '_ {
+        (0..self.geometry.blocks() as usize).map(|block| self.block_at(block))
     }
 
     /// Whether the block in `set`, `way` would be disabled by block-disabling
     /// (i.e. contains any data, tag or metadata fault).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` or `way` are out of range.
     #[must_use]
     pub fn block_is_faulty(&self, set: u64, way: u64) -> bool {
-        self.block(set, way).has_any_fault()
+        bit_of(&self.faulty, self.block_index(set, way))
     }
 
     /// Number of fault-free ways in a set — the usable associativity of that set
     /// under block-disabling at low voltage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is out of range.
     #[must_use]
     pub fn usable_ways_in_set(&self, set: u64) -> u64 {
-        (0..self.geometry.associativity())
-            .filter(|&w| !self.block_is_faulty(set, w))
-            .count() as u64
+        let ways = self.geometry.associativity();
+        let first = self.block_index(set, 0);
+        let faulty = if ways >= 64 {
+            count_ones(&self.faulty[first >> 6..][..(ways / 64) as usize])
+        } else {
+            let set_bits = (self.faulty[first >> 6] >> (first & 63)) & (u64::MAX >> (64 - ways));
+            u64::from(set_bits.count_ones())
+        };
+        ways - faulty
     }
 
     /// Number of fault-free blocks in the whole cache.
     #[must_use]
     pub fn fault_free_blocks(&self) -> u64 {
-        self.blocks.iter().filter(|b| !b.has_any_fault()).count() as u64
+        self.geometry.blocks() - count_ones(&self.faulty)
     }
 
     /// Fraction of fault-free blocks — the capacity retained under block-disabling.
@@ -302,8 +512,13 @@ impl FaultMap {
     /// Whether a word-disabled cache built from this array is usable at low voltage:
     /// every subblock of `subblock_len` words must contain at most
     /// `subblock_len / 2` faulty words. (Tag cells don't count: word-disabling
-    /// stores them in robust 10T cells.) Each subblock costs one masked
-    /// popcount of its block's faulty-word mask.
+    /// stores them in robust 10T cells.) A block's subblocks start at its
+    /// first word, and the last one stops at the block's end.
+    ///
+    /// When the subblocks tile the lanes (a subblock of at least a block, or
+    /// a power of two of words), each is an aligned field of the packed
+    /// words, and one SWAR count tests every field of a word at once. Other
+    /// lengths cost one masked popcount per subblock.
     ///
     /// # Panics
     ///
@@ -311,19 +526,27 @@ impl FaultMap {
     #[must_use]
     pub fn word_disable_usable(&self, subblock_len: u8) -> bool {
         assert!(subblock_len > 0, "a word-disable subblock holds at least one word");
-        let budget = u32::from(subblock_len / 2);
+        let budget = u64::from(subblock_len / 2);
+        let lane = u32::from(self.layout.words());
         let len = u32::from(subblock_len);
-        let subblock = u64::MAX >> 64u32.saturating_sub(len);
-        self.blocks.iter().all(|b| {
-            let faulty = b.faulty_word_mask();
-            let mut start = 0;
-            while start < u32::from(b.words()) {
-                if ((faulty >> start) & subblock).count_ones() > budget {
-                    return false;
-                }
-                start += len;
-            }
-            true
+        if len >= lane || len.is_power_of_two() {
+            return match FieldsOver::new(len.min(lane).trailing_zeros(), budget) {
+                Some(over) => self.words.iter().all(|&w| over.of(w) == 0),
+                None => true,
+            };
+        }
+        let windows: Vec<(u32, u64)> = (0..64)
+            .step_by(lane as usize)
+            .flat_map(|start| {
+                (0..lane)
+                    .step_by(len as usize)
+                    .map(move |s| (start + s, u64::MAX >> (64 - len.min(lane - s))))
+            })
+            .collect();
+        self.words.iter().all(|&w| {
+            windows
+                .iter()
+                .all(|&(shift, window)| u64::from(((w >> shift) & window).count_ones()) <= budget)
         })
     }
 
@@ -344,39 +567,125 @@ impl FaultMap {
             self.geometry, other.geometry,
             "fault maps must share a geometry to be merged"
         );
-        let blocks = self
-            .blocks
-            .iter()
-            .zip(&other.blocks)
-            .map(|(a, b)| {
-                BlockFaults::new(
-                    a.words(),
-                    a.faulty_word_mask() | b.faulty_word_mask(),
-                    a.tag_is_faulty() || b.tag_is_faulty(),
-                )
-            })
-            .collect();
+        let or = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(x, y)| x | y).collect();
         FaultMap {
             geometry: self.geometry,
+            layout: self.layout,
             pfail: self.pfail.max(other.pfail),
             seed: self.seed,
-            blocks,
+            words: or(&self.words, &other.words),
+            tags: or(&self.tags, &other.tags),
+            faulty: or(&self.faulty, &other.faulty),
         }
     }
 
-    /// Aggregate statistics of the map.
+    /// Aggregate statistics of the map: one popcount per packed word.
     #[must_use]
     pub fn stats(&self) -> FaultMapStats {
         FaultMapStats {
             total_blocks: self.geometry.blocks(),
-            faulty_blocks: self.blocks.iter().filter(|b| b.has_any_fault()).count() as u64,
-            faulty_words: self
-                .blocks
-                .iter()
-                .map(|b| u64::from(b.faulty_word_count()))
-                .sum(),
-            faulty_tags: self.blocks.iter().filter(|b| b.tag_is_faulty()).count() as u64,
+            faulty_blocks: count_ones(&self.faulty),
+            faulty_words: count_ones(&self.words),
+            faulty_tags: count_ones(&self.tags),
         }
+    }
+}
+
+/// One set of a [`FaultMap`], as [`FaultMap::sets`] yields it. It reads the
+/// set's any-fault and tag-fault way bitsets, and its ways' faulty-word
+/// counts, from the map's packed vectors a whole `u64` at a time; bit `w` of
+/// a way bitset is way `w`.
+#[derive(Clone, Copy)]
+pub struct SetFaults<'a> {
+    map: &'a FaultMap,
+    /// The number of the set's first block.
+    first: usize,
+}
+
+impl SetFaults<'_> {
+    /// The set's bits of a one-bit-per-block bitset: at most 64 of them,
+    /// inside one word.
+    fn ways_of(&self, bits: &[u64]) -> u64 {
+        let ways = 1u32 << self.map.layout.ways_log2;
+        (bits[self.first >> 6] >> (self.first & 63)) & (u64::MAX >> (64 - ways))
+    }
+
+    /// The ways that hold any fault, in a word or in the tag.
+    #[must_use]
+    pub fn faulty_ways(&self) -> u64 {
+        self.ways_of(&self.map.faulty)
+    }
+
+    /// The ways whose tag or metadata cells hold a fault.
+    #[must_use]
+    pub fn tag_faulty_ways(&self) -> u64 {
+        self.ways_of(&self.map.tags)
+    }
+
+    /// The ways with more than `budget` faulty words. The set's lanes fill
+    /// whole words or one aligned part of a word, and one SWAR count
+    /// compares every lane of a word with the budget at once.
+    #[must_use]
+    pub fn ways_with_more_faulty_words_than(&self, budget: u64) -> u64 {
+        let Layout {
+            lane_log2,
+            ways_log2,
+        } = self.map.layout;
+        let Some(over) = FieldsOver::new(lane_log2, budget) else {
+            return 0;
+        };
+        let start = self.first << lane_log2;
+        let set_log2 = lane_log2 + ways_log2;
+        let (count, shift, keep) = if set_log2 < 6 {
+            (1, start & 63, u64::MAX >> (64 - (1u32 << set_log2)))
+        } else {
+            (1 << (set_log2 - 6), 0, u64::MAX)
+        };
+        let mut ways = 0;
+        for (i, &word) in self.map.words[start >> 6..][..count].iter().enumerate() {
+            let mut hits = over.of((word >> shift) & keep);
+            while hits != 0 {
+                let lane = (hits.trailing_zeros() >> lane_log2) as usize;
+                ways |= 1 << ((i << (6 - lane_log2)) + lane);
+                hits &= hits - 1;
+            }
+        }
+        ways
+    }
+
+    /// The number of faulty words of way `way`: one popcount of its lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range.
+    #[must_use]
+    pub fn faulty_word_count(&self, way: u64) -> u32 {
+        self.block(way).faulty_word_count()
+    }
+
+    /// The fault record of way `way`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of range.
+    #[must_use]
+    pub fn block(&self, way: u64) -> BlockFaults {
+        let ways = 1u64 << self.map.layout.ways_log2;
+        assert!(way < ways, "way {way} out of range");
+        self.map.block_at(self.first + way as usize)
+    }
+}
+
+impl std::fmt::Debug for SetFaults<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SetFaults")
+            .field("set", &(self.first >> self.map.layout.ways_log2))
+            .field("faulty_ways", &format_args!("{:#b}", self.faulty_ways()))
+            .field(
+                "tag_faulty_ways",
+                &format_args!("{:#b}", self.tag_faulty_ways()),
+            )
+            .finish()
     }
 }
 
@@ -422,8 +731,9 @@ fn offset_thresholds(die: &DieVariation, voltage: f64) -> impl Fn(f64) -> BlockT
     move |offset| BlockThresholds::new(&geometry, pfail(voltage - offset))
 }
 
-/// The [`Band`] of every tile of `die`, indexed by [`DieVariation::tile`],
-/// from `thresholds` at the tile's extreme offsets.
+/// The [`Band`] of every tile of `die`, indexed by
+/// [`DieVariation::block_tiles`], from `thresholds` at the tile's extreme
+/// offsets.
 fn tile_bands(die: &DieVariation, thresholds: impl Fn(f64) -> BlockThresholds) -> Vec<Band> {
     die.tile_extremes()
         .iter()
@@ -485,42 +795,46 @@ impl Band {
 }
 
 /// Draws one block (one uniform per word, then one for the tag) and decides
-/// each draw against `band`. Returns the faulty-word mask, whether the tag
-/// is faulty, and whether any draw fell inside the band, in which case the
-/// mask and tag flag are not final.
+/// each draw against `band`. Returns `lanes` with the block's `WORDS`
+/// faulty-word bits shifted in at the bottom, whether the tag is faulty, and
+/// whether any draw fell inside the band, in which case the bits and the tag
+/// flag are not final.
 ///
 /// One `overflowing_sub` per draw gives both answers. It borrows exactly
 /// when the draw is below `lo` (faulty), and then the wrapped difference
 /// exceeds any band width; otherwise the difference is below the band's
 /// width exactly when the draw is inside the band. For a [`Band::exact`]
-/// band the width is zero, so the second test folds away. Word `w`'s bit
-/// enters the mask at the top and is shifted down into place, which keeps
-/// every shift by a constant.
+/// band the width is zero, so the second test folds away. The borrow enters
+/// `lanes` as `lanes + lanes + borrow`, one add-with-carry, so the draws of
+/// a packed word arrive in reverse bit order ([`sample_lanes`] reverses the
+/// word once it is full).
 #[inline]
-fn draw_block(rng: &mut SmallRng, words: u8, band: &Band) -> (u64, bool, bool) {
+fn draw_block<const WORDS: u32>(
+    rng: &mut SmallRng,
+    band: &Band,
+    mut lanes: u64,
+) -> (u64, bool, bool) {
     let word_width = band.hi.word - band.lo.word;
-    let mut mask = 0u64;
     let mut undecided = false;
-    for _ in 0..words {
+    for _ in 0..WORDS {
         let (above, faulty) = (rng.next_u64() >> 11).overflowing_sub(band.lo.word);
-        mask = (mask >> 1) | (u64::from(faulty) << 63);
+        lanes = lanes.wrapping_add(lanes).wrapping_add(u64::from(faulty));
         undecided |= above < word_width;
     }
-    let mask = mask.checked_shr(64 - u32::from(words)).unwrap_or(0);
     let (above, tag_faulty) = (rng.next_u64() >> 11).overflowing_sub(band.lo.tag);
     undecided |= above < band.hi.tag - band.lo.tag;
-    (mask, tag_faulty, undecided)
+    (lanes, tag_faulty, undecided)
 }
 
 /// The one sampling loop behind both [`FaultMap::generate`] and
 /// [`FaultMap::generate_at_voltage`]: blocks in (set-major, way-minor)
 /// order, each drawing one uniform per word then one for the tag. `band`
-/// gives the [`Band`] of the block in (set, way) and `exact` the thresholds
-/// of block number `block` in that order. `generate` passes the same empty
-/// band for every block, so each of its draws is one comparison. Sharing
-/// the loop makes the documented invariants (zero-systematic voltage
-/// sampling is bit-identical to i.i.d. sampling at the same probability, and
-/// faults nest across voltages) structural rather than merely test-enforced.
+/// gives the [`Band`] and `exact` the thresholds of block number `block` in
+/// that order. `generate` passes the same empty band for every block, so
+/// each of its draws is one comparison. Sharing the loop makes the
+/// documented invariants (zero-systematic voltage sampling is bit-identical
+/// to i.i.d. sampling at the same probability, and faults nest across
+/// voltages) structural rather than merely test-enforced.
 ///
 /// Each draw is decided by integer comparisons against its block's
 /// [`gen_bool_threshold`]s, and the decision is exactly `gen_bool`'s on the
@@ -528,38 +842,97 @@ fn draw_block(rng: &mut SmallRng, words: u8, band: &Band) -> (u64, bool, bool) {
 /// band agrees with its block's threshold because the threshold lies inside
 /// the band (see [`FaultMap::generate_at_voltage`]; debug builds assert it
 /// for every block). A block with a draw inside its band replays its draws
-/// from a copy of the generator against its own thresholds. So a map is
-/// bit-identical to one that samples every word with `gen_bool(p_word)` and
-/// every tag with `gen_bool(p_tag)`.
+/// from a copy of the generator, and from the packed bits before the block,
+/// against its own thresholds. So a map is bit-identical to one that samples
+/// every word with `gen_bool(p_word)` and every tag with `gen_bool(p_tag)`.
+/// The map records `pfail` and `seed` as its metadata.
 fn sample_blocks(
     geometry: &CacheGeometry,
+    pfail: f64,
     seed: u64,
-    band: impl Fn(u64, u64) -> Band,
+    band: impl Fn(usize) -> Band,
     exact: impl Fn(usize) -> BlockThresholds,
-) -> Vec<BlockFaults> {
-    let words_per_block = geometry.words_per_block() as u8;
+) -> FaultMap {
+    let (words, tags, faulty) = match geometry.words_per_block() {
+        1 => sample_lanes::<1>(geometry, seed, band, exact),
+        2 => sample_lanes::<2>(geometry, seed, band, exact),
+        4 => sample_lanes::<4>(geometry, seed, band, exact),
+        8 => sample_lanes::<8>(geometry, seed, band, exact),
+        16 => sample_lanes::<16>(geometry, seed, band, exact),
+        32 => sample_lanes::<32>(geometry, seed, band, exact),
+        _ => sample_lanes::<64>(geometry, seed, band, exact),
+    };
+    FaultMap {
+        geometry: *geometry,
+        layout: Layout::new(geometry),
+        pfail,
+        seed,
+        words,
+        tags,
+        faulty,
+    }
+}
+
+/// [`sample_blocks`] for blocks of `WORDS` words (a power of two from 1 to
+/// 64, which [`CacheGeometry::new`] guarantees), returning the packed word
+/// lanes, tag bits and any-fault bits. The width is a type parameter so that
+/// a block's draws unroll: together with the add-with-carry verdicts, that
+/// keeps sampling as fast as the one-record-per-block sampler it replaced,
+/// which a runtime width or a shift of each lane into place did not.
+///
+/// Each of the three vectors fills in a register that takes one bit per
+/// draw (or per block) at the bottom ([`draw_block`]). Once 64 bits have
+/// entered, the register holds the next packed word with its bits in
+/// reverse order, and is pushed reversed. The outer loop runs once per
+/// packed word of lanes, over the `64 / WORDS` blocks that fill it.
+fn sample_lanes<const WORDS: u32>(
+    geometry: &CacheGeometry,
+    seed: u64,
+    band: impl Fn(usize) -> Band,
+    exact: impl Fn(usize) -> BlockThresholds,
+) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    debug_assert_eq!(u64::from(WORDS), geometry.words_per_block());
+    let lane = u64::MAX >> (64 - WORDS);
+    let blocks = geometry.blocks() as usize;
+    // A map of fewer than 64 bits of lanes fills one partial word.
+    let per_word = (64 / WORDS as usize).min(blocks);
+    let with_bits = |bits: usize| Vec::with_capacity(bits.div_ceil(64));
+    let mut packed_words = with_bits(blocks * WORDS as usize);
+    let (mut packed_tags, mut packed_faulty) = (with_bits(blocks), with_bits(blocks));
+    let (mut lanes, mut tags, mut faulty) = (0u64, 0u64, 0u64);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut blocks = Vec::with_capacity(geometry.blocks() as usize);
-    for set in 0..geometry.sets() {
-        for way in 0..geometry.associativity() {
-            let band = band(set, way);
+    for first in (0..blocks).step_by(per_word) {
+        for block in first..first + per_word {
+            let band = band(block);
             debug_assert!(
-                band.contains(exact(blocks.len())),
-                "block {} (set {set}, way {way}) has thresholds {:?} outside its band {band:?}",
-                blocks.len(),
-                exact(blocks.len())
+                band.contains(exact(block)),
+                "block {block} has thresholds {:?} outside its band {band:?}",
+                exact(block)
             );
             let mut replay = rng.clone();
-            let (mut mask, mut tag_faulty, undecided) =
-                draw_block(&mut rng, words_per_block, &band);
+            let (mut drawn, mut tag_faulty, undecided) =
+                draw_block::<WORDS>(&mut rng, &band, lanes);
             if undecided {
-                let own = Band::exact(exact(blocks.len()));
-                (mask, tag_faulty, _) = draw_block(&mut replay, words_per_block, &own);
+                let own = Band::exact(exact(block));
+                (drawn, tag_faulty, _) = draw_block::<WORDS>(&mut replay, &own, lanes);
             }
-            blocks.push(BlockFaults::new(words_per_block, mask, tag_faulty));
+            lanes = drawn;
+            tags = tags.wrapping_add(tags).wrapping_add(u64::from(tag_faulty));
+            let any = tag_faulty || lanes & lane != 0;
+            faulty = faulty.wrapping_add(faulty).wrapping_add(u64::from(any));
+        }
+        packed_words.push(lanes.reverse_bits() >> (64 - per_word * WORDS as usize));
+        if (first + per_word) & 63 == 0 {
+            packed_tags.push(tags.reverse_bits());
+            packed_faulty.push(faulty.reverse_bits());
         }
     }
-    blocks
+    // A map of fewer than 64 blocks: its tag bits fill one partial word.
+    if blocks & 63 != 0 {
+        packed_tags.push(tags.reverse_bits() >> (64 - blocks));
+        packed_faulty.push(faulty.reverse_bits() >> (64 - blocks));
+    }
+    (packed_words, packed_tags, packed_faulty)
 }
 
 #[cfg(test)]
@@ -569,6 +942,22 @@ mod tests {
 
     fn l1() -> CacheGeometry {
         CacheGeometry::ispass2010_l1()
+    }
+
+    /// Overwrites block number `block` of `map` with `faults`.
+    fn set_block(map: &mut FaultMap, block: usize, faults: BlockFaults) {
+        let layout = map.layout;
+        let bit = block << layout.lane_log2;
+        let lane = &mut map.words[bit >> 6];
+        *lane &= !(layout.lane_mask() << (bit & 63));
+        *lane |= (faults.faulty_word_mask() & layout.lane_mask()) << (bit & 63);
+        for (bits, set) in [
+            (&mut map.tags, faults.tag_is_faulty()),
+            (&mut map.faulty, faults.has_any_fault()),
+        ] {
+            bits[block >> 6] &= !(1 << (block & 63));
+            bits[block >> 6] |= u64::from(set) << (block & 63);
+        }
     }
 
     #[test]
@@ -590,6 +979,7 @@ mod tests {
         assert_eq!(stats.faulty_blocks, 0);
         assert_eq!(stats.faulty_words, 0);
         assert_eq!(stats.faulty_tags, 0);
+        assert_eq!(m, FaultMap::generate(&l1(), 0.0, 0));
     }
 
     #[test]
@@ -605,6 +995,26 @@ mod tests {
         assert!(!m.word_disable_usable(8));
         for set in 0..m.geometry().sets() {
             assert_eq!(m.usable_ways_in_set(set), 0);
+        }
+    }
+
+    #[test]
+    fn a_2_mb_l2_map_holds_72_kib_of_packed_words_and_an_l1_map_1152_bytes() {
+        for (geometry, bytes) in [
+            (CacheGeometry::ispass2010_l2(), 72 * 1024),
+            (l1(), 1152),
+            (CacheGeometry::ispass2010_victim_cache(), 48),
+        ] {
+            assert_eq!(FaultMap::packed_bytes(&geometry), bytes, "{geometry}");
+            for map in [
+                FaultMap::generate(&geometry, 0.01, 3),
+                FaultMap::fault_free(&geometry),
+            ] {
+                let held = map.words.len() + map.tags.len() + map.faulty.len();
+                assert_eq!(8 * held as u64, bytes, "{geometry}");
+                let reserved = map.words.capacity() + map.tags.capacity() + map.faulty.capacity();
+                assert_eq!(reserved, held, "{geometry}: no spare capacity");
+            }
         }
     }
 
@@ -653,13 +1063,13 @@ mod tests {
         // makes the cache unusable for 8-word subblocks.
         let geom = l1();
         let mut m = FaultMap::fault_free(&geom);
-        m.blocks[0] = BlockFaults::new(16, 0b0001_1111, false);
+        set_block(&mut m, 0, BlockFaults::new(16, 0b0001_1111, false));
         assert!(!m.word_disable_usable(8));
         // 4 faulty words are within budget.
-        m.blocks[0] = BlockFaults::new(16, 0b0000_1111, false);
+        set_block(&mut m, 0, BlockFaults::new(16, 0b0000_1111, false));
         assert!(m.word_disable_usable(8));
         // Faulty tags do not matter for word-disable usability.
-        m.blocks[1] = BlockFaults::new(16, 0, true);
+        set_block(&mut m, 1, BlockFaults::new(16, 0, true));
         assert!(m.word_disable_usable(8));
     }
 
@@ -668,7 +1078,7 @@ mod tests {
         // The walk the masked popcount replaced: one range count per subblock.
         fn by_windows(m: &FaultMap, subblock_len: u8) -> bool {
             let budget = u32::from(subblock_len / 2);
-            m.blocks.iter().all(|b| {
+            m.iter_blocks().all(|b| {
                 (0..b.words())
                     .step_by(subblock_len as usize)
                     .all(|start| b.faulty_words_in_range(start, subblock_len) <= budget)
@@ -683,10 +1093,14 @@ mod tests {
             0x0f0f_0000_00f0_f0ff,
             0x0000_0000_0000_001f,
         ];
-        let mut m = FaultMap::fault_free(&l1());
-        for words in [16u8, 64] {
+        // 16- and 64-word blocks, and 1-word blocks whose lanes pack 64 to a
+        // word; the hand-set block sits between clean neighbours.
+        for block_bytes in [64, 256, 4] {
+            let geometry = CacheGeometry::new(32 * 1024, block_bytes, 8, 24).unwrap();
+            let words = geometry.words_per_block() as u8;
+            let mut m = FaultMap::fault_free(&geometry);
             for &mask in &masks {
-                m.blocks[3] = BlockFaults::new(words, mask, false);
+                set_block(&mut m, 3, BlockFaults::new(words, mask, false));
                 for len in 1..=u8::MAX {
                     assert_eq!(
                         m.word_disable_usable(len),
@@ -768,12 +1182,64 @@ mod tests {
 
     #[test]
     fn set_slices_hold_every_block_in_set_and_way_order() {
-        let m = FaultMap::generate(&l1(), 0.003, 8);
-        assert_eq!(m.sets().len() as u64, l1().sets());
-        for (set, blocks) in m.sets().enumerate() {
-            assert_eq!(blocks.len() as u64, l1().associativity());
-            for (way, block) in blocks.iter().enumerate() {
-                assert_eq!(block, m.block(set as u64, way as u64));
+        for (geometry, pfail) in [
+            (l1(), 0.003),
+            (l1(), 0.05),
+            (CacheGeometry::ispass2010_victim_cache(), 0.02),
+            (CacheGeometry::new(4096, 16, 2, 24).unwrap(), 0.05),
+        ] {
+            let m = FaultMap::generate(&geometry, pfail, 8);
+            assert_eq!(m.sets().len() as u64, geometry.sets());
+            for (set, view) in m.sets().enumerate() {
+                let (mut faulty, mut tags) = (0u64, 0u64);
+                for way in 0..geometry.associativity() {
+                    let block = m.block(set as u64, way);
+                    assert_eq!(view.block(way), block);
+                    assert_eq!(view.faulty_word_count(way), block.faulty_word_count());
+                    faulty |= u64::from(block.has_any_fault()) << way;
+                    tags |= u64::from(block.tag_is_faulty()) << way;
+                }
+                assert_eq!(view.faulty_ways(), faulty, "{geometry} set {set}");
+                assert_eq!(view.tag_faulty_ways(), tags, "{geometry} set {set}");
+            }
+        }
+    }
+
+    #[test]
+    fn field_counts_and_budgets_match_the_per_field_popcount() {
+        let words = [
+            0,
+            u64::MAX,
+            1,
+            1 << 63,
+            0x8000_0000_0000_0001,
+            0xdead_beef_0bad_f00d,
+            0x5555_5555_5555_5555,
+            0x0f0f_0000_00f0_f0ff,
+            0x0123_4567_89ab_cdef,
+            0xffff_0000_ffff_0000,
+        ];
+        for field_log2 in 0..=6u32 {
+            let width = 1u32 << field_log2;
+            let field = u64::MAX >> (64 - width);
+            for &x in &words {
+                let counts = field_counts(x, field_log2);
+                for start in (0..64).step_by(width as usize) {
+                    let expected = u64::from(((x >> start) & field).count_ones());
+                    assert_eq!(
+                        (counts >> start) & field,
+                        expected,
+                        "x={x:#x} width={width}"
+                    );
+                }
+                for budget in 0..=u64::from(width) + 1 {
+                    let over = FieldsOver::new(field_log2, budget).map_or(0, |t| t.of(x));
+                    let expected = (0..64).step_by(width as usize).fold(0, |acc, start| {
+                        let count = u64::from(((x >> start) & field).count_ones());
+                        acc | u64::from(count > budget) << (start + width - 1)
+                    });
+                    assert_eq!(over, expected, "x={x:#x} width={width} budget={budget}");
+                }
             }
         }
     }
@@ -791,6 +1257,7 @@ mod tests {
                     ba.faulty_word_mask() | bb.faulty_word_mask()
                 );
                 assert_eq!(bu.tag_is_faulty(), ba.tag_is_faulty() || bb.tag_is_faulty());
+                assert_eq!(u.block_is_faulty(set, way), bu.has_any_fault());
             }
         }
         assert!(u.fault_free_blocks() <= a.fault_free_blocks().min(b.fault_free_blocks()));
@@ -963,10 +1430,12 @@ mod tests {
                         for &v in &voltages {
                             let thresholds = offset_thresholds(&die, v);
                             let bands = tile_bands(&die, &thresholds);
+                            let tile = die.block_tiles();
                             for set in 0..geometry.sets() {
                                 for way in 0..geometry.associativity() {
                                     let own = thresholds(die.systematic_offset(set, way));
-                                    let band = bands[die.tile(set, way)];
+                                    let block = (set * geometry.associativity() + way) as usize;
+                                    let band = bands[tile(block)];
                                     assert!(
                                         band.contains(own),
                                         "{geometry} sigma={sigma} points={grid_points} \

@@ -39,7 +39,9 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Returns [`GeometryError::Invalid`] if any parameter is zero, the size is not
-    /// divisible by `block_bytes * associativity`, or sizes are not powers of two.
+    /// divisible by `block_bytes * associativity`, sizes are not powers of two, or
+    /// a block holds fewer than 1 or more than 64 words of 4 bytes (blocks of 4 to
+    /// 256 bytes).
     pub fn new(
         size_bytes: u64,
         block_bytes: u64,
@@ -62,14 +64,24 @@ impl CacheGeometry {
                 block_bytes * associativity
             )));
         }
-        Ok(Self {
+        let geometry = Self {
             size_bytes,
             block_bytes,
             associativity,
             tag_bits,
             meta_bits: 1,
             word_bytes: 4,
-        })
+        };
+        // A fault map keeps each block's faulty-word mask in one lane of a
+        // `u64`, so a block holds 1 to 64 words.
+        if !(1..=64).contains(&geometry.words_per_block()) {
+            return Err(GeometryError::Invalid(format!(
+                "a block of {block_bytes} B holds {} words of {} B; 1 to 64 are supported",
+                geometry.words_per_block(),
+                geometry.word_bytes
+            )));
+        }
+        Ok(geometry)
     }
 
     /// The paper's L1 instruction/data cache: 32 KB, 8-way, 64 B blocks, 24-bit tag.
@@ -301,6 +313,23 @@ mod tests {
         assert!(CacheGeometry::new(32 * 1024, 64, 0, 24).is_err());
         assert!(CacheGeometry::new(32 * 1024 + 1, 64, 8, 24).is_err());
         assert!(CacheGeometry::new(48 * 1024, 96, 8, 24).is_err());
+    }
+
+    #[test]
+    fn a_block_holds_1_to_64_words() {
+        for block_bytes in [4, 8, 16, 32, 64, 128, 256] {
+            let g = CacheGeometry::new(1024 * 1024, block_bytes, 8, 24).unwrap();
+            assert_eq!(g.words_per_block(), block_bytes / 4);
+        }
+        // Fewer than one word, and more than 64: a fault map's lane is one
+        // `u64` at most.
+        for block_bytes in [1, 2, 512, 1024, 2048] {
+            let err = CacheGeometry::new(1024 * 1024, block_bytes, 8, 24).unwrap_err();
+            assert!(
+                err.to_string().contains("1 to 64"),
+                "{block_bytes} B: {err}"
+            );
+        }
     }
 
     #[test]

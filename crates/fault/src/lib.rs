@@ -7,7 +7,11 @@
 //!   associativity, tag width) and the cell counts derived from it;
 //! * [`FaultMap`] — a reproducible, seeded sample of which words and tags contain at
 //!   least one faulty cell, the same information a low-voltage boot-time memory test
-//!   would produce;
+//!   would produce. A map packs each block's faulty-word mask into a lane of
+//!   `words_per_block` bits, beside one tag-fault and one any-fault bit per block:
+//!   18 bits for the paper's 16-word blocks, 72 KiB for its 2 MB L2. [`BlockFaults`]
+//!   is one block decoded, and [`SetFaults`] one set's way bitsets and faulty-word
+//!   counts, read a whole `u64` at a time, which the repair schemes consume;
 //! * [`SeedSequence`] — a SplitMix64 sequence used to derive independent seeds for
 //!   the many fault maps an experiment needs;
 //! * [`variation`] — process variation: per-die, spatially-correlated systematic
@@ -17,6 +21,9 @@
 //!   supply voltage;
 //! * classification helpers used by the disabling schemes (faulty blocks per set,
 //!   word-disable usability, victim-cache entry survival).
+//!
+//! [`CacheGeometry::new`] admits blocks of 1 to 64 words, so a block's lane never
+//! straddles a word of the packed map.
 //!
 //! Faults are assumed uniformly random and independent at cell granularity, the same
 //! assumption the paper (and Wilkerson et al.) make. Sampling is performed at word
@@ -61,7 +68,7 @@ pub mod geometry;
 pub mod seed;
 pub mod variation;
 
-pub use fault_map::{BlockFaults, FaultMap, FaultMapStats};
+pub use fault_map::{BlockFaults, FaultMap, FaultMapStats, SetFaults};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use seed::SeedSequence;
 pub use variation::{DieVariation, SystematicField, VariationModel};

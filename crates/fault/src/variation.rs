@@ -303,14 +303,18 @@ impl DieVariation {
     }
 
     /// The (minimum, maximum) offset of every tile, indexed by
-    /// [`DieVariation::tile`].
+    /// [`DieVariation::block_tiles`].
     pub(crate) fn tile_extremes(&self) -> &[(f64, f64)] {
         &self.tile_extremes
     }
 
-    /// The index of the tile holding the block in (`set`, `way`).
-    pub(crate) fn tile(&self, set: u64, way: u64) -> usize {
-        (set / TILE_SETS * self.geometry.associativity() + way) as usize
+    /// The index of the tile holding each block, by block number
+    /// (set-major, way-minor): `set / TILE_SETS * ways + way`, in shifts and
+    /// masks, since the associativity and `TILE_SETS` are powers of two.
+    pub(crate) fn block_tiles(&self) -> impl Fn(usize) -> usize {
+        let ways_log2 = self.geometry.associativity().trailing_zeros();
+        let rows_log2 = ways_log2 + TILE_SETS.trailing_zeros();
+        move |block| ((block >> rows_log2) << ways_log2) | (block & ((1 << ways_log2) - 1))
     }
 }
 
@@ -320,6 +324,35 @@ mod tests {
 
     fn l1() -> CacheGeometry {
         CacheGeometry::ispass2010_l1()
+    }
+
+    #[test]
+    fn block_tiles_are_rows_of_tile_sets_sets_with_one_tile_per_way() {
+        let model = VariationModel::ispass2010();
+        for geometry in [
+            l1(),
+            CacheGeometry::ispass2010_l2(),
+            CacheGeometry::ispass2010_victim_cache(),
+            CacheGeometry::new(4096, 64, 1, 24).unwrap(),
+        ] {
+            let die = DieVariation::sample(&geometry, &model, 1);
+            let tile = die.block_tiles();
+            let ways = geometry.associativity();
+            for set in 0..geometry.sets() {
+                for way in 0..ways {
+                    let block = (set * ways + way) as usize;
+                    assert_eq!(
+                        tile(block) as u64,
+                        set / TILE_SETS * ways + way,
+                        "{geometry}"
+                    );
+                }
+            }
+            assert_eq!(
+                tile(geometry.blocks() as usize - 1) + 1,
+                die.tile_extremes().len()
+            );
+        }
     }
 
     #[test]

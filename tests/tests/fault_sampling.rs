@@ -122,11 +122,11 @@ fn geometries() -> [(&'static str, CacheGeometry); 3] {
 /// Whether `map` holds exactly the frozen blocks; the error names the first
 /// block that differs.
 fn same_blocks(map: &FaultMap, frozen: &[BlockFaults]) -> Result<(), String> {
-    let blocks: Vec<&BlockFaults> = map.iter_blocks().collect();
+    let blocks: Vec<BlockFaults> = map.iter_blocks().collect();
     if blocks.len() != frozen.len() {
         return Err(format!("{} blocks, frozen {}", blocks.len(), frozen.len()));
     }
-    match blocks.iter().zip(frozen).position(|(a, b)| *a != b) {
+    match blocks.iter().zip(frozen).position(|(a, b)| a != b) {
         Some(i) => Err(format!(
             "block {i}: {:?}, frozen {:?}",
             blocks[i], frozen[i]
